@@ -7,9 +7,10 @@ The package splits into:
 * ``solver``     the randomized projection iteration
 * ``spectral``   truncated spectral initialization
 * ``regularity`` objective derivatives, wedge sets, regularity estimator,
-                 Monte-Carlo lemma validators
+                 Monte-Carlo estimators of the lemma constants
 * ``harness``    seeded experiment batches, rate fitting, CSV/JSON output
-* ``verify``     the self-verification suite behind ``kaczmarz-pr verify``
+* ``verify``     every invariant and lemma check, shared by the acceptance
+                 tests and ``kaczmarz-pr verify``
 """
 
 __version__ = "0.1.0"
@@ -31,7 +32,6 @@ from .regularity import (
     objective_f,
     second_dir_deriv_at_signal,
     second_dir_deriv_fi,
-    validate_lemmas,
     wedge,
 )
 from .sensing import (
@@ -92,7 +92,6 @@ __all__ = [
     "RegularityParams",
     "RegularityReport",
     "estimate_L",
-    "validate_lemmas",
     "ExperimentConfig",
     "TrialRecord",
     "run_trial",

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -135,27 +135,17 @@ class TrialRecord:
     rho_hat: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "seed": self.seed,
-            "n": self.n,
-            "m": self.m,
-            "model": self.model,
-            "failed": self.failed,
-            "error": self.error,
-            "init_aligned_error": self.init_aligned_error,
-            "init_aligned_error_normalized": self.init_aligned_error_normalized,
-            "iterations_run": self.iterations_run,
-            "converged": self.converged,
-            "final_aligned_error": self.final_aligned_error,
-            "final_raw_error": self.final_raw_error,
-            "final_residual": self.final_residual,
-            "epochs": self.epochs,
-            "aligned_errors": self.aligned_errors,
-            "raw_errors": self.raw_errors,
-            "residuals": self.residuals,
-            "rho_hat": self.rho_hat,
-        }
+        """Every field; non-finite floats (the unset errors of a failed
+        trial) become None, since JSON has no NaN."""
+        return {key: _json_value(value) for key, value in asdict(self).items()}
+
+
+def _json_value(value):
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def fit_rate(record: TrialRecord) -> float | None:
@@ -223,9 +213,8 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
         )
         state = solve(ensemble, y, x0, sol_cfg, z=z)
 
-        stride = sol_cfg.history_stride if sol_cfg.history_stride else ensemble.n
         for k, raw, aligned, res in state.history:
-            rec.epochs.append(k / stride)
+            rec.epochs.append(k / ensemble.n)
             rec.raw_errors.append(raw)
             rec.aligned_errors.append(aligned)
             rec.residuals.append(res)
@@ -356,7 +345,7 @@ def summary_dict(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
 
 def write_summary_json(cfg: ExperimentConfig, records: list[TrialRecord], path) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(summary_dict(cfg, records), fh, indent=2, sort_keys=True)
+        json.dump(summary_dict(cfg, records), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

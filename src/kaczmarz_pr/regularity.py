@@ -15,11 +15,9 @@ analysis of these quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .seeding import derive_seed
 
 __all__ = [
     "objective_f",
@@ -35,9 +33,6 @@ __all__ = [
     "wedge_fraction_mc",
     "span_projection_mass_mc",
     "plane_curvature_expectation_mc",
-    "LemmaCheck",
-    "LemmaReport",
-    "validate_lemmas",
 ]
 
 _MC_CHUNK = 100_000
@@ -95,6 +90,23 @@ def second_dir_deriv_fi(a, z, x, v) -> float:
     return float(2.0 * ta2 - yv * 2.0 * ta2 / sa + yv * cross * cross / (2.0 * sa**3))
 
 
+def _signal_products(ensemble, z):
+    """(conj(u), |u|) with u = a_i^* z for every row; the curvature at the
+    signal needs every |u_i| > 0."""
+    u = _row_products(ensemble, z)
+    ua = np.abs(u)
+    if np.any(ua == 0.0):
+        raise ValueError("requires |a_i^* z| > 0 for every row")
+    return np.conj(u), ua
+
+
+def _curvature(t, uc, inv2u2):
+    """(2 Re(t conj(u)))^2 / (2 |u|^2) elementwise, from conj(u) and
+    1 / (2 |u|^2) computed once per signal."""
+    cross = 2.0 * np.real(t * uc)
+    return cross * cross * inv2u2
+
+
 def second_dir_deriv_at_signal(ensemble, z, v) -> np.ndarray:
     """Per-row curvature at the signal, (2 Re(t_i conj(u_i)))^2 / (2 |u_i|^2)
     with u = a_i^* z and t = a_i^* v; each value lies in [0, 2 |t_i|^2].
@@ -104,13 +116,8 @@ def second_dir_deriv_at_signal(ensemble, z, v) -> np.ndarray:
     when v is a purely imaginary multiple of z (the flat global-phase
     direction of f).
     """
-    u = _row_products(ensemble, z)
-    ua = np.abs(u)
-    if np.any(ua == 0.0):
-        raise ValueError("requires |a_i^* z| > 0 for every row")
-    t = _row_products(ensemble, v)
-    cross = 2.0 * np.real(t * np.conj(u))
-    return cross * cross / (2.0 * ua * ua)
+    uc, ua = _signal_products(ensemble, z)
+    return _curvature(_row_products(ensemble, v), uc, 1.0 / (2.0 * ua * ua))
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +219,9 @@ def _terms_evaluator(ensemble, z, c0: float, alpha: float):
     term2 = 6/(alpha-1) sum_i |a_i^* v|^2
     term3 = (2+4 alpha) sum over the wedge S(v, c0 alpha) of |a_i^* v|^2
     """
-    u = _row_products(ensemble, z)
-    ua = np.abs(u)
-    if np.any(ua == 0.0):
-        raise ValueError("requires |a_i^* z| > 0 for every row")
+    uc, ua = _signal_products(ensemble, z)
     a_ct = np.ascontiguousarray(ensemble.vectors.conj().T)  # (n, m)
-    uc = np.conj(u)[np.newaxis, :]
+    uc = uc[np.newaxis, :]
     inv2u2 = (1.0 / (2.0 * ua * ua))[np.newaxis, :]
     ua_row = ua[np.newaxis, :]
     wedge_beta = c0 * alpha
@@ -227,8 +231,7 @@ def _terms_evaluator(ensemble, z, c0: float, alpha: float):
     def terms(V: np.ndarray):
         T = V @ a_ct
         Ta = np.abs(T)
-        cross = 2.0 * np.real(T * uc)
-        term1 = 0.5 * (cross * cross * inv2u2).sum(axis=1)
+        term1 = 0.5 * _curvature(T, uc, inv2u2).sum(axis=1)
         p2 = Ta * Ta
         term2 = c_mid * p2.sum(axis=1)
         term3 = c_wedge * np.where(wedge_beta * Ta >= ua_row, p2, 0.0).sum(axis=1)
@@ -391,7 +394,7 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo validators for closed-form constants
+# Monte-Carlo estimators for closed-form constants
 
 
 def _orthonormal_pair(n: int, rng: np.random.Generator):
@@ -467,103 +470,3 @@ def plane_curvature_expectation_mc(theta: float, trials: int, seed: int) -> floa
         total += float(np.sum(x.real**2 / np.abs(b1) ** 2))
         done += take
     return total / trials
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    name: str
-    estimate: float
-    target: float
-    tol: float
-    passed: bool
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "target": self.target,
-            "tol": self.tol,
-            "passed": self.passed,
-            **self.extra,
-        }
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    checks: tuple
-    trials: int
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "ok": self.ok,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
-def validate_lemmas(n: int, trials: int, seed: int) -> LemmaReport:
-    """Seeded Monte-Carlo checks of the three closed-form constants:
-
-    (i)   Pr(||P_span(v,z) a||^2 >= 0.8/n) >= 3/4 - 0.01;
-    (ii)  the two-dimensional curvature expectation equals
-          cos^2(theta)/2 + sin^2(theta)/4 at theta in {0, pi/4, pi/2}
-          within 0.01 (the doubled form is reported alongside: the
-          literal (2 Re(.))^2/(2|.|^2) expression averages to exactly
-          twice the closed form);
-    (iii) the wedge fraction equals beta^2/(1+beta^2) for v orthogonal
-          to z, within max(0.002, 4.5 standard errors).
-    """
-    if trials < 100_000:
-        raise ValueError("needs trials >= 100000 for the stated tolerances")
-    checks = []
-
-    mass = span_projection_mass_mc(n, trials, derive_seed(seed, 1))
-    checks.append(
-        LemmaCheck(
-            name=f"projection_mass_n{n}",
-            estimate=mass,
-            target=0.75,
-            tol=0.01,
-            passed=mass >= 0.74,
-            extra={"one_sided": True, "n": n},
-        )
-    )
-
-    for k, theta in enumerate((0.0, math.pi / 4.0, math.pi / 2.0)):
-        target = 0.5 * math.cos(theta) ** 2 + 0.25 * math.sin(theta) ** 2
-        est = plane_curvature_expectation_mc(theta, trials, derive_seed(seed, 2, k))
-        checks.append(
-            LemmaCheck(
-                name=f"plane_curvature_theta={theta:.4f}",
-                estimate=est,
-                target=target,
-                tol=0.01,
-                passed=abs(est - target) <= 0.01,
-                extra={"doubled_form_estimate": 2.0 * est,
-                       "doubled_form_target": 2.0 * target},
-            )
-        )
-
-    for k, beta in enumerate((0.5, 1.0, 2.0)):
-        target = beta * beta / (1.0 + beta * beta)
-        se = math.sqrt(target * (1.0 - target) / trials)
-        tol = max(0.002, 4.5 * se)
-        est = wedge_fraction_mc(beta, trials, derive_seed(seed, 3, k), n=max(n, 2))
-        checks.append(
-            LemmaCheck(
-                name=f"wedge_fraction_beta={beta}",
-                estimate=est,
-                target=target,
-                tol=tol,
-                passed=abs(est - target) <= tol,
-            )
-        )
-
-    return LemmaReport(checks=tuple(checks), trials=trials, seed=seed)

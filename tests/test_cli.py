@@ -1,6 +1,7 @@
 import json
 
 from kaczmarz_pr.cli import main
+from kaczmarz_pr.verify import CHECKS
 
 
 GOOD_CONFIG = (
@@ -97,3 +98,7 @@ def test_verify_small_budget_passes(capsys):
     assert main(["verify", "--trials", "100000", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    # one line per check, in list order, each check exactly once
+    printed = [line.split("] ", 1)[1].split(":", 1)[0] for line in out.splitlines()[:-1]]
+    assert printed == [check.name for check in CHECKS]
+    assert out.splitlines()[-1] == f"{len(CHECKS)}/{len(CHECKS)} checks passed"

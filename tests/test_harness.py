@@ -121,6 +121,20 @@ class TestCsvOutput:
         assert last[0] == "1"
         assert float(last[6]) == recs[1].final_aligned_error
 
+    def test_epochs_do_not_depend_on_history_stride(self):
+        for seed in (3, 4, 5):
+            recs = {}
+            for stride in (None, 5):
+                cfg = ExperimentConfig(
+                    n=20, model="sphere", m=400, num_trials=1, master_seed=seed,
+                    history_stride=stride,
+                )
+                recs[stride] = run_experiment(cfg, workers=1)[0]
+                rows = render_csv([recs[stride]]).splitlines()
+                # the last sample row and the summary row share the epoch column
+                assert rows[-2].split(",")[5] == rows[-1].split(",")[5]
+            assert abs(recs[5].rho_hat - recs[None].rho_hat) <= 1e-3
+
     def test_nan_rendering_for_failed_trial(self):
         rec = TrialRecord(trial_id=0, seed=0, n=2, m=4, model="sphere", failed=True)
         text = render_csv([rec])
@@ -141,6 +155,20 @@ class TestSummaryJson:
         write_summary_json(cfg, recs, p2)
         assert p1.read_bytes() == p2.read_bytes()
         json.loads(p1.read_text())  # well-formed
+
+    def test_failed_trial_writes_null_not_nan(self, tmp_path):
+        cfg = ExperimentConfig(n=2, model="sphere", m=4, num_trials=1, master_seed=0)
+        rec = TrialRecord(trial_id=0, seed=0, n=2, m=4, model="sphere", failed=True, error="x")
+        path = tmp_path / "failed.json"
+        write_summary_json(cfg, [rec], path)
+
+        def reject(name):
+            raise ValueError(f"invalid JSON constant {name}")
+
+        trial = json.loads(path.read_text(), parse_constant=reject)["trials"][0]
+        assert trial["final_aligned_error"] is None
+        assert trial["init_aligned_error"] is None
+        assert trial["failed"] is True
 
     def test_sphere_has_no_side_condition(self):
         cfg = ExperimentConfig(n=4, model="sphere", m=8, num_trials=1, master_seed=0)

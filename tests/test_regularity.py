@@ -12,7 +12,6 @@ from kaczmarz_pr import (
     sample_unit_vector,
     second_dir_deriv_at_signal,
     second_dir_deriv_fi,
-    validate_lemmas,
     wedge,
 )
 from kaczmarz_pr.regularity import (
@@ -23,6 +22,7 @@ from kaczmarz_pr.regularity import (
     wedge_fraction_mc,
 )
 from kaczmarz_pr.seeding import derive_seed
+from kaczmarz_pr.verify import CHECKS, MIN_TRIALS
 
 
 def unit(rng, n):
@@ -266,16 +266,22 @@ class TestLemmaValidators:
             est = plane_curvature_expectation_mc(theta, 150_000, derive_seed(39, k))
             assert abs(est - target) <= 0.01
 
+    LEMMAS = ("wedge_fraction", "plane_curvature", "projection_mass")
+
+    def lemma_checks(self):
+        checks = {c.name: c for c in CHECKS}
+        return [checks[name] for name in self.LEMMAS]
+
     def test_full_report(self):
-        report = validate_lemmas(4, 100_000, 40)
-        assert report.ok
-        names = [c.name for c in report.checks]
-        assert len(names) == 7
-        payload = report.to_dict()
-        assert payload["ok"] is True
-        doubled = [c.extra.get("doubled_form_estimate") for c in report.checks if c.extra.get("doubled_form_estimate")]
-        assert len(doubled) == 3  # the literal doubled form is reported alongside
+        results = {c.name: c.run(40, 100_000) for c in self.lemma_checks()}
+        assert all(r.passed for r in results.values()), results
+        # the literal doubled form is reported alongside, one value per angle
+        detail = results["plane_curvature"].detail
+        doubled = detail.split("literal doubled form [")[1].rstrip("]").split()
+        assert len(doubled) == 3
 
     def test_minimum_trials_enforced(self):
-        with pytest.raises(ValueError):
-            validate_lemmas(4, 10_000, 0)
+        for check in self.lemma_checks():
+            assert check.sampled
+        check = self.lemma_checks()[-1]
+        assert check.run(0, 10_000) == check.run(0, MIN_TRIALS)
