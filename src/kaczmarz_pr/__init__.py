@@ -3,10 +3,11 @@
 The package splits into:
 
 * ``core``       complex vector primitives and the phase-aligned metric
-* ``sensing``    sphere / block-unitary ensembles and measurements
+* ``sensing``    sphere / block-unitary ensembles, measurements and the
+                 objective f
 * ``solver``     the randomized projection iteration
 * ``spectral``   truncated spectral initialization
-* ``regularity`` objective derivatives, wedge sets, regularity estimator,
+* ``regularity`` derivatives of f, wedge sets, regularity estimator,
                  Monte-Carlo estimators of the lemma constants
 * ``harness``    seeded experiment batches, rate fitting, CSV/JSON output
 * ``verify``     every invariant and lemma check, shared by the acceptance
@@ -29,7 +30,6 @@ from .regularity import (
     WedgeSet,
     dir_deriv_f,
     estimate_L,
-    objective_f,
     second_dir_deriv_at_signal,
     second_dir_deriv_fi,
     wedge,
@@ -41,13 +41,13 @@ from .sensing import (
     SensingEnsemble,
     load_ensemble,
     measure,
+    objective_f,
     sample_block_unitary,
     sample_sphere,
     sample_unit_vector,
     save_ensemble,
 )
 from .solver import (
-    ROW_INVERSE_NORM,
     ROW_UNIFORM,
     SolverConfig,
     SolverState,
@@ -74,7 +74,6 @@ __all__ = [
     "save_ensemble",
     "load_ensemble",
     "ROW_UNIFORM",
-    "ROW_INVERSE_NORM",
     "SolverConfig",
     "SolverState",
     "project_magnitude",

@@ -5,7 +5,8 @@ Subcommands:
   verify      run the invariant + Monte-Carlo verification suite
   estimate-l  direction-search report for the regularity constant
 
-Exit codes: 0 success, 1 failed verification, 2 malformed config/arguments.
+Exit codes: 0 success, 1 failed verification or a failed trial in ``run``,
+2 malformed config/arguments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from . import __version__
 from .harness import (
     ConfigError,
-    override_config,
+    apply_settings,
     parse_config_file,
     run_experiment,
     write_csv,
@@ -27,6 +28,10 @@ from .regularity import RegularityParams, estimate_L
 from .sensing import MODEL_SPHERE, MODEL_UNITARY, sample_block_unitary, sample_sphere, sample_unit_vector
 from .seeding import derive_seed
 from .verify import run_verification
+
+# config keys that `run` takes as flags, applied after the config file's
+# values: --max-iters sets max_iters, --seed sets master_seed
+_RUN_FLAG_KEYS = ("n", "m", "K", "model", "trials", "master_seed", "max_iters", "out", "format")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,15 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment batch from a config file")
     run_p.add_argument("--config", required=True, help="key = value config file")
-    run_p.add_argument("--n", type=int, default=None)
-    run_p.add_argument("--m", type=int, default=None)
-    run_p.add_argument("--K", type=int, default=None)
-    run_p.add_argument("--model", choices=(MODEL_SPHERE, MODEL_UNITARY), default=None)
-    run_p.add_argument("--trials", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=None, help="master seed override")
-    run_p.add_argument("--max-iters", type=int, default=None)
-    run_p.add_argument("--out", default=None, help="output path override")
-    run_p.add_argument("--format", choices=("csv", "json"), default=None)
+    for key in _RUN_FLAG_KEYS:
+        flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
+        run_p.add_argument(flag, dest=key, help=f"sets config key {key}")
 
     ver_p = sub.add_parser("verify", help="run the verification suite")
     ver_p.add_argument("--trials", type=int, default=100_000)
@@ -67,20 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    flags = {key: getattr(args, key) for key in _RUN_FLAG_KEYS if getattr(args, key) is not None}
     try:
-        cfg = parse_config_file(args.config)
-        cfg = override_config(
-            cfg,
-            n=args.n,
-            m=args.m,
-            K=args.K,
-            model=args.model,
-            num_trials=args.trials,
-            master_seed=args.seed,
-            max_iters=args.max_iters,
-            output_path=args.out,
-            output_format=args.format,
-        )
+        cfg = apply_settings(parse_config_file(args.config), flags)
         if cfg.output_path is None:
             raise ConfigError("no output path: set out= in the config or pass --out")
     except ConfigError as exc:
@@ -97,7 +85,7 @@ def _cmd_run(args) -> int:
         f"{len(records)} trials: {converged} converged, {failed} failed; "
         f"wrote {cfg.output_path}"
     )
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_verify(args) -> int:

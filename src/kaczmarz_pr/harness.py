@@ -12,7 +12,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .seeding import (
     SPECTRAL_STREAM,
     derive_seed,
 )
-from .solver import ROW_UNIFORM, SolverConfig, solve
+from .solver import SolverConfig, solve
 from .spectral import SpectralConfig, spectral_init
 
 __all__ = [
@@ -39,15 +40,14 @@ __all__ = [
     "render_csv",
     "summary_dict",
     "write_summary_json",
+    "setting_fields",
+    "apply_settings",
     "parse_config_file",
     "load_signal",
     "THREADS_ENV",
 ]
 
 THREADS_ENV = "PR_KACZMARZ_THREADS"
-
-SIGNAL_RANDOM = "random"
-SIGNAL_PROVIDED = "provided"
 
 _RATE_FLOOR = 1e-14
 
@@ -58,6 +58,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment batch.  Each field is a config-file key (see
+    ``apply_settings``); the solver and initializer settings default to
+    those of ``SolverConfig`` and ``SpectralConfig``."""
+
     n: int
     model: str = sensing.MODEL_SPHERE
     m: int | None = None  # sphere model
@@ -67,14 +71,13 @@ class ExperimentConfig:
     max_iters: int | None = None  # None -> 200 * n
     tol_aligned_rel: float | None = 1e-8
     tol_residual: float | None = None
-    row_rule: str = ROW_UNIFORM
-    zero_threshold: float = 1e-14
+    row_rule: str = SolverConfig.row_rule
+    zero_threshold: float = SolverConfig.zero_threshold
     history_stride: int | None = None
-    truncation_multiplier: float = 3.0
-    power_iters_max: int = 1000
-    power_tol: float = 1e-8
-    signal_mode: str = SIGNAL_RANDOM
-    signal: np.ndarray | None = None
+    truncation_multiplier: float = SpectralConfig.truncation_multiplier
+    power_iters_max: int = SpectralConfig.power_iters_max
+    power_tol: float = SpectralConfig.power_tol
+    signal: np.ndarray | None = None  # None -> a random unit signal per trial
     output_path: str | None = None
     output_format: str = "csv"
 
@@ -83,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.num_trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
         if self.model == sensing.MODEL_SPHERE:
             if self.m is None or self.m < 1:
                 raise ConfigError("sphere model needs m >= 1")
@@ -91,15 +96,34 @@ class ExperimentConfig:
                 raise ConfigError("unitary model needs K >= 1")
         else:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.signal_mode not in (SIGNAL_RANDOM, SIGNAL_PROVIDED):
-            raise ConfigError(f"unknown signal_mode {self.signal_mode!r}")
-        if self.signal_mode == SIGNAL_PROVIDED:
-            if self.signal is None:
-                raise ConfigError("signal_mode=provided needs a signal")
-            if np.asarray(self.signal).shape != (self.n,):
-                raise ConfigError("provided signal has wrong dimension")
+        if self.signal is not None and np.asarray(self.signal).shape != (self.n,):
+            raise ConfigError("provided signal has wrong dimension")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.output_format!r}")
+        try:
+            self.solver_config(0)
+            self.spectral_config(0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def solver_config(self, seed: int) -> SolverConfig:
+        return SolverConfig(
+            max_iters=self.effective_max_iters,
+            tol_aligned_rel=self.tol_aligned_rel,
+            tol_residual=self.tol_residual,
+            row_rule=self.row_rule,
+            zero_threshold=self.zero_threshold,
+            seed=seed,
+            history_stride=self.history_stride,
+        )
+
+    def spectral_config(self, seed: int) -> SpectralConfig:
+        return SpectralConfig(
+            truncation_multiplier=self.truncation_multiplier,
+            power_iters_max=self.power_iters_max,
+            power_tol=self.power_tol,
+            seed=seed,
+        )
 
     @property
     def effective_m(self) -> int:
@@ -162,7 +186,7 @@ def fit_rate(record: TrialRecord) -> float | None:
 
 
 def _signal_for_trial(cfg: ExperimentConfig, trial_id: int) -> np.ndarray:
-    if cfg.signal_mode == SIGNAL_PROVIDED:
+    if cfg.signal is not None:
         return np.asarray(cfg.signal, dtype=complex)
     rng = np.random.default_rng(derive_seed(cfg.master_seed, trial_id, SIGNAL_STREAM))
     return sensing.sample_unit_vector(cfg.n, rng)
@@ -170,8 +194,9 @@ def _signal_for_trial(cfg: ExperimentConfig, trial_id: int) -> np.ndarray:
 
 def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     """One seeded trial: sample signal and ensemble, measure, initialize
-    spectrally, solve, fit the rate.  Failures are captured in the record,
-    never dropped."""
+    spectrally, solve, fit the rate.  A numerical failure (ValueError,
+    RuntimeError, ArithmeticError) is captured in the record, never
+    dropped; any other exception is a bug and propagates."""
     seed = derive_seed(cfg.master_seed, trial_id)
     rec = TrialRecord(
         trial_id=trial_id,
@@ -188,13 +213,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
         else:
             ensemble = sensing.sample_sphere(cfg.n, cfg.m, ens_seed)
         y = sensing.measure(ensemble, z)
-
-        spec_cfg = SpectralConfig(
-            truncation_multiplier=cfg.truncation_multiplier,
-            power_iters_max=cfg.power_iters_max,
-            power_tol=cfg.power_tol,
-            seed=derive_seed(cfg.master_seed, trial_id, SPECTRAL_STREAM),
-        )
+        spec_cfg = cfg.spectral_config(derive_seed(cfg.master_seed, trial_id, SPECTRAL_STREAM))
         x0 = spectral_init(ensemble, y, spec_cfg)
 
         nz = float(np.linalg.norm(z))
@@ -202,15 +221,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
         x0_normalized = x0 * (nz / float(np.linalg.norm(x0)))
         rec.init_aligned_error_normalized = dist_phase_aligned(x0_normalized, z).aligned
 
-        sol_cfg = SolverConfig(
-            max_iters=cfg.effective_max_iters,
-            tol_aligned_rel=cfg.tol_aligned_rel,
-            tol_residual=cfg.tol_residual,
-            row_rule=cfg.row_rule,
-            zero_threshold=cfg.zero_threshold,
-            seed=derive_seed(cfg.master_seed, trial_id, SOLVER_STREAM),
-            history_stride=cfg.history_stride,
-        )
+        sol_cfg = cfg.solver_config(derive_seed(cfg.master_seed, trial_id, SOLVER_STREAM))
         state = solve(ensemble, y, x0, sol_cfg, z=z)
 
         for k, raw, aligned, res in state.history:
@@ -228,7 +239,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
         else:
             rec.converged = res <= cfg.tol_residual
         rec.rho_hat = fit_rate(rec)
-    except Exception as exc:  # noqa: BLE001 - failed trials are recorded, not raised
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         rec.failed = True
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
@@ -333,7 +344,7 @@ def summary_dict(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
         "tol_aligned_rel": cfg.tol_aligned_rel,
         "tol_residual": cfg.tol_residual,
         "row_rule": cfg.row_rule,
-        "signal_mode": cfg.signal_mode,
+        "signal_mode": "random" if cfg.signal is None else "provided",
         "truncation_multiplier": cfg.truncation_multiplier,
     }
     return {
@@ -350,18 +361,16 @@ def write_summary_json(cfg: ExperimentConfig, records: list[TrialRecord], path) 
 
 
 # ---------------------------------------------------------------------------
-# config file: "key = value" lines, '#' comments
+# settings: config-file "key = value" lines and `run` flags
 
 
-_INT_KEYS = {
-    "n", "m", "K", "trials", "master_seed", "max_iters", "history_stride",
-    "power_iters_max",
+# fields whose config-file key is not their own name
+_FIELD_KEYS = {
+    "num_trials": "trials",
+    "output_path": "out",
+    "output_format": "format",
+    "signal": "signal_path",
 }
-_FLOAT_KEYS = {
-    "tol_aligned_rel", "tol_residual", "zero_threshold",
-    "truncation_multiplier", "power_tol",
-}
-_STR_KEYS = {"model", "row_rule", "signal_mode", "signal_path", "out", "format"}
 
 
 def load_signal(path) -> np.ndarray:
@@ -376,6 +385,58 @@ def load_signal(path) -> np.ndarray:
     if re.shape != im.shape or re.ndim != 1:
         raise ConfigError(f"signal file {path} has mismatched re/im lists")
     return re + 1j * im
+
+
+# how a value of each field type is read from its text; a signal is read
+# from the file the text names
+_READERS = {int: int, float: float, str: str, np.ndarray: load_signal}
+
+
+def setting_fields(cls=ExperimentConfig) -> dict[str, tuple[str, type, bool]]:
+    """{config key: (field name, value type, accepts none)} for every field
+    of ``cls``, from its type annotations."""
+    out = {}
+    for name, hint in get_type_hints(cls).items():
+        args = get_args(hint)
+        optional = type(None) in args
+        typ = next(a for a in args if a is not type(None)) if optional else hint
+        out[_FIELD_KEYS.get(name, name)] = (name, typ, optional)
+    return out
+
+
+def apply_settings(cfg: ExperimentConfig | None, settings: dict[str, str]) -> ExperimentConfig:
+    """A validated copy of ``cfg`` with each {config key: text} setting
+    applied; ``cfg=None`` starts from the field defaults.
+
+    Each text is read as its field's type, and ``none`` unsets an optional
+    field.  Setting tol_residual without tol_aligned_rel switches the stop
+    rule to the residual, since exactly one tolerance may be set.
+    """
+    known = setting_fields(ExperimentConfig if cfg is None else type(cfg))
+    updates = {}
+    for key, text in settings.items():
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}")
+        name, typ, optional = known[key]
+        if optional and text.lower() == "none":
+            updates[name] = None
+            continue
+        try:
+            updates[name] = _READERS[typ](text)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
+    if "tol_residual" in updates and "tol_aligned_rel" not in updates:
+        updates["tol_aligned_rel"] = None
+    if cfg is not None:
+        out = replace(cfg, **updates)
+    else:
+        required = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+        missing = [name for name in required if name not in updates]
+        if missing:
+            raise ConfigError(f"config must set {', '.join(missing)}")
+        out = ExperimentConfig(**updates)
+    out.validate()
+    return out
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -397,41 +458,4 @@ def parse_config_file(path) -> ExperimentConfig:
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-
-    kwargs: dict = {}
-    for key, value in raw.items():
-        if key in _INT_KEYS:
-            caster = int
-        elif key in _FLOAT_KEYS:
-            caster = lambda v: None if v.lower() == "none" else float(v)  # noqa: E731
-        elif key in _STR_KEYS:
-            caster = str
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            kwargs[key] = caster(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-
-    if "n" not in kwargs:
-        raise ConfigError("config must set n")
-    cfg = ExperimentConfig(n=kwargs.pop("n"))
-    rename = {"trials": "num_trials", "out": "output_path", "format": "output_format"}
-    signal_path = kwargs.pop("signal_path", None)
-    for key, value in kwargs.items():
-        setattr(cfg, rename.get(key, key), value)
-    if "tol_residual" in raw and "tol_aligned_rel" not in raw:
-        cfg.tol_aligned_rel = None
-    if signal_path is not None:
-        cfg.signal = load_signal(signal_path)
-        cfg.signal_mode = SIGNAL_PROVIDED
-    cfg.validate()
-    return cfg
-
-
-def override_config(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Copy cfg with non-None overrides applied, then re-validate."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    out = replace(cfg, **updates)
-    out.validate()
-    return out
+    return apply_settings(None, raw)

@@ -5,22 +5,24 @@ The objective over a measurement set is
     f(x) = (1/m) sum_i (|a_i^* x| - y_i)^2 ,
 
 whose local behavior around the true signal governs the expected per-step
-contraction of the row-projection solver.  This module provides f, its
-first and second directional derivatives, the row "wedge" sets, a
-direction-search estimator for the regularity constant, and seeded
-Monte-Carlo validators of the closed-form constants that appear in the
-analysis of these quantities.
+contraction of the row-projection solver.  f itself is
+``sensing.objective_f``; this module provides its first and second
+directional derivatives, the row "wedge" sets, a direction-search
+estimator for the regularity constant, and seeded Monte-Carlo validators
+of the closed-form constants that appear in the analysis of these
+quantities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .sensing import row_products
+
 __all__ = [
-    "objective_f",
     "dir_deriv_f",
     "second_dir_deriv_fi",
     "second_dir_deriv_at_signal",
@@ -40,17 +42,6 @@ _DIR_CHUNK = 256
 _REFINE_POOL = 64
 
 
-def _row_products(ensemble, v) -> np.ndarray:
-    """a_i^* v for every row, as an (m,) array."""
-    return ensemble.vectors.conj() @ np.asarray(v, dtype=complex)
-
-
-def objective_f(ensemble, y, x) -> float:
-    """Mean squared magnitude residual (1/m) sum_i (|a_i^* x| - y_i)^2."""
-    r = np.abs(_row_products(ensemble, x)) - y.values
-    return float(np.mean(r * r))
-
-
 def dir_deriv_f(ensemble, y, x, v) -> float:
     """One-sided directional derivative of f at x along v.
 
@@ -61,11 +52,11 @@ def dir_deriv_f(ensemble, y, x, v) -> float:
     Rows with a_i^* x == 0 make the formula meaningless (the derivative
     still exists one-sidedly) and raise instead of being regularized.
     """
-    s = _row_products(ensemble, x)
+    s = row_products(ensemble, x)
     sa = np.abs(s)
     if np.any(sa == 0.0):
         raise ValueError("formula requires |a_i^* x| > 0 for every row")
-    t = _row_products(ensemble, v)
+    t = row_products(ensemble, v)
     return float(np.mean((1.0 - y.values / sa) * 2.0 * np.real(t * np.conj(s))))
 
 
@@ -93,7 +84,7 @@ def second_dir_deriv_fi(a, z, x, v) -> float:
 def _signal_products(ensemble, z):
     """(conj(u), |u|) with u = a_i^* z for every row; the curvature at the
     signal needs every |u_i| > 0."""
-    u = _row_products(ensemble, z)
+    u = row_products(ensemble, z)
     ua = np.abs(u)
     if np.any(ua == 0.0):
         raise ValueError("requires |a_i^* z| > 0 for every row")
@@ -117,7 +108,7 @@ def second_dir_deriv_at_signal(ensemble, z, v) -> np.ndarray:
     direction of f).
     """
     uc, ua = _signal_products(ensemble, z)
-    return _curvature(_row_products(ensemble, v), uc, 1.0 / (2.0 * ua * ua))
+    return _curvature(row_products(ensemble, v), uc, 1.0 / (2.0 * ua * ua))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +126,8 @@ class WedgeSet:
 
 def wedge(ensemble, z, v, beta: float) -> WedgeSet:
     """Index set {i : beta |a_i^* v| >= |a_i^* z|}, exact float comparison."""
-    t = _row_products(ensemble, v)
-    u = _row_products(ensemble, z)
+    t = row_products(ensemble, v)
+    u = row_products(ensemble, z)
     mask = beta * np.abs(t) >= np.abs(u)
     idx = np.flatnonzero(mask)
     idx.setflags(write=False)
@@ -195,25 +186,14 @@ class RegularityReport:
     upper_bound_on_sphere_min: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "L_estimate": self.L_estimate,
-            "argmin_direction_re": self.argmin_direction.real.tolist(),
-            "argmin_direction_im": self.argmin_direction.imag.tolist(),
-            "term1": self.term1,
-            "term2": self.term2,
-            "term3": self.term3,
-            "c0": self.params.c0,
-            "alpha": self.params.alpha,
-            "net_or_samples": self.params.net_or_samples,
-            "seed": self.params.seed,
-            "search_mode": self.search_mode,
-            "n": self.n,
-            "m": self.m,
-            "evaluations": self.evaluations,
-            "constraint_2c0alpha_lt_1": self.constraint_2c0alpha_lt_1,
-            "constraint_2c0alpha_gt_1": self.constraint_2c0alpha_gt_1,
-            "upper_bound_on_sphere_min": self.upper_bound_on_sphere_min,
-        }
+        """Every field, with ``params`` flattened into its four values and
+        the direction split into real and imaginary lists."""
+        out = asdict(self)
+        v = out.pop("argmin_direction")
+        out.update(out.pop("params"))
+        out["argmin_direction_re"] = v.real.tolist()
+        out["argmin_direction_im"] = v.imag.tolist()
+        return out
 
 
 def _terms_evaluator(ensemble, z, c0: float, alpha: float):

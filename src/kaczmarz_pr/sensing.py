@@ -25,7 +25,9 @@ __all__ = [
     "sample_block_unitary",
     "sample_unit_vector",
     "haar_unitary",
+    "row_products",
     "measure",
+    "objective_f",
     "save_ensemble",
     "load_ensemble",
 ]
@@ -120,13 +122,25 @@ def sample_unit_vector(n: int, seed) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def row_products(ensemble: SensingEnsemble, v) -> np.ndarray:
+    """a_i^* v for every row, as an (m,) array: conj(A conj(v)), so that no
+    conjugate copy of the (m, n) rows is made."""
+    return np.conj(ensemble.vectors @ np.conj(np.asarray(v, dtype=complex)))
+
+
 def measure(ensemble: SensingEnsemble, z) -> MeasurementSet:
     """Magnitudes y_i = |a_i^* z| for every row of the ensemble."""
     z = np.asarray(z, dtype=complex)
     if z.shape != (ensemble.n,):
         raise ValueError(f"signal dimension {z.shape} does not match n={ensemble.n}")
-    y = np.abs(ensemble.vectors.conj() @ z)
+    y = np.abs(row_products(ensemble, z))
     return MeasurementSet(values=_freeze(y), ensemble_ref=ensemble.ident)
+
+
+def objective_f(ensemble: SensingEnsemble, y: MeasurementSet, x) -> float:
+    """Mean squared magnitude residual (1/m) sum_i (|a_i^* x| - y_i)^2."""
+    r = np.abs(row_products(ensemble, x)) - y.values
+    return float(np.mean(r * r))
 
 
 def save_ensemble(ensemble: SensingEnsemble, path) -> None:

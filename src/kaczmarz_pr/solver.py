@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import dist_phase_aligned
-from .regularity import objective_f
+from .sensing import objective_f
 
 __all__ = [
     "ROW_UNIFORM",
-    "ROW_INVERSE_NORM",
     "SolverConfig",
     "SolverState",
     "project_magnitude",
@@ -26,14 +25,13 @@ __all__ = [
     "solve",
 ]
 
+# rows are drawn uniformly, as in the analysis; the only row rule
 ROW_UNIFORM = "uniform"
-ROW_INVERSE_NORM = "inverse_norm"
-_ROW_RULES = (ROW_UNIFORM, ROW_INVERSE_NORM)
 
 
 @dataclass
 class SolverConfig:
-    """Iteration budget, stopping rule, and row-selection rule.
+    """Iteration budget and stopping rule; ``row_rule`` must be "uniform".
 
     Exactly one of the tolerances must be set: ``tol_aligned_rel`` stops on
     phase-aligned error relative to ||z|| (needs the true signal; experiment
@@ -55,8 +53,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.zero_threshold <= 0.0:
             raise ValueError("zero_threshold must be positive")
-        if self.row_rule not in _ROW_RULES:
-            raise ValueError(f"unknown row rule {self.row_rule!r}")
+        if self.row_rule != ROW_UNIFORM:
+            raise ValueError(f"unknown row rule {self.row_rule!r}; only {ROW_UNIFORM!r} is supported")
         if (self.tol_aligned_rel is None) == (self.tol_residual is None):
             raise ValueError("exactly one of tol_aligned_rel / tol_residual must be set")
         if self.history_stride is not None and self.history_stride < 1:
@@ -86,9 +84,10 @@ def project_magnitude(x, a, y: float, tau: float = 1e-14) -> np.ndarray:
         w = x - (1 - y / |s|) * s * a / ||a||^2
 
     and satisfies |a^* w| = y.  When |s| < tau the phase of s is
-    meaningless; the offset phase is then pinned to 1, a deterministic
-    choice (the event has probability zero under the sampling models
-    used here, and determinism beats a random tie-break for replay).
+    meaningless; the offset phase is then pinned to 1, so that
+    w = x + (y - s) * a / ||a||^2 and a^* w = y.  This is a deterministic
+    choice (the event has probability zero under the sampling models used
+    here, and determinism beats a random tie-break for replay).
     """
     x = np.asarray(x, dtype=complex)
     a = np.asarray(a, dtype=complex)
@@ -101,21 +100,13 @@ def project_magnitude(x, a, y: float, tau: float = 1e-14) -> np.ndarray:
     sa = abs(s)
     if sa >= tau:
         return x - ((1.0 - y / sa) * s / na2) * a
-    return x + (y / na2) * a
-
-
-def _draw_row(rng: np.random.Generator, ensemble, rule: str) -> int:
-    if rule == ROW_UNIFORM:
-        return int(rng.integers(ensemble.m))
-    # probability proportional to 1 / ||a_i||^2; identical to uniform for
-    # unit-norm rows, but the draw consumes the stream differently
-    w = 1.0 / np.sum(np.abs(ensemble.vectors) ** 2, axis=1)
-    return int(rng.choice(ensemble.m, p=w / w.sum()))
+    return x + ((y - s) / na2) * a
 
 
 def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
-    """One randomized projection step; mutates and returns ``state``."""
-    i = _draw_row(state.rng, ensemble, cfg.row_rule)
+    """One randomized projection step on a uniformly drawn row; mutates and
+    returns ``state``."""
+    i = int(state.rng.integers(ensemble.m))
     state.x = project_magnitude(
         state.x, ensemble.vectors[i], float(y.values[i]), cfg.zero_threshold
     )

@@ -23,7 +23,6 @@ from . import sensing
 from .core import dist_phase_aligned, inner, phase_diff_bound_check
 from .regularity import (
     dir_deriv_f,
-    objective_f,
     plane_curvature_expectation_mc,
     second_dir_deriv_at_signal,
     second_dir_deriv_fi,
@@ -126,7 +125,7 @@ def check_sphere_sampler(seed, trials):
     again = sensing.sample_sphere(4, m, s)
     identical = bool(np.array_equal(ens.vectors, again.vectors))
     w = sensing.sample_unit_vector(4, s + 1)
-    mean_sq = float(np.mean(np.abs(ens.vectors.conj() @ w) ** 2))
+    mean_sq = float(np.mean(np.abs(sensing.row_products(ens, w)) ** 2))
     tol = max(0.05 / 4, 4.5 * math.sqrt(2.0 / m) / 4)
     ok = norm_dev <= 1e-12 and identical and abs(mean_sq - 0.25) <= tol
     return CheckResult(
@@ -192,7 +191,7 @@ def check_contraction_identity(seed, reps):
         y = sensing.measure(ens, z)
         while True:
             x = z + 0.4 * _unit(rng, n)
-            if np.abs(ens.vectors.conj() @ x).min() > 1e-6:
+            if np.abs(sensing.row_products(ens, x)).min() > 1e-6:
                 break
         lhs = np.mean(
             [
@@ -201,7 +200,7 @@ def check_contraction_identity(seed, reps):
             ]
         )
         rhs = (
-            objective_f(ens, y, x)
+            sensing.objective_f(ens, y, x)
             + dir_deriv_f(ens, y, x, z - x)
             + np.linalg.norm(z - x) ** 2
         )
@@ -223,7 +222,7 @@ def check_directional_derivatives(seed, bound_seed, reps, bound_reps):
         while True:
             x = z + 0.5 * _unit(rng, n)
             v = _unit(rng, n)
-            if np.abs(ens.vectors.conj() @ x).min() < 1e-3:
+            if np.abs(sensing.row_products(ens, x)).min() < 1e-3:
                 continue
             d = dir_deriv_f(ens, y, x, v)
             # the slope must dominate the O(t) truncation term of the
@@ -231,7 +230,7 @@ def check_directional_derivatives(seed, bound_seed, reps, bound_reps):
             if abs(d) >= 5e-2:
                 break
         t = 1e-6
-        fd = (objective_f(ens, y, x + t * v) - objective_f(ens, y, x)) / t
+        fd = (sensing.objective_f(ens, y, x + t * v) - sensing.objective_f(ens, y, x)) / t
         worst1 = max(worst1, abs(fd - d) / abs(d))
 
     worst2 = 0.0
@@ -262,7 +261,7 @@ def check_directional_derivatives(seed, bound_seed, reps, bound_reps):
         z = sensing.sample_unit_vector(nn, rng)
         v = _unit(rng, nn)
         w1 = second_dir_deriv_at_signal(ens, z, v)
-        cap = 2.0 * np.abs(ens.vectors.conj() @ v) ** 2
+        cap = 2.0 * np.abs(sensing.row_products(ens, v)) ** 2
         bound_ok = bound_ok and bool(np.all(w1 >= 0.0) and np.all(w1 <= cap * (1 + 1e-12)))
 
     return CheckResult(

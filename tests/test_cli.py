@@ -64,6 +64,28 @@ def test_run_flag_overrides(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_flag_bad_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(GOOD_CONFIG)
+    out = tmp_path / "d.csv"
+    assert main(["run", "--config", str(path), "--out", str(out), "--trials", "three"]) == 2
+    assert "trials" in capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--out", str(out), "--model", "cube"]) == 2
+    assert "cube" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_failed_trial_exits_1(tmp_path, capsys):
+    signal = tmp_path / "zero.json"
+    signal.write_text(json.dumps({"re": [0.0, 0.0], "im": [0.0, 0.0]}))
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"model = sphere\nn = 2\nm = 10\nsignal_path = {signal}\n")
+    out = tmp_path / "e.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "1 trials: 0 converged, 1 failed" in capsys.readouterr().out
+    assert out.exists()
+
+
 def test_estimate_l_stdout_report(capsys):
     code = main([
         "estimate-l", "--n", "2", "--m", "200", "--alpha", "20",

@@ -1,22 +1,30 @@
 import json
+import re
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kaczmarz_pr import harness
 from kaczmarz_pr.harness import (
     ConfigError,
     ExperimentConfig,
     TrialRecord,
+    apply_settings,
     fit_rate,
-    override_config,
     parse_config_file,
     render_csv,
     run_experiment,
+    run_trial,
+    setting_fields,
     summary_dict,
     write_csv,
     write_summary_json,
 )
 from kaczmarz_pr.seeding import derive_seed
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def make_record(errors):
@@ -91,13 +99,21 @@ class TestRunExperiment:
             m=9,
             num_trials=2,
             master_seed=2,
-            signal_mode="provided",
             signal=np.zeros(3, dtype=complex),
         )
         recs = run_experiment(cfg, workers=1)
         assert len(recs) == 2
         assert all(r.failed for r in recs)
         assert all("zero" in r.error for r in recs)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(harness, "spectral_init", broken)
+        cfg = ExperimentConfig(n=3, model="sphere", m=9)
+        with pytest.raises(TypeError, match="bug"):
+            run_trial(cfg, 0)
 
     def test_records_both_init_error_variants(self):
         cfg = ExperimentConfig(n=12, model="sphere", m=600, num_trials=1, master_seed=3)
@@ -214,8 +230,8 @@ class TestConfigFile:
             tmp_path, f"model = sphere\nn = 2\nm = 10\nsignal_path = {sig}\n"
         )
         cfg = parse_config_file(path)
-        assert cfg.signal_mode == "provided"
         assert np.array_equal(cfg.signal, np.array([1.0, 0.5j]))
+        assert summary_dict(cfg, [])["config"]["signal_mode"] == "provided"
 
     @pytest.mark.parametrize(
         "text",
@@ -226,6 +242,9 @@ class TestConfigFile:
             "model = sphere\nn = 4\nm = 10\nn = 5\n",  # duplicate
             "model = sphere\nn = 4\nm = 10\njust a line\n",  # not key = value
             "model = unitary\nn = 4\n",  # missing K
+            "model = sphere\nn = 4\nm = 10\nrow_rule = inverse_norm\n",  # uniform only
+            "model = sphere\nn = 4\nm = 10\npower_tol = none\n",  # not optional
+            "model = sphere\nn = 4\nm = 10\nmaster_seed = -1\n",  # seeds are >= 0
         ],
     )
     def test_malformed_configs(self, tmp_path, text):
@@ -238,7 +257,34 @@ class TestConfigFile:
 
     def test_override_validation(self):
         cfg = ExperimentConfig(n=4, model="sphere", m=16)
-        out = override_config(cfg, num_trials=5)
-        assert out.num_trials == 5
+        out = apply_settings(cfg, {"trials": "5", "master_seed": "9"})
+        assert (out.num_trials, out.master_seed) == (5, 9)
+        assert cfg.num_trials == 1  # applied to a copy
         with pytest.raises(ConfigError):
-            override_config(cfg, num_trials=0)
+            apply_settings(cfg, {"trials": "0"})
+
+    def test_none_unsets_optional_keys(self):
+        cfg = ExperimentConfig(n=4, model="sphere", m=16, max_iters=50, history_stride=2)
+        out = apply_settings(cfg, {"max_iters": "none", "history_stride": "None"})
+        assert out.max_iters is None and out.history_stride is None
+        with pytest.raises(ConfigError):
+            apply_settings(cfg, {"n": "none"})
+
+    def test_new_field_is_a_config_key(self):
+        @dataclass
+        class Extended(ExperimentConfig):
+            sweep_width: float | None = 0.5
+
+        assert setting_fields(Extended)["sweep_width"] == ("sweep_width", float, True)
+        out = apply_settings(Extended(n=4, m=16), {"sweep_width": "0.25", "m": "20"})
+        assert (out.sweep_width, out.m) == (0.25, 20)
+        assert apply_settings(out, {"sweep_width": "none"}).sweep_width is None
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        section = README.read_text().split("### Config file format", 1)[1]
+        block = section.split("```", 2)[1]
+        keys = re.findall(r"^(\w+) =", block, flags=re.MULTILINE)
+        assert sorted(keys) == sorted(setting_fields())
+        listed = re.search(r"every optional\s+key \(([^)]*)\)", section).group(1)
+        optional = [key for key, (_, _, accepts_none) in setting_fields().items() if accepts_none]
+        assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(optional)

@@ -14,15 +14,15 @@ from kaczmarz_pr import (
     second_dir_deriv_fi,
     wedge,
 )
-from kaczmarz_pr.regularity import (
-    RegularityParams,
-    plane_curvature_expectation_mc,
-    regularity_terms,
-    span_projection_mass_mc,
-    wedge_fraction_mc,
+from kaczmarz_pr.regularity import RegularityParams, regularity_terms
+from kaczmarz_pr.verify import (
+    CHECKS,
+    MIN_TRIALS,
+    check_directional_derivatives,
+    check_plane_curvature,
+    check_projection_mass,
+    check_wedge_fraction,
 )
-from kaczmarz_pr.seeding import derive_seed
-from kaczmarz_pr.verify import CHECKS, MIN_TRIALS
 
 
 def unit(rng, n):
@@ -55,24 +55,11 @@ class TestFirstDerivative:
         for _ in range(5):
             assert dir_deriv_f(ens, y, z, unit(rng, 5)) == 0.0
 
-    def test_matches_forward_difference(self):
-        rng = np.random.default_rng(5)
-        n, m = 4, 20
-        for rep in range(30):
-            ens = sample_sphere(n, m, derive_seed(5, rep))
-            z = sample_unit_vector(n, rng)
-            y = measure(ens, z)
-            while True:
-                x = z + 0.5 * unit(rng, n)
-                v = unit(rng, n)
-                if np.abs(ens.vectors.conj() @ x).min() < 1e-3:
-                    continue
-                d = dir_deriv_f(ens, y, x, v)
-                if abs(d) >= 5e-2:  # slope must dominate the O(t) truncation term
-                    break
-            t = 1e-6
-            fd = (objective_f(ens, y, x + t * v) - objective_f(ens, y, x)) / t
-            assert abs(fd - d) / abs(d) <= 1e-4
+    def test_matches_finite_differences(self):
+        # f' against a forward difference (n = 4, m = 20) and f''_i against
+        # a central difference (n = 3), 30 draws each
+        result = check_directional_derivatives((5,), (5,), reps=30, bound_reps=0)
+        assert result.passed, result.detail
 
     def test_phase_direction_is_flat(self):
         ens = sample_sphere(6, 50, 6)
@@ -114,38 +101,9 @@ class TestSecondDerivative:
             assert abs(d2 - w1[i]) <= 1e-12 * max(1.0, abs(w1[i]))
 
     def test_bounded_by_twice_projection(self):
-        rng = np.random.default_rng(14)
-        for _ in range(200):
-            n = int(rng.integers(2, 7))
-            ens = sample_sphere(n, 20, int(rng.integers(1 << 30)))
-            z = sample_unit_vector(n, rng)
-            v = unit(rng, n)
-            w1 = second_dir_deriv_at_signal(ens, z, v)
-            cap = 2.0 * np.abs(ens.vectors.conj() @ v) ** 2
-            assert np.all(w1 >= 0.0)
-            assert np.all(w1 <= cap * (1.0 + 1e-12))
-
-    def test_matches_central_difference(self):
-        rng = np.random.default_rng(15)
-        for _ in range(30):
-            a = unit(rng, 3)
-            z = unit(rng, 3)
-            while True:
-                x = 1.2 * unit(rng, 3)
-                v = unit(rng, 3)
-                if abs(np.vdot(a, x)) < 0.1:
-                    continue
-                d2 = second_dir_deriv_fi(a, z, x, v)
-                if abs(d2) >= 1e-3:
-                    break
-            t = 1e-4
-            yv = abs(np.vdot(a, z))
-
-            def fi(pt):
-                return (yv - abs(np.vdot(a, pt))) ** 2
-
-            fd2 = (fi(x + t * v) - 2.0 * fi(x) + fi(x - t * v)) / (t * t)
-            assert abs(fd2 - d2) / abs(d2) <= 1e-3
+        # 0 <= f''_i(z) <= 2|a_i^* v|^2 on 200 random ensembles, 2 <= n <= 6
+        result = check_directional_derivatives((14,), (14,), reps=0, bound_reps=200)
+        assert result.passed, result.detail
 
     def test_zero_inner_product_rejected(self):
         a = np.array([1.0, 0.0], dtype=complex)
@@ -178,10 +136,9 @@ class TestWedge:
             previous = current
 
     def test_orthogonal_fraction_closed_form(self):
-        for beta in (0.5, 1.0, 2.0):
-            est = wedge_fraction_mc(beta, 200_000, derive_seed(24, int(beta * 10)))
-            target = beta**2 / (1 + beta**2)
-            assert abs(est - target) <= 0.005
+        # beta^2 / (1 + beta^2) within 0.005 at beta in {1/2, 1, 2}
+        result = check_wedge_fraction((24,), 200_000, tol=0.005)
+        assert result.passed, result.detail
 
 
 def assert_phase_aligned(rep, z):
@@ -278,14 +235,12 @@ class TestEstimateL:
 
 class TestLemmaValidators:
     def test_projection_mass_levels(self):
-        for n in (4, 16):
-            est = span_projection_mass_mc(n, 150_000, derive_seed(38, n))
-            assert est >= 0.74
+        result = check_projection_mass((38,), 150_000)
+        assert result.passed, result.detail
 
     def test_plane_curvature_closed_form(self):
-        for k, (theta, target) in enumerate(((0.0, 0.5), (np.pi / 4, 0.375), (np.pi / 2, 0.25))):
-            est = plane_curvature_expectation_mc(theta, 150_000, derive_seed(39, k))
-            assert abs(est - target) <= 0.01
+        result = check_plane_curvature((39,), 150_000)
+        assert result.passed, result.detail
 
     LEMMAS = ("wedge_fraction", "plane_curvature", "projection_mass")
 

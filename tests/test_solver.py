@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kaczmarz_pr import (
-    SensingEnsemble,
     SolverConfig,
     SolverState,
     measure,
@@ -12,8 +11,10 @@ from kaczmarz_pr import (
     step,
 )
 from kaczmarz_pr.harness import ExperimentConfig, run_experiment
-from kaczmarz_pr.regularity import dir_deriv_f, objective_f
-from kaczmarz_pr.solver import ROW_INVERSE_NORM, _draw_row, project_magnitude
+from kaczmarz_pr.regularity import dir_deriv_f
+from kaczmarz_pr.sensing import objective_f
+from kaczmarz_pr.solver import project_magnitude
+from kaczmarz_pr.verify import check_contraction_identity
 
 
 def unit(rng, n):
@@ -77,6 +78,15 @@ class TestProjectMagnitude:
         assert w[0] == 0.7 + 0.0j  # offset phase fixed at 1
         assert w[1] == 2.0 + 0.0j
 
+    def test_degenerate_branch_meets_constraint(self):
+        # |a^* x| = 5e-15 is below tau but not zero: the step must remove
+        # it, so that |a^* w| = y rather than |a^* x| + y
+        a = np.array([1.0, 0.0], dtype=complex)
+        x = np.array([5e-15, 2.0], dtype=complex)
+        w = project_magnitude(x, a, 1e-14)
+        assert abs(abs(np.vdot(a, w)) - 1e-14) <= 1e-12 * 1e-14
+        assert w[1] == 2.0 + 0.0j
+
     def test_zero_sensing_vector_rejected(self):
         with pytest.raises(ValueError):
             project_magnitude(np.ones(2, dtype=complex), np.zeros(2, dtype=complex), 1.0)
@@ -120,20 +130,10 @@ class TestStep:
         assert np.array_equal(s1.x, s2.x)
         assert s1.history == s2.history
 
-    def test_inverse_norm_weighting(self):
-        # with non-unit rows the draw frequency follows 1/||a_i||^2
-        vecs = np.array(
-            [[1.0, 0.0], [0.0, 2.0], [2.0, 0.0]], dtype=complex
-        )
-        ens = SensingEnsemble(vectors=vecs, model="custom", seed=0, n=2, m=3)
-        rng = np.random.default_rng(44)
-        counts = np.zeros(3)
-        draws = 6000
-        for _ in range(draws):
-            counts[_draw_row(rng, ens, ROW_INVERSE_NORM)] += 1
-        w = np.array([1.0, 0.25, 0.25])
-        expected = w / w.sum()
-        assert np.abs(counts / draws - expected).max() <= 0.03
+    def test_rows_are_drawn_uniformly_only(self):
+        assert SolverConfig(max_iters=1, tol_residual=0.0).row_rule == "uniform"
+        with pytest.raises(ValueError, match="uniform"):
+            SolverConfig(max_iters=1, tol_residual=0.0, row_rule="inverse_norm")
 
 
 class TestSolve:
@@ -198,29 +198,9 @@ class TestSolve:
 class TestContractionIdentity:
     def test_mean_squared_projection_identity(self):
         # exact algebra: (1/m) sum_i ||P_i x - z||^2
-        #   = f(x) + f'_{z-x}(x) + ||x - z||^2
-        rng = np.random.default_rng(7)
-        n, m = 8, 64
-        for rep in range(20):
-            ens = sample_sphere(n, m, 1000 + rep)
-            z = sample_unit_vector(n, rng)
-            y = measure(ens, z)
-            while True:
-                x = z + 0.4 * unit(rng, n)
-                if np.abs(ens.vectors.conj() @ x).min() > 1e-6:
-                    break
-            lhs = np.mean(
-                [
-                    np.linalg.norm(project_magnitude(x, ens.vectors[i], y.values[i]) - z) ** 2
-                    for i in range(m)
-                ]
-            )
-            rhs = (
-                objective_f(ens, y, x)
-                + dir_deriv_f(ens, y, x, z - x)
-                + np.linalg.norm(z - x) ** 2
-            )
-            assert abs(lhs - rhs) / abs(rhs) <= 1e-10
+        #   = f(x) + f'_{z-x}(x) + ||x - z||^2, at n = 8, m = 64
+        result = check_contraction_identity((7,), reps=20)
+        assert result.passed, result.detail
 
     def test_post_step_error_matches_identity_in_expectation(self):
         # sanity: one-step expected squared error strictly below current
