@@ -25,13 +25,24 @@ from .harness import (
     write_summary_json,
 )
 from .regularity import RegularityParams, estimate_L
-from .sensing import MODEL_SPHERE, MODEL_UNITARY, sample_block_unitary, sample_sphere, sample_unit_vector
+from .sensing import sample_unit_vector
 from .seeding import derive_seed
 from .verify import run_verification
 
-# config keys that `run` takes as flags, applied after the config file's
-# values: --max-iters sets max_iters, --seed sets master_seed
+# config keys that `run` and `estimate-l` take as flags, read like the
+# config file's values: --max-iters sets max_iters, --seed sets master_seed
 _RUN_FLAG_KEYS = ("n", "m", "K", "model", "trials", "master_seed", "max_iters", "out", "format")
+_ESTIMATE_FLAG_KEYS = ("n", "m", "K", "model", "master_seed", "out")
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser, keys) -> None:
+    for key in keys:
+        flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, help=f"sets config key {key}")
+
+
+def _settings(args, keys) -> dict[str, str]:
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,36 +55,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment batch from a config file")
     run_p.add_argument("--config", required=True, help="key = value config file")
-    for key in _RUN_FLAG_KEYS:
-        flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
-        run_p.add_argument(flag, dest=key, help=f"sets config key {key}")
+    _add_setting_flags(run_p, _RUN_FLAG_KEYS)
 
     ver_p = sub.add_parser("verify", help="run the verification suite")
     ver_p.add_argument("--trials", type=int, default=100_000)
     ver_p.add_argument("--seed", type=int, default=0)
 
     est_p = sub.add_parser("estimate-l", help="regularity-constant report")
-    est_p.add_argument("--n", type=int, required=True)
-    est_p.add_argument("--m", type=int, default=None, help="rows (sphere model)")
-    est_p.add_argument("--K", type=int, default=None, help="blocks (unitary model)")
-    est_p.add_argument("--model", choices=(MODEL_SPHERE, MODEL_UNITARY), default=MODEL_SPHERE)
+    _add_setting_flags(est_p, _ESTIMATE_FLAG_KEYS)
     est_p.add_argument("--alpha", type=float, required=True)
     est_p.add_argument("--c0", type=float, default=None, help="default 1/(4 alpha)")
-    est_p.add_argument("--budget", type=int, default=2048, help="direction-search budget")
-    est_p.add_argument("--seed", type=int, default=0)
-    est_p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
+    est_p.add_argument(
+        "--budget", type=int, default=RegularityParams.net_or_samples, help="direction-search budget"
+    )
     return parser
 
 
 def _cmd_run(args) -> int:
-    flags = {key: getattr(args, key) for key in _RUN_FLAG_KEYS if getattr(args, key) is not None}
-    try:
-        cfg = apply_settings(parse_config_file(args.config), flags)
-        if cfg.output_path is None:
-            raise ConfigError("no output path: set out= in the config or pass --out")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = apply_settings(parse_config_file(args.config), _settings(args, _RUN_FLAG_KEYS))
+    if cfg.output_path is None:
+        raise ConfigError("no output path: set out= in the config or pass --out")
     records = run_experiment(cfg)
     if cfg.output_format == "json":
         write_summary_json(cfg, records, cfg.output_path)
@@ -89,6 +90,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     results, ok = run_verification(args.trials, args.seed)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
@@ -97,27 +100,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate_l(args) -> int:
-    c0 = args.c0 if args.c0 is not None else 1.0 / (4.0 * args.alpha)
+    cfg = apply_settings(None, _settings(args, _ESTIMATE_FLAG_KEYS))
+    # c0 defaults to 1/(4 alpha); RegularityParams rejects an alpha <= 1 first
+    c0 = args.c0 if args.c0 is not None else 1.0 / (4.0 * max(args.alpha, 1.0))
     try:
-        params = RegularityParams(c0=c0, alpha=args.alpha, net_or_samples=args.budget, seed=args.seed)
-        if args.model == MODEL_UNITARY:
-            if args.K is None:
-                raise ConfigError("unitary model needs --K")
-            ensemble = sample_block_unitary(args.n, args.K, derive_seed(args.seed, 1))
-        else:
-            if args.m is None:
-                raise ConfigError("sphere model needs --m")
-            ensemble = sample_sphere(args.n, args.m, derive_seed(args.seed, 1))
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    z = sample_unit_vector(args.n, derive_seed(args.seed, 2))
+        params = RegularityParams(
+            c0=c0, alpha=args.alpha, net_or_samples=args.budget, seed=cfg.master_seed
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, 1))
+    z = sample_unit_vector(cfg.n, derive_seed(cfg.master_seed, 2))
     report = estimate_L(ensemble, z, params)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    if cfg.output_path:
+        with open(cfg.output_path, "w", newline="\n") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {cfg.output_path}")
     else:
         print(text)
     return 0
@@ -125,11 +124,12 @@ def _cmd_estimate_l(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_estimate_l(args)
+    command = {"run": _cmd_run, "verify": _cmd_verify, "estimate-l": _cmd_estimate_l}[args.command]
+    try:
+        return command(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.signal is not None and np.asarray(self.signal).shape != (self.n,):
             raise ConfigError("provided signal has wrong dimension")
+        if self.signal is not None and not np.all(np.isfinite(self.signal)):
+            raise ConfigError("provided signal must be finite")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.output_format!r}")
         try:
@@ -124,6 +126,12 @@ class ExperimentConfig:
             power_tol=self.power_tol,
             seed=seed,
         )
+
+    def sample_ensemble(self, seed: int):
+        """The sensing ensemble of this config's model, drawn from ``seed``."""
+        if self.model == sensing.MODEL_UNITARY:
+            return sensing.sample_block_unitary(self.n, self.K, seed)
+        return sensing.sample_sphere(self.n, self.m, seed)
 
     @property
     def effective_m(self) -> int:
@@ -207,11 +215,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     )
     try:
         z = _signal_for_trial(cfg, trial_id)
-        ens_seed = derive_seed(cfg.master_seed, trial_id, ENSEMBLE_STREAM)
-        if cfg.model == sensing.MODEL_UNITARY:
-            ensemble = sensing.sample_block_unitary(cfg.n, cfg.K, ens_seed)
-        else:
-            ensemble = sensing.sample_sphere(cfg.n, cfg.m, ens_seed)
+        ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, trial_id, ENSEMBLE_STREAM))
         y = sensing.measure(ensemble, z)
         spec_cfg = cfg.spectral_config(derive_seed(cfg.master_seed, trial_id, SPECTRAL_STREAM))
         x0 = spectral_init(ensemble, y, spec_cfg)
@@ -234,10 +238,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
         rec.final_raw_error = raw
         rec.final_aligned_error = aligned
         rec.final_residual = res
-        if cfg.tol_aligned_rel is not None:
-            rec.converged = aligned <= cfg.tol_aligned_rel * nz
-        else:
-            rec.converged = res <= cfg.tol_residual
+        rec.converged = sol_cfg.converged(aligned, res, nz)
         rec.rho_hat = fit_rate(rec)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         rec.failed = True
@@ -333,20 +334,17 @@ def summary_dict(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
     if cfg.model == sensing.MODEL_UNITARY:
         m = cfg.effective_m
         side_condition = bool(math.sqrt(cfg.n) > math.log(m) ** 2)
-    config = {
-        "model": cfg.model,
-        "n": cfg.n,
-        "m": cfg.effective_m,
-        "K": cfg.K,
-        "num_trials": cfg.num_trials,
-        "master_seed": cfg.master_seed,
-        "max_iters": cfg.effective_max_iters,
-        "tol_aligned_rel": cfg.tol_aligned_rel,
-        "tol_residual": cfg.tol_residual,
-        "row_rule": cfg.row_rule,
-        "signal_mode": "random" if cfg.signal is None else "provided",
-        "truncation_multiplier": cfg.truncation_multiplier,
-    }
+    # every field but where the output goes, so the block reproduces the run;
+    # a signal is written the way load_signal reads it
+    config = asdict(cfg)
+    del config["output_path"], config["output_format"]
+    if cfg.signal is not None:
+        config["signal"] = {"re": np.real(cfg.signal).tolist(), "im": np.imag(cfg.signal).tolist()}
+    config.update(
+        m=cfg.effective_m,
+        max_iters=cfg.effective_max_iters,
+        signal_mode="random" if cfg.signal is None else "provided",
+    )
     return {
         "config": config,
         "unitary_side_condition_sqrt_n_gt_log_sq_m": side_condition,
@@ -387,9 +385,16 @@ def load_signal(path) -> np.ndarray:
     return re + 1j * im
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 # how a value of each field type is read from its text; a signal is read
 # from the file the text names
-_READERS = {int: int, float: float, str: str, np.ndarray: load_signal}
+_READERS = {int: int, float: _finite_float, str: str, np.ndarray: load_signal}
 
 
 def setting_fields(cls=ExperimentConfig) -> dict[str, tuple[str, type, bool]]:

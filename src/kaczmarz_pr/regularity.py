@@ -149,10 +149,10 @@ class RegularityParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c0 <= 0.0:
-            raise ValueError("c0 must be positive")
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1")
+        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
+            raise ValueError("alpha must be finite and exceed 1")
+        if not (math.isfinite(self.c0) and self.c0 > 0.0):
+            raise ValueError("c0 must be finite and positive")
         if self.net_or_samples < 1:
             raise ValueError("net_or_samples must be >= 1")
 

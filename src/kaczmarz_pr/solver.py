@@ -57,8 +57,18 @@ class SolverConfig:
             raise ValueError(f"unknown row rule {self.row_rule!r}; only {ROW_UNIFORM!r} is supported")
         if (self.tol_aligned_rel is None) == (self.tol_residual is None):
             raise ValueError("exactly one of tol_aligned_rel / tol_residual must be set")
+        tol = self.tol_residual if self.tol_aligned_rel is None else self.tol_aligned_rel
+        if not tol >= 0.0:
+            raise ValueError("tolerances must be >= 0")
         if self.history_stride is not None and self.history_stride < 1:
             raise ValueError("history_stride must be >= 1")
+
+    def converged(self, aligned, residual, z_norm):
+        """The stopping test, the only tolerance comparison; plain
+        comparisons, so it also applies elementwise to arrays."""
+        if self.tol_aligned_rel is not None:
+            return aligned <= self.tol_aligned_rel * z_norm
+        return residual <= self.tol_residual
 
 
 @dataclass
@@ -72,11 +82,11 @@ class SolverState:
 
     x: np.ndarray
     k: int = 0
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    rng: np.random.Generator = field(kw_only=True)
     history: list = field(default_factory=list)
 
 
-def project_magnitude(x, a, y: float, tau: float = 1e-14) -> np.ndarray:
+def project_magnitude(x, a, y: float, tau: float = SolverConfig.zero_threshold) -> np.ndarray:
     """Nearest point to x on {w : |a^* w| = y}.
 
     With s = a^* x, the nearest point keeps the phase of s:
@@ -115,11 +125,11 @@ def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
 
 
 def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
-    """Iterate ``step`` until a stopping rule fires or max_iters is reached.
+    """Iterate ``step`` until ``cfg.converged`` holds or max_iters is reached.
 
-    In aligned-error mode the stopping test runs every iteration (O(n));
-    the residual is evaluated at history samples only (O(mn)).  The final
-    state is always the last history entry.
+    The aligned error is refreshed every iteration in aligned-error mode
+    (O(n)), the residual at history samples (O(mn)): every stride and at
+    the last iteration, so the final state is the last history entry.
     """
     if y.ensemble_ref != ensemble.ident:
         raise ValueError("measurement set does not belong to this ensemble")
@@ -135,16 +145,11 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     stride = cfg.history_stride if cfg.history_stride is not None else ensemble.n
     state = SolverState(
         x=np.array(x0, dtype=complex),
-        k=0,
         rng=np.random.default_rng(int(cfg.seed)),
-        history=[],
     )
     nz = float(np.linalg.norm(z)) if z is not None else math.nan
 
-    def aligned_error() -> float:
-        return dist_phase_aligned(state.x, z).aligned
-
-    def sample_history():
+    def sample():
         if z is not None:
             d = dist_phase_aligned(state.x, z)
             raw, aligned = d.raw, d.aligned
@@ -154,25 +159,13 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
         state.history.append((state.k, raw, aligned, res))
         return aligned, res
 
-    aligned, res = sample_history()
-    if experiment and aligned <= cfg.tol_aligned_rel * nz:
-        return state
-    if not experiment and res <= cfg.tol_residual:
-        return state
-
-    while state.k < cfg.max_iters:
+    aligned, res = sample()
+    while not cfg.converged(aligned, res, nz) and state.k < cfg.max_iters:
         step(state, ensemble, y, cfg)
         if experiment:
-            if aligned_error() <= cfg.tol_aligned_rel * nz:
-                sample_history()
-                return state
-            if state.k % stride == 0:
-                sample_history()
-        elif state.k % stride == 0:
-            _, res = sample_history()
-            if res <= cfg.tol_residual:
-                return state
-
+            aligned = dist_phase_aligned(state.x, z).aligned
+        if state.k % stride == 0:
+            aligned, res = sample()
     if state.history[-1][0] != state.k:
-        sample_history()
+        sample()
     return state

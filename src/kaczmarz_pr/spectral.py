@@ -33,7 +33,7 @@ class SpectralConfig:
             raise ValueError("power_iters_max must be >= 1")
 
 
-def truncated_covariance(ensemble, y, multiplier: float = 3.0):
+def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncation_multiplier):
     """Hermitian PSD matrix (1/m) sum y_i^2 a_i a_i^* over rows with
     y_i <= multiplier * lam0, where lam0 = sqrt(mean y^2).
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kaczmarz_pr.cli import main
 from kaczmarz_pr.verify import CHECKS
 
@@ -113,6 +115,28 @@ def test_estimate_l_out_file(tmp_path, capsys):
 def test_estimate_l_missing_m_exits_2(capsys):
     assert main(["estimate-l", "--n", "4", "--alpha", "10"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alpha", "nan"], "alpha"),
+        (["--alpha", "0"], "alpha"),
+        (["--alpha", "20", "--c0", "inf"], "c0"),
+        (["--alpha", "20", "--seed", "-1"], "master_seed"),
+    ],
+)
+def test_estimate_l_bad_numbers_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "report.json"
+    code = main(["estimate-l", "--n", "2", "--m", "20", "--out", str(out), *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_small_budget_passes(capsys):

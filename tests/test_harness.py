@@ -186,6 +186,22 @@ class TestSummaryJson:
         assert trial["init_aligned_error"] is None
         assert trial["failed"] is True
 
+    def test_config_block_reproduces_the_run(self, tmp_path):
+        sig = tmp_path / "z.json"
+        sig.write_text(json.dumps({"re": [0.6, 0.0, -0.3], "im": [0.2, 0.5, 0.0]}))
+        cfg = apply_settings(
+            None,
+            {"n": "3", "m": "45", "trials": "2", "master_seed": "4", "history_stride": "5",
+             "power_tol": "1e-9", "signal_path": str(sig)},
+        )
+        records = run_experiment(cfg, workers=1)
+        block = json.loads(json.dumps(summary_dict(cfg, records)))["config"]
+        signal = tmp_path / "z_again.json"
+        signal.write_text(json.dumps(block.pop("signal")))
+        assert block.pop("signal_mode") == "provided"
+        rebuilt = ExperimentConfig(**block, signal=harness.load_signal(signal))
+        assert render_csv(run_experiment(rebuilt, workers=1)) == render_csv(records)
+
     def test_sphere_has_no_side_condition(self):
         cfg = ExperimentConfig(n=4, model="sphere", m=8, num_trials=1, master_seed=0)
         recs = run_experiment(cfg, workers=1)
@@ -245,11 +261,19 @@ class TestConfigFile:
             "model = sphere\nn = 4\nm = 10\nrow_rule = inverse_norm\n",  # uniform only
             "model = sphere\nn = 4\nm = 10\npower_tol = none\n",  # not optional
             "model = sphere\nn = 4\nm = 10\nmaster_seed = -1\n",  # seeds are >= 0
+            "model = sphere\nn = 4\nm = 10\ntol_aligned_rel = nan\nformat = json\n",  # finite
+            "model = sphere\nn = 4\nm = 10\ntol_aligned_rel = -1\n",  # tolerances are >= 0
         ],
     )
     def test_malformed_configs(self, tmp_path, text):
         with pytest.raises(ConfigError):
             parse_config_file(self.write(tmp_path, text))
+
+    def test_non_finite_signal_rejected(self, tmp_path):
+        sig = tmp_path / "z.json"
+        sig.write_text('{"re": [NaN, 0.5], "im": [0.0, 0.1]}')
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config_file(self.write(tmp_path, f"n = 2\nm = 10\nsignal_path = {sig}\n"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import pytest
 from kaczmarz_pr import (
     SolverConfig,
     SolverState,
+    dist_phase_aligned,
     measure,
     sample_sphere,
     sample_unit_vector,
@@ -193,6 +194,47 @@ class TestSolve:
         converged = sum(r.converged for r in records)
         assert converged >= 18
         assert max(r.iterations_run for r in records) <= 200 * 20
+
+
+class TestStoppingRule:
+    """solve stops on one test and samples every history_stride iterations
+    and at the last one."""
+
+    def instance(self):
+        ens = sample_sphere(5, 60, 100)
+        z = sample_unit_vector(5, 101)
+        x0 = z + 0.3 * unit(np.random.default_rng(102), 5)
+        return ens, measure(ens, z), x0, z
+
+    def test_aligned_mode_stops_at_first_iterate_within_tolerance(self):
+        ens, y, x0, z = self.instance()
+        cfg = SolverConfig(max_iters=5000, tol_aligned_rel=1e-6, seed=103, history_stride=7)
+        state = solve(ens, y, x0, cfg, z=z)
+        replay = SolverState(x=x0.copy(), rng=np.random.default_rng(103))
+        while dist_phase_aligned(replay.x, z).aligned > 1e-6 * np.linalg.norm(z):
+            step(replay, ens, y, cfg)
+        assert 0 < state.k == replay.k < cfg.max_iters
+        assert np.array_equal(state.x, replay.x)
+        ks = [h[0] for h in state.history]
+        assert ks == list(range(0, state.k, 7)) + [state.k]
+
+    def test_residual_mode_stops_at_first_stride_sample_within_tolerance(self):
+        ens, y, x0, _ = self.instance()
+        cfg = SolverConfig(max_iters=5000, tol_residual=1e-12, seed=104, history_stride=7)
+        state = solve(ens, y, x0, cfg)
+        ks = [h[0] for h in state.history]
+        residuals = [h[3] for h in state.history]
+        assert 0 < state.k < cfg.max_iters
+        assert ks == list(range(0, state.k + 1, 7))
+        assert residuals[-1] <= 1e-12 and all(r > 1e-12 for r in residuals[:-1])
+        assert residuals[-1] == objective_f(ens, y, state.x)
+
+    def test_max_iters_cut_off_ends_with_a_sample(self):
+        ens, y, x0, z = self.instance()
+        cfg = SolverConfig(max_iters=30, tol_aligned_rel=1e-14, seed=105, history_stride=7)
+        state = solve(ens, y, x0, cfg, z=z)
+        assert [h[0] for h in state.history] == [0, 7, 14, 21, 28, 30]
+        assert state.history[-1][2] == dist_phase_aligned(state.x, z).aligned
 
 
 class TestContractionIdentity:
