@@ -16,7 +16,7 @@ The package splits into:
 
 __version__ = "0.1.0"
 
-from .core import PhaseAlignedDistance, dist_phase_aligned, inner, norm, phase_diff_bound_check
+from .core import PhaseAlignedDistance, dist_phase_aligned, inner, phase_diff_bound_check
 from .harness import (
     ExperimentConfig,
     TrialRecord,
@@ -27,7 +27,6 @@ from .harness import (
 from .regularity import (
     RegularityParams,
     RegularityReport,
-    WedgeSet,
     dir_deriv_f,
     estimate_L,
     second_dir_deriv_at_signal,
@@ -39,16 +38,13 @@ from .sensing import (
     MODEL_UNITARY,
     MeasurementSet,
     SensingEnsemble,
-    load_ensemble,
     measure,
     objective_f,
     sample_block_unitary,
     sample_sphere,
     sample_unit_vector,
-    save_ensemble,
 )
 from .solver import (
-    ROW_UNIFORM,
     SolverConfig,
     SolverState,
     project_magnitude,
@@ -61,7 +57,6 @@ __all__ = [
     "PhaseAlignedDistance",
     "dist_phase_aligned",
     "inner",
-    "norm",
     "phase_diff_bound_check",
     "MODEL_SPHERE",
     "MODEL_UNITARY",
@@ -71,9 +66,6 @@ __all__ = [
     "sample_block_unitary",
     "sample_unit_vector",
     "measure",
-    "save_ensemble",
-    "load_ensemble",
-    "ROW_UNIFORM",
     "SolverConfig",
     "SolverState",
     "project_magnitude",
@@ -86,7 +78,6 @@ __all__ = [
     "dir_deriv_f",
     "second_dir_deriv_fi",
     "second_dir_deriv_at_signal",
-    "WedgeSet",
     "wedge",
     "RegularityParams",
     "RegularityReport",

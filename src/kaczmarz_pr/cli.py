@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -23,6 +24,7 @@ from .harness import (
     run_experiment,
     write_csv,
     write_summary_json,
+    write_text,
 )
 from .regularity import RegularityParams, estimate_L
 from .sensing import sample_unit_vector
@@ -43,6 +45,15 @@ def _add_setting_flags(parser: argparse.ArgumentParser, keys) -> None:
 
 def _settings(args, keys) -> dict[str, str]:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work runs."""
+    directory = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is not a file name")
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory!r} does not exist")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,6 +86,7 @@ def _cmd_run(args) -> int:
     cfg = apply_settings(parse_config_file(args.config), _settings(args, _RUN_FLAG_KEYS))
     if cfg.output_path is None:
         raise ConfigError("no output path: set out= in the config or pass --out")
+    _check_output_path(cfg.output_path)
     records = run_experiment(cfg)
     if cfg.output_format == "json":
         write_summary_json(cfg, records, cfg.output_path)
@@ -101,6 +113,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_estimate_l(args) -> int:
     cfg = apply_settings(None, _settings(args, _ESTIMATE_FLAG_KEYS))
+    if cfg.output_path:
+        _check_output_path(cfg.output_path)
     # c0 defaults to 1/(4 alpha); RegularityParams rejects an alpha <= 1 first
     c0 = args.c0 if args.c0 is not None else 1.0 / (4.0 * max(args.alpha, 1.0))
     try:
@@ -114,8 +128,7 @@ def _cmd_estimate_l(args) -> int:
     report = estimate_L(ensemble, z, params)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
     if cfg.output_path:
-        with open(cfg.output_path, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+        write_text(cfg.output_path, text + "\n")
         print(f"wrote {cfg.output_path}")
     else:
         print(text)

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "inner",
-    "norm",
     "PhaseAlignedDistance",
     "dist_phase_aligned",
     "phase_diff_bound_check",
@@ -31,10 +30,6 @@ def inner(a, b) -> complex:
     b = np.asarray(b)
     _check_same_dim(a, b)
     return complex(np.vdot(a, b))
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(v))
 
 
 class PhaseAlignedDistance(NamedTuple):

@@ -40,6 +40,7 @@ __all__ = [
     "render_csv",
     "summary_dict",
     "write_summary_json",
+    "write_text",
     "setting_fields",
     "apply_settings",
     "parse_config_file",
@@ -252,21 +253,24 @@ def _trial_worker(args) -> TrialRecord:
 
 
 def _worker_count(workers: int | None) -> int:
+    source = "workers"
     if workers is None:
+        source = THREADS_ENV
         raw = os.environ.get(THREADS_ENV, "1")
         try:
             workers = int(raw)
         except ValueError as exc:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
+    if workers < 0:
+        raise ConfigError(f"{source} must be >= 0, got {workers}")
+    return workers or os.cpu_count() or 1
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRecord]:
     """Run all trials; ``workers`` falls back to the PR_KACZMARZ_THREADS
-    environment variable (unset -> serial, 0 -> all cores).  Output order
-    and content are independent of the worker count."""
+    environment variable (unset -> serial, 0 -> all cores, negative ->
+    ConfigError).  Output order and content are independent of the worker
+    count."""
     cfg.validate()
     nworkers = _worker_count(workers)
     ids = list(range(cfg.num_trials))
@@ -324,9 +328,15 @@ def render_csv(records: list[TrialRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records: list[TrialRecord], path) -> None:
+def write_text(path, text: str) -> None:
+    """The one writer of output files.  Callers render the whole text
+    first, so a failed render leaves no file behind."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(render_csv(records))
+        fh.write(text)
+
+
+def write_csv(records: list[TrialRecord], path) -> None:
+    write_text(path, render_csv(records))
 
 
 def summary_dict(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
@@ -353,9 +363,8 @@ def summary_dict(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
 
 
 def write_summary_json(cfg: ExperimentConfig, records: list[TrialRecord], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(summary_dict(cfg, records), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(summary_dict(cfg, records), indent=2, sort_keys=True, allow_nan=False)
+    write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .sensing import row_products
+from .sensing import row_products, sample_unit_vector
 
 __all__ = [
     "dir_deriv_f",
     "second_dir_deriv_fi",
     "second_dir_deriv_at_signal",
-    "WedgeSet",
     "wedge",
     "RegularityParams",
     "RegularityReport",
@@ -115,23 +114,14 @@ def second_dir_deriv_at_signal(ensemble, z, v) -> np.ndarray:
 # wedge sets
 
 
-@dataclass(frozen=True)
-class WedgeSet:
-    """Rows i with beta |a_i^* v| >= |a_i^* z| (0-based indices, sorted)."""
-
-    indices: np.ndarray
-    v: np.ndarray
-    beta: float
-
-
-def wedge(ensemble, z, v, beta: float) -> WedgeSet:
-    """Index set {i : beta |a_i^* v| >= |a_i^* z|}, exact float comparison."""
+def wedge(ensemble, z, v, beta: float) -> np.ndarray:
+    """Rows {i : beta |a_i^* v| >= |a_i^* z|}, exact float comparison, as a
+    read-only sorted array of 0-based indices."""
     t = row_products(ensemble, v)
     u = row_products(ensemble, z)
-    mask = beta * np.abs(t) >= np.abs(u)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(beta * np.abs(t) >= np.abs(u))
     idx.setflags(write=False)
-    return WedgeSet(indices=idx, v=np.asarray(v, dtype=complex), beta=float(beta))
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +400,7 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
 
 
 def _orthonormal_pair(n: int, rng: np.random.Generator):
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    z /= np.linalg.norm(z)
+    z = sample_unit_vector(n, rng)
     while True:
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w -= z * np.vdot(z, w)

@@ -11,7 +11,6 @@ An ensemble stores its rows as an (m, n) complex array with row i = a_i.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "row_products",
     "measure",
     "objective_f",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 MODEL_SPHERE = "sphere"
@@ -142,36 +139,3 @@ def objective_f(ensemble: SensingEnsemble, y: MeasurementSet, x) -> float:
     r = np.abs(row_products(ensemble, x)) - y.values
     return float(np.mean(r * r))
 
-
-def save_ensemble(ensemble: SensingEnsemble, path) -> None:
-    """Write an ensemble as JSON: n, m, model, seed, row-major re/im doubles."""
-    flat = np.empty(2 * ensemble.m * ensemble.n)
-    flat[0::2] = ensemble.vectors.real.reshape(-1)
-    flat[1::2] = ensemble.vectors.imag.reshape(-1)
-    payload = {
-        "model": ensemble.model,
-        "n": ensemble.n,
-        "m": ensemble.m,
-        "seed": ensemble.seed,
-        "vectors": flat.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_ensemble(path) -> SensingEnsemble:
-    """Inverse of save_ensemble; floats round-trip exactly."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    n, m = int(payload["n"]), int(payload["m"])
-    flat = np.asarray(payload["vectors"], dtype=float)
-    if flat.shape != (2 * m * n,):
-        raise ValueError("vector payload has wrong length")
-    vectors = (flat[0::2] + 1j * flat[1::2]).reshape(m, n)
-    return SensingEnsemble(
-        vectors=_freeze(vectors),
-        model=str(payload["model"]),
-        seed=int(payload["seed"]),
-        n=n,
-        m=m,
-    )

@@ -17,16 +17,12 @@ from .core import dist_phase_aligned
 from .sensing import objective_f
 
 __all__ = [
-    "ROW_UNIFORM",
     "SolverConfig",
     "SolverState",
     "project_magnitude",
     "step",
     "solve",
 ]
-
-# rows are drawn uniformly, as in the analysis; the only row rule
-ROW_UNIFORM = "uniform"
 
 
 @dataclass
@@ -43,7 +39,7 @@ class SolverConfig:
     max_iters: int
     tol_aligned_rel: float | None = None
     tol_residual: float | None = None
-    row_rule: str = ROW_UNIFORM
+    row_rule: str = "uniform"  # rows are drawn uniformly, as in the analysis
     zero_threshold: float = 1e-14
     seed: int = 0
     history_stride: int | None = None
@@ -53,8 +49,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.zero_threshold <= 0.0:
             raise ValueError("zero_threshold must be positive")
-        if self.row_rule != ROW_UNIFORM:
-            raise ValueError(f"unknown row rule {self.row_rule!r}; only {ROW_UNIFORM!r} is supported")
+        if self.row_rule != "uniform":
+            raise ValueError(f"unknown row rule {self.row_rule!r}; only 'uniform' is supported")
         if (self.tol_aligned_rel is None) == (self.tol_residual is None):
             raise ValueError("exactly one of tol_aligned_rel / tol_residual must be set")
         tol = self.tol_residual if self.tol_aligned_rel is None else self.tol_aligned_rel

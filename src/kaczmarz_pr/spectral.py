@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sensing import sample_unit_vector
+
 __all__ = ["SpectralConfig", "truncated_covariance", "spectral_init"]
 
 
@@ -66,8 +68,7 @@ def spectral_init(ensemble, y, cfg: SpectralConfig) -> np.ndarray:
     Y, lam0 = truncated_covariance(ensemble, y, cfg.truncation_multiplier)
     n = ensemble.n
     rng = np.random.default_rng(int(cfg.seed))
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = sample_unit_vector(n, rng)
 
     converged = False
     for _ in range(cfg.power_iters_max):
@@ -79,8 +80,7 @@ def spectral_init(ensemble, y, cfg: SpectralConfig) -> np.ndarray:
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             # v fell exactly in the kernel; restart from the stream
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
+            v = sample_unit_vector(n, rng)
             continue
         v = w / nw
     if not converged:

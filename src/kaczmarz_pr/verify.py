@@ -66,17 +66,13 @@ class CheckResult:
     detail: str
 
 
-def _unit(rng, n):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 def check_inner_product_identities(seed):
     rng = np.random.default_rng(derive_seed(*seed))
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 12))
-        a, b = _unit(rng, n) * 2.0, _unit(rng, n)
+        a = 2.0 * sensing.sample_unit_vector(n, rng)
+        b = sensing.sample_unit_vector(n, rng)
         sym = abs(inner(a, b) - np.conj(inner(b, a)))
         self_ip = inner(a, a)
         norm_gap = abs(self_ip.real - np.linalg.norm(a) ** 2)
@@ -91,7 +87,8 @@ def check_aligned_distance(seed):
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 8))
-        x, z = _unit(rng, n) * 1.3, _unit(rng, n)
+        x = 1.3 * sensing.sample_unit_vector(n, rng)
+        z = sensing.sample_unit_vector(n, rng)
         d = dist_phase_aligned(x, z)
         # independent oracle: explicit minimization over the phase grid
         grid = np.sqrt(
@@ -190,7 +187,7 @@ def check_contraction_identity(seed, reps):
         z = sensing.sample_unit_vector(n, rng)
         y = sensing.measure(ens, z)
         while True:
-            x = z + 0.4 * _unit(rng, n)
+            x = z + 0.4 * sensing.sample_unit_vector(n, rng)
             if np.abs(sensing.row_products(ens, x)).min() > 1e-6:
                 break
         lhs = np.mean(
@@ -220,8 +217,8 @@ def check_directional_derivatives(seed, bound_seed, reps, bound_reps):
         z = sensing.sample_unit_vector(n, rng)
         y = sensing.measure(ens, z)
         while True:
-            x = z + 0.5 * _unit(rng, n)
-            v = _unit(rng, n)
+            x = z + 0.5 * sensing.sample_unit_vector(n, rng)
+            v = sensing.sample_unit_vector(n, rng)
             if np.abs(sensing.row_products(ens, x)).min() < 1e-3:
                 continue
             d = dir_deriv_f(ens, y, x, v)
@@ -235,11 +232,11 @@ def check_directional_derivatives(seed, bound_seed, reps, bound_reps):
 
     worst2 = 0.0
     for _ in range(reps):
-        a = _unit(rng, 3)
-        z = _unit(rng, 3)
+        a = sensing.sample_unit_vector(3, rng)
+        z = sensing.sample_unit_vector(3, rng)
         while True:
-            x = 1.2 * _unit(rng, 3)
-            v = _unit(rng, 3)
+            x = 1.2 * sensing.sample_unit_vector(3, rng)
+            v = sensing.sample_unit_vector(3, rng)
             if abs(np.vdot(a, x)) < 0.1:
                 continue
             d2 = second_dir_deriv_fi(a, z, x, v)
@@ -259,7 +256,7 @@ def check_directional_derivatives(seed, bound_seed, reps, bound_reps):
         nn = int(rng.integers(2, 7))
         ens = sensing.sample_sphere(nn, 15, derive_seed(*bound_seed, rep))
         z = sensing.sample_unit_vector(nn, rng)
-        v = _unit(rng, nn)
+        v = sensing.sample_unit_vector(nn, rng)
         w1 = second_dir_deriv_at_signal(ens, z, v)
         cap = 2.0 * np.abs(sensing.row_products(ens, v)) ** 2
         bound_ok = bound_ok and bool(np.all(w1 >= 0.0) and np.all(w1 <= cap * (1 + 1e-12)))
@@ -276,11 +273,11 @@ def check_wedge_monotonicity(seed):
     rng = np.random.default_rng(s)
     ens = sensing.sample_sphere(5, 200, s)
     z = sensing.sample_unit_vector(5, rng)
-    v = _unit(rng, 5)
+    v = sensing.sample_unit_vector(5, rng)
     betas = [0.1, 0.5, 1.0, 2.0, 5.0]
-    sets = [set(wedge(ens, z, v, b).indices.tolist()) for b in betas]
+    sets = [set(wedge(ens, z, v, b).tolist()) for b in betas]
     ok = all(sets[i] <= sets[i + 1] for i in range(len(sets) - 1))
-    full = set(wedge(ens, z, z, 1.0).indices.tolist()) == set(range(200))
+    full = set(wedge(ens, z, z, 1.0).tolist()) == set(range(200))
     return CheckResult("wedge_monotonicity", ok and full, f"sizes {[len(s) for s in sets]}")
 
 

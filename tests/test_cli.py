@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kaczmarz_pr import cli
 from kaczmarz_pr.cli import main
 from kaczmarz_pr.verify import CHECKS
 
@@ -110,6 +111,41 @@ def test_estimate_l_out_file(tmp_path, capsys):
     assert payload["search_mode"] == "random_refine"
     assert payload["upper_bound_on_sphere_min"] is True
     capsys.readouterr()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work ran before the output path was checked")
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [("missing_dir/x.csv", "does not exist"), (".", "not a file name"), ("", "not a file name")],
+)
+def test_run_unwritable_out_exits_2_before_work(tmp_path, capsys, monkeypatch, out, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text(GOOD_CONFIG)
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(path), "--out", out]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_checks_only_the_final_output_path(tmp_path, capsys):
+    # a config-file out that --out replaces is never written, so never checked
+    path = tmp_path / "exp.cfg"
+    path.write_text(GOOD_CONFIG + f"out = {tmp_path / 'missing_dir' / 'x.csv'}\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(path), "--out", str(out), "--trials", "1"]) == 0
+    assert out.exists()
+    capsys.readouterr()
+
+
+def test_estimate_l_out_in_missing_directory_exits_2_before_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "estimate_L", _must_not_run)
+    out = tmp_path / "missing_dir" / "x.json"
+    code = main(["estimate-l", "--n", "2", "--m", "20", "--alpha", "20", "--out", str(out)])
+    assert code == 2
+    assert "missing_dir" in capsys.readouterr().err
 
 
 def test_estimate_l_missing_m_exits_2(capsys):

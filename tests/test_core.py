@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from kaczmarz_pr import dist_phase_aligned, inner, norm, phase_diff_bound_check
-
-
-def unit(rng, n):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+from kaczmarz_pr import dist_phase_aligned, inner, phase_diff_bound_check, sample_unit_vector
 
 
 def e(k, n):
@@ -33,11 +28,11 @@ class TestInner:
         rng = np.random.default_rng(0)
         for _ in range(100):
             n = int(rng.integers(1, 10))
-            a = unit(rng, n) * rng.uniform(0.5, 2.0)
-            b = unit(rng, n)
+            a = sample_unit_vector(n, rng) * rng.uniform(0.5, 2.0)
+            b = sample_unit_vector(n, rng)
             assert abs(inner(a, b) - np.conj(inner(b, a))) <= 1e-12
             ip = inner(a, a)
-            assert abs(ip.real - norm(a) ** 2) <= 1e-12
+            assert abs(ip.real - np.linalg.norm(a) ** 2) <= 1e-12
             assert abs(ip.imag) <= 1e-12
 
     def test_dimension_mismatch(self):
@@ -47,13 +42,13 @@ class TestInner:
 
 class TestPhaseAlignedDistance:
     def test_equal_vectors(self):
-        z = unit(np.random.default_rng(1), 5)
+        z = sample_unit_vector(5, 1)
         d = dist_phase_aligned(z, z)
         assert d.raw == 0.0
         assert d.aligned == 0.0
 
     def test_pure_phase_rotation(self):
-        z = unit(np.random.default_rng(2), 4)
+        z = sample_unit_vector(4, 2)
         x = np.exp(1j * np.pi / 3) * z
         d = dist_phase_aligned(x, z)
         assert d.aligned <= 1e-12
@@ -61,17 +56,17 @@ class TestPhaseAlignedDistance:
 
     def test_matches_phase_grid(self):
         rng = np.random.default_rng(3)
-        x = unit(rng, 4) * 1.3
-        z = unit(rng, 4)
+        x = sample_unit_vector(4, rng) * 1.3
+        z = sample_unit_vector(4, rng)
         d = dist_phase_aligned(x, z)
         assert abs(d.aligned - grid_aligned(x, z, 1_000_000)) <= 1e-8
 
     def test_closed_form_fine_grid(self):
         rng = np.random.default_rng(4)
-        x = unit(rng, 6) * 0.9
-        z = unit(rng, 6)
+        x = sample_unit_vector(6, rng) * 0.9
+        z = sample_unit_vector(6, rng)
         d = dist_phase_aligned(x, z)
-        closed = np.sqrt(norm(x) ** 2 + norm(z) ** 2 - 2 * abs(inner(x, z)))
+        closed = np.sqrt(np.linalg.norm(x) ** 2 + np.linalg.norm(z) ** 2 - 2 * abs(inner(x, z)))
         assert abs(d.aligned - closed) <= 1e-12
         assert abs(d.aligned - grid_aligned(x, z, 10_000_000)) <= 1e-10
 
@@ -79,8 +74,8 @@ class TestPhaseAlignedDistance:
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(2, 8))
-            x = unit(rng, n) * rng.uniform(0.5, 1.5)
-            z = unit(rng, n)
+            x = sample_unit_vector(n, rng) * rng.uniform(0.5, 1.5)
+            z = sample_unit_vector(n, rng)
             d = dist_phase_aligned(x, z)
             rotated = dist_phase_aligned(np.exp(1j * rng.uniform(0, 2 * np.pi)) * x, z)
             assert abs(rotated.aligned - d.aligned) <= 1e-10

@@ -76,9 +76,10 @@ class TestRunExperiment:
         via_env = render_csv(run_experiment(cfg))
         monkeypatch.delenv("PR_KACZMARZ_THREADS")
         assert via_env == render_csv(run_experiment(cfg))
-        monkeypatch.setenv("PR_KACZMARZ_THREADS", "not-a-number")
-        with pytest.raises(ConfigError):
-            run_experiment(cfg)
+        for bad in ("not-a-number", "-4"):
+            monkeypatch.setenv("PR_KACZMARZ_THREADS", bad)
+            with pytest.raises(ConfigError):
+                run_experiment(cfg)
 
     def test_one_dimensional_signal_converges_immediately(self):
         cfg = ExperimentConfig(n=1, model="sphere", m=5, num_trials=1, master_seed=0)
@@ -171,6 +172,13 @@ class TestSummaryJson:
         write_summary_json(cfg, recs, p2)
         assert p1.read_bytes() == p2.read_bytes()
         json.loads(p1.read_text())  # well-formed
+
+    def test_failed_render_leaves_no_file(self, tmp_path):
+        cfg = ExperimentConfig(n=np.int64(3), m=30)  # numpy ints are not JSON
+        path = tmp_path / "summary.json"
+        with pytest.raises(TypeError):
+            write_summary_json(cfg, [], path)
+        assert not path.exists()
 
     def test_failed_trial_writes_null_not_nan(self, tmp_path):
         cfg = ExperimentConfig(n=2, model="sphere", m=4, num_trials=1, master_seed=0)

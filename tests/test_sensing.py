@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from kaczmarz_pr import (
-    load_ensemble,
     measure,
     sample_block_unitary,
     sample_sphere,
     sample_unit_vector,
-    save_ensemble,
 )
 
 
@@ -113,15 +111,3 @@ class TestMeasure:
         y = measure(ens, sample_unit_vector(3, 6))
         assert y.ensemble_ref == ens.ident
         assert y.ensemble_ref != sample_sphere(3, 4, 7).ident
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        ens = sample_block_unitary(3, 4, 99)
-        path = tmp_path / "ens.json"
-        save_ensemble(ens, path)
-        back = load_ensemble(path)
-        assert back.model == ens.model
-        assert back.seed == ens.seed
-        assert (back.n, back.m) == (ens.n, ens.m)
-        assert np.array_equal(back.vectors, ens.vectors)

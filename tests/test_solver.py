@@ -18,11 +18,6 @@ from kaczmarz_pr.solver import project_magnitude
 from kaczmarz_pr.verify import check_contraction_identity
 
 
-def unit(rng, n):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 def phase_grid_oracle(x, a, y, points=1_000_000):
     """Nearest point on {w : |a^* w| = y} by scanning the offset phase:
     w(t) = x + (y e^{it} - a^* x) a / ||a||^2."""
@@ -38,13 +33,13 @@ def phase_grid_oracle(x, a, y, points=1_000_000):
 class TestProjectMagnitude:
     def test_fixed_point(self):
         rng = np.random.default_rng(0)
-        x, a = unit(rng, 4), unit(rng, 4)
+        x, a = sample_unit_vector(4, rng), sample_unit_vector(4, rng)
         y = abs(np.vdot(a, x))
         assert np.array_equal(project_magnitude(x, a, y), x)
 
     def test_zero_target_is_hyperplane_projection(self):
         rng = np.random.default_rng(1)
-        x, a = unit(rng, 5) * 2.0, unit(rng, 5) * 1.5
+        x, a = sample_unit_vector(5, rng) * 2.0, sample_unit_vector(5, rng) * 1.5
         w = project_magnitude(x, a, 0.0)
         expected = x - (np.vdot(a, x) / np.vdot(a, a).real) * a
         assert np.linalg.norm(w - expected) <= 1e-14
@@ -203,7 +198,7 @@ class TestStoppingRule:
     def instance(self):
         ens = sample_sphere(5, 60, 100)
         z = sample_unit_vector(5, 101)
-        x0 = z + 0.3 * unit(np.random.default_rng(102), 5)
+        x0 = z + 0.3 * sample_unit_vector(5, 102)
         return ens, measure(ens, z), x0, z
 
     def test_aligned_mode_stops_at_first_iterate_within_tolerance(self):
@@ -250,7 +245,7 @@ class TestContractionIdentity:
         z = sample_unit_vector(6, 2001)
         y = measure(ens, z)
         rng = np.random.default_rng(2002)
-        x = z + 0.2 * unit(rng, 6)
+        x = z + 0.2 * sample_unit_vector(6, rng)
         rhs = (
             objective_f(ens, y, x)
             + dir_deriv_f(ens, y, x, z - x)
