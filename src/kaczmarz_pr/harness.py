@@ -83,6 +83,11 @@ class ExperimentConfig:
     output_format: str = "csv"
 
     def validate(self) -> None:
+        # numpy scalars built in code become Python ones, which JSON accepts
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.generic):
+                setattr(self, f.name, value.item())
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.num_trials < 1:

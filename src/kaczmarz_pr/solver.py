@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import dist_phase_aligned
-from .sensing import objective_f
+from .sensing import objective_f, row_products
 
 __all__ = [
     "SolverConfig",
@@ -23,6 +23,10 @@ __all__ = [
     "step",
     "solve",
 ]
+
+# solve's screen runs the exact stopping test once its O(1) estimate of the
+# aligned error is within this factor of the tolerance
+_SCREEN_MARGIN = 1.5
 
 
 @dataclass
@@ -73,7 +77,9 @@ class SolverState:
 
     ``history`` holds (k, raw_error, aligned_error, residual) tuples with
     strictly increasing k; error entries are NaN when no reference signal
-    is available.
+    is available.  After ``solve``, ``rng`` is past the last row it used:
+    rows are drawn a stride at a time and the unused rest of the last block
+    is dropped.
     """
 
     x: np.ndarray
@@ -102,11 +108,35 @@ def project_magnitude(x, a, y: float, tau: float = SolverConfig.zero_threshold) 
     na2 = np.vdot(a, a).real
     if na2 == 0.0:
         raise ValueError("sensing vector must be nonzero")
-    s = np.vdot(a, x)
+    return x - _coefficient(np.vdot(a, x), na2, y, tau) * a
+
+
+def _coefficient(s, na2, y, tau):
+    """The c with x - c a = ``project_magnitude(x, a, y, tau)``, given
+    s = a^* x and na2 = ||a||^2: both branches of the projection."""
     sa = abs(s)
     if sa >= tau:
-        return x - ((1.0 - y / sa) * s / na2) * a
-    return x + ((y - s) / na2) * a
+        return (1.0 - y / sa) * s / na2
+    return (s - y) / na2
+
+
+def _screen_start(x, z, aligned):
+    """(w, g, d2) at a history sample: w = z^* x, g = w / |w| (1 when
+    w = 0) and d2 = ||x - g z||^2, which is aligned^2."""
+    w = complex(np.vdot(z, x))
+    return w, (w / abs(w) if w else 1.0), aligned * aligned
+
+
+def _screen_step(w, d2, g, c, s, u_i, na2):
+    """(w, d2, estimate of aligned^2) after the step x -> x - c a_i, from
+    s = a_i^* x before the step, u_i = a_i^* z and na2 = ||a_i||^2 (see
+    ``solve``).  The estimate is NaN when its denominator is not positive."""
+    c, s = complex(c), complex(s)
+    w -= c * u_i.conjugate()
+    d2 += (c.real * c.real + c.imag * c.imag) * na2 - 2.0 * (c.conjugate() * (s - g * u_i)).real
+    gw = g.conjugate() * w
+    den = abs(w) + gw.real
+    return w, d2, (d2 - 2.0 * gw.imag * gw.imag / den if den > 0.0 else math.nan)
 
 
 def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
@@ -123,9 +153,24 @@ def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
 def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     """Iterate ``step`` until ``cfg.converged`` holds or max_iters is reached.
 
-    The aligned error is refreshed every iteration in aligned-error mode
-    (O(n)), the residual at history samples (O(mn)): every stride and at
-    the last iteration, so the final state is the last history entry.
+    The residual is evaluated at history samples (O(mn)): every stride and
+    at the last iteration, so the final state is the last history entry.
+    Rows are drawn a stride at a time, which gives the same indices as one
+    ``rng.integers(m)`` per step, so the iterates are those of ``step``.
+
+    In aligned-error mode the stopping test is screened in O(1) per step.
+    With u_i = a_i^* z, the loop carries w = z^* x and d2 = ||x - g z||^2,
+    for the phase g fixed at the last history sample, which resyncs both
+    exactly.  A step x -> x - c a_i with s = a_i^* x updates them as
+
+        w -> w - c conj(u_i),  d2 -> d2 - 2 Re(conj(c) (s - g u_i)) + |c|^2 ||a_i||^2,
+
+    and aligned^2 = d2 - 2 (|w| - Re(conj(g) w)), evaluated as
+    d2 - 2 Im(conj(g) w)^2 / (|w| + Re(conj(g) w)) to avoid cancellation.
+    The exact ``dist_phase_aligned`` runs only when this estimate is at or
+    below (_SCREEN_MARGIN * tol * ||z||)^2 or is not finite; the exact value
+    alone decides every stop, so the stopping k is the one an exact test on
+    every iteration gives.
     """
     if y.ensemble_ref != ensemble.ident:
         raise ValueError("measurement set does not belong to this ensemble")
@@ -155,12 +200,36 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
         state.history.append((state.k, raw, aligned, res))
         return aligned, res
 
+    rows, tau = ensemble.vectors, cfg.zero_threshold
+    if experiment:
+        u = row_products(ensemble, z)
+        limit = (_SCREEN_MARGIN * cfg.tol_aligned_rel * nz) ** 2
+        if not limit > 0.0:  # tol * ||z|| = 0: test exactly at every step
+            limit = math.inf
+    x, k = state.x, 0
     aligned, res = sample()
-    while not cfg.converged(aligned, res, nz) and state.k < cfg.max_iters:
-        step(state, ensemble, y, cfg)
+    while not cfg.converged(aligned, res, nz) and k < cfg.max_iters:
         if experiment:
-            aligned = dist_phase_aligned(state.x, z).aligned
-        if state.k % stride == 0:
+            w, g, d2 = _screen_start(x, z, aligned)
+        block = state.rng.integers(ensemble.m, size=min(stride, cfg.max_iters - k))
+        last = len(block) - 1  # the sample after the block tests the last step
+        y_block = y.values[block].tolist()
+        u_block = u[block].tolist() if experiment else None
+        for j, i in enumerate(block.tolist()):
+            a = rows[i]
+            s = np.vdot(a, x)
+            na2 = np.vdot(a, a).real
+            c = _coefficient(s, na2, y_block[j], tau)
+            x -= c * a
+            k += 1
+            if experiment and j < last:
+                w, d2, est = _screen_step(w, d2, g, c, s, u_block[j], na2)
+                if not limit < est < math.inf:
+                    aligned = dist_phase_aligned(x, z).aligned
+                    if cfg.converged(aligned, res, nz):
+                        break
+        state.k = k
+        if k % stride == 0:
             aligned, res = sample()
     if state.history[-1][0] != state.k:
         sample()

@@ -180,6 +180,17 @@ class TestSummaryJson:
             write_summary_json(cfg, [], path)
         assert not path.exists()
 
+    def test_numpy_scalar_settings_are_written_as_python_scalars(self, tmp_path):
+        cfg = ExperimentConfig(
+            n=np.int64(3), m=np.int64(30), num_trials=np.int32(1), tol_aligned_rel=np.float64(1e-8)
+        )
+        records = run_experiment(cfg, workers=1)
+        path = tmp_path / "summary.json"
+        write_summary_json(cfg, records, path)
+        summary = json.loads(path.read_text())
+        assert summary["config"]["n"] == 3 and summary["config"]["m"] == 30
+        assert summary["trials"][0]["n"] == 3
+
     def test_failed_trial_writes_null_not_nan(self, tmp_path):
         cfg = ExperimentConfig(n=2, model="sphere", m=4, num_trials=1, master_seed=0)
         rec = TrialRecord(trial_id=0, seed=0, n=2, m=4, model="sphere", failed=True, error="x")

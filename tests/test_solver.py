@@ -1,16 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from kaczmarz_pr import (
     SolverConfig,
     SolverState,
+    SpectralConfig,
     dist_phase_aligned,
     measure,
+    sample_block_unitary,
     sample_sphere,
     sample_unit_vector,
     solve,
+    spectral_init,
     step,
 )
+from kaczmarz_pr import solver
 from kaczmarz_pr.harness import ExperimentConfig, run_experiment
 from kaczmarz_pr.regularity import dir_deriv_f
 from kaczmarz_pr.sensing import objective_f
@@ -230,6 +236,121 @@ class TestStoppingRule:
         state = solve(ens, y, x0, cfg, z=z)
         assert [h[0] for h in state.history] == [0, 7, 14, 21, 28, 30]
         assert state.history[-1][2] == dist_phase_aligned(state.x, z).aligned
+
+
+def exact_replay(ens, y, x0, cfg, z=None):
+    """solve as a plain loop: ``step`` and, in aligned-error mode, the exact
+    stopping test on every iteration; a history sample every stride and at
+    the last iteration."""
+    stride = cfg.history_stride if cfg.history_stride is not None else ens.n
+    state = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(cfg.seed))
+    nz = float(np.linalg.norm(z)) if z is not None else math.nan
+
+    def sample():
+        d = dist_phase_aligned(state.x, z) if z is not None else None
+        raw, aligned = (d.raw, d.aligned) if d is not None else (math.nan, math.nan)
+        res = objective_f(ens, y, state.x)
+        state.history.append((state.k, raw, aligned, res))
+        return aligned, res
+
+    aligned, res = sample()
+    while not cfg.converged(aligned, res, nz) and state.k < cfg.max_iters:
+        step(state, ens, y, cfg)
+        if cfg.tol_aligned_rel is not None:
+            aligned = dist_phase_aligned(state.x, z).aligned
+        if state.k % stride == 0:
+            aligned, res = sample()
+    if state.history[-1][0] != state.k:
+        sample()
+    return state
+
+
+class TestScreenedStoppingTest:
+    """solve screens the aligned-error test in O(1) and draws its rows a
+    stride at a time; neither may change k, x or the history."""
+
+    def instance(self, model, seed):
+        if model == "sphere":
+            ens = sample_sphere(12, 150, seed)
+        else:
+            ens = sample_block_unitary(12, 12, seed)
+        z = sample_unit_vector(12, seed + 1)
+        x0 = z * np.exp(0.7j) + 0.5 * sample_unit_vector(12, seed + 2)
+        return ens, measure(ens, z), x0, z
+
+    def assert_same_run(self, state, replay):
+        assert state.k == replay.k
+        assert np.array_equal(state.x, replay.x)
+        np.testing.assert_array_equal(np.array(state.history), np.array(replay.history))
+
+    @pytest.mark.parametrize("model", ["sphere", "unitary"])
+    @pytest.mark.parametrize("stride", [1, 7, None])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-13])
+    def test_aligned_mode_matches_exact_replay(self, model, stride, tol):
+        # at 1e-13 the aligned error crosses the tolerance within a few
+        # hundred ulps of ||z||, where rounding is closest to the screen
+        for seed in range(0, 50, 10):
+            ens, y, x0, z = self.instance(model, 200 + seed)
+            cfg = SolverConfig(
+                max_iters=20_000, tol_aligned_rel=tol, seed=seed, history_stride=stride
+            )
+            state = solve(ens, y, x0, cfg, z=z)
+            assert state.k < cfg.max_iters
+            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
+
+    @pytest.mark.parametrize("stride", [1, 7, None])
+    def test_max_iters_cut_off_matches_exact_replay(self, stride):
+        for seed in range(5):
+            ens, y, x0, z = self.instance("sphere", 300 + seed)
+            cfg = SolverConfig(
+                max_iters=45, tol_aligned_rel=1e-13, seed=seed, history_stride=stride
+            )
+            state = solve(ens, y, x0, cfg, z=z)
+            assert state.k == 45
+            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
+
+    @pytest.mark.parametrize("model", ["sphere", "unitary"])
+    @pytest.mark.parametrize("stride", [1, 7, None])
+    def test_residual_mode_matches_exact_replay(self, model, stride):
+        for seed in range(5):
+            ens, y, x0, z = self.instance(model, 400 + seed)
+            signal = z if seed % 2 else None  # errors are recorded only with a signal
+            cfg = SolverConfig(
+                max_iters=20_000, tol_residual=1e-24, seed=seed, history_stride=stride
+            )
+            state = solve(ens, y, x0, cfg, z=signal)
+            assert state.k < cfg.max_iters
+            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, signal))
+
+    def test_block_row_draws_equal_scalar_draws(self):
+        # solve's rows are rng.integers(m, size=...) blocks; step draws
+        # rng.integers(m) one at a time: the two must give one sequence
+        for m in (1, 7, 150, 2000, 50_000):
+            blocks, scalars = np.random.default_rng(m), np.random.default_rng(m)
+            sizes = (1, 50, 7, 300, 16)
+            drawn = [i for size in sizes for i in blocks.integers(m, size=size).tolist()]
+            assert drawn == [int(scalars.integers(m)) for _ in drawn]
+            assert blocks.bit_generator.state == scalars.bit_generator.state
+
+    def test_exact_distance_runs_on_few_iterations(self, monkeypatch):
+        ens = sample_sphere(50, 2000, 500)
+        z = sample_unit_vector(50, 501)
+        y = measure(ens, z)
+        x0 = spectral_init(ens, y, SpectralConfig(seed=502))
+        cfg = SolverConfig(max_iters=200 * 50, tol_aligned_rel=1e-8, seed=503)
+        replay = exact_replay(ens, y, x0, cfg, z)
+        calls = []
+
+        def counted(x, signal):
+            calls.append(1)
+            return dist_phase_aligned(x, signal)
+
+        monkeypatch.setattr(solver, "dist_phase_aligned", counted)
+        state = solve(ens, y, x0, cfg, z=z)
+        assert state.k == replay.k < cfg.max_iters
+        # one exact call per history sample; the screen makes the rest
+        screened = len(calls) - len(state.history)
+        assert 0 < screened < 0.05 * state.k
 
 
 class TestContractionIdentity:
