@@ -125,7 +125,10 @@ def _cmd_estimate_l(args) -> int:
         raise ConfigError(str(exc)) from exc
     ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, 1))
     z = sample_unit_vector(cfg.n, derive_seed(cfg.master_seed, 2))
-    report = estimate_L(ensemble, z, params)
+    try:
+        report = estimate_L(ensemble, z, params)
+    except ValueError as exc:  # an alpha whose terms overflow at this m
+        raise ConfigError(str(exc)) from exc
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
     if cfg.output_path:
         write_text(cfg.output_path, text + "\n")

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .sensing import row_products, sample_unit_vector
+from .sensing import row_magnitudes, row_products, sample_unit_vector
 
 __all__ = [
     "dir_deriv_f",
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _MC_CHUNK = 100_000
+_EVAL_BYTES = 512 * 1024  # complex products held at once by _terms_evaluator
 _DIR_CHUNK = 256
 _REFINE_POOL = 64
 
@@ -94,7 +95,9 @@ def _curvature(t, uc, inv2u2):
     """(2 Re(t conj(u)))^2 / (2 |u|^2) elementwise, from conj(u) and
     1 / (2 |u|^2) computed once per signal."""
     cross = 2.0 * np.real(t * uc)
-    return cross * cross * inv2u2
+    cross *= cross
+    cross *= inv2u2
+    return cross
 
 
 def second_dir_deriv_at_signal(ensemble, z, v) -> np.ndarray:
@@ -117,9 +120,7 @@ def second_dir_deriv_at_signal(ensemble, z, v) -> np.ndarray:
 def wedge(ensemble, z, v, beta: float) -> np.ndarray:
     """Rows {i : beta |a_i^* v| >= |a_i^* z|}, exact float comparison, as a
     read-only sorted array of 0-based indices."""
-    t = row_products(ensemble, v)
-    u = row_products(ensemble, z)
-    idx = np.flatnonzero(beta * np.abs(t) >= np.abs(u))
+    idx = np.flatnonzero(beta * row_magnitudes(ensemble, v) >= row_magnitudes(ensemble, z))
     idx.setflags(write=False)
     return idx
 
@@ -192,6 +193,10 @@ def _terms_evaluator(ensemble, z, c0: float, alpha: float):
     term1 = 1/2 sum_i curvature_i(v)
     term2 = 6/(alpha-1) sum_i |a_i^* v|^2
     term3 = (2+4 alpha) sum over the wedge S(v, c0 alpha) of |a_i^* v|^2
+
+    Directions are evaluated in blocks of at most ``_EVAL_BYTES`` of complex
+    products (at least one direction), so the temporaries stay small at
+    any batch size; each row's values do not depend on the block.
     """
     uc, ua = _signal_products(ensemble, z)
     a_ct = np.ascontiguousarray(ensemble.vectors.conj().T)  # (n, m)
@@ -201,14 +206,21 @@ def _terms_evaluator(ensemble, z, c0: float, alpha: float):
     wedge_beta = c0 * alpha
     c_mid = 6.0 / (alpha - 1.0)
     c_wedge = 2.0 + 4.0 * alpha
+    if not math.isfinite((c_mid + c_wedge) * ensemble.m):  # term2 + term3 <= that, unit rows
+        raise ValueError(f"alpha={alpha:g} is too large for m={ensemble.m}: the terms overflow")
+    block = max(1, _EVAL_BYTES // (16 * ensemble.m))
 
     def terms(V: np.ndarray):
-        T = V @ a_ct
-        Ta = np.abs(T)
-        term1 = 0.5 * _curvature(T, uc, inv2u2).sum(axis=1)
-        p2 = Ta * Ta
-        term2 = c_mid * p2.sum(axis=1)
-        term3 = c_wedge * np.where(wedge_beta * Ta >= ua_row, p2, 0.0).sum(axis=1)
+        term1, term2, term3 = (np.empty(len(V)) for _ in range(3))
+        for lo in range(0, len(V), block):
+            T = V[lo : lo + block] @ a_ct
+            Ta = np.abs(T)
+            term1[lo : lo + block] = 0.5 * _curvature(T, uc, inv2u2).sum(axis=1)
+            p2 = Ta * Ta
+            term2[lo : lo + block] = c_mid * p2.sum(axis=1)
+            Ta *= wedge_beta
+            p2 *= Ta >= ua_row  # p2 >= 0, so rows outside the wedge give +0
+            term3[lo : lo + block] = c_wedge * p2.sum(axis=1)
         return term1, term2, term3
 
     return terms

@@ -25,6 +25,7 @@ __all__ = [
     "sample_unit_vector",
     "haar_unitary",
     "row_products",
+    "row_magnitudes",
     "measure",
     "objective_f",
 ]
@@ -125,17 +126,25 @@ def row_products(ensemble: SensingEnsemble, v) -> np.ndarray:
     return np.conj(ensemble.vectors @ np.conj(np.asarray(v, dtype=complex)))
 
 
+def row_magnitudes(ensemble: SensingEnsemble, v) -> np.ndarray:
+    """|a_i^* v| for every row, as an (m,) array: |A conj(v)|, which skips
+    ``row_products``' outer conjugate, since |conj(t)| = |t| exactly."""
+    return np.abs(ensemble.vectors @ np.conj(np.asarray(v, dtype=complex)))
+
+
 def measure(ensemble: SensingEnsemble, z) -> MeasurementSet:
     """Magnitudes y_i = |a_i^* z| for every row of the ensemble."""
     z = np.asarray(z, dtype=complex)
     if z.shape != (ensemble.n,):
         raise ValueError(f"signal dimension {z.shape} does not match n={ensemble.n}")
-    y = np.abs(row_products(ensemble, z))
+    y = row_magnitudes(ensemble, z)
     return MeasurementSet(values=_freeze(y), ensemble_ref=ensemble.ident)
 
 
 def objective_f(ensemble: SensingEnsemble, y: MeasurementSet, x) -> float:
     """Mean squared magnitude residual (1/m) sum_i (|a_i^* x| - y_i)^2."""
-    r = np.abs(row_products(ensemble, x)) - y.values
-    return float(np.mean(r * r))
+    r = row_magnitudes(ensemble, x)
+    r -= y.values
+    r *= r
+    return float(np.mean(r))
 

@@ -105,10 +105,15 @@ def project_magnitude(x, a, y: float, tau: float = SolverConfig.zero_threshold) 
     a = np.asarray(a, dtype=complex)
     if x.shape != a.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {a.shape}")
+    return x - _coefficient(np.vdot(a, x), _norm2(a), y, tau) * a
+
+
+def _norm2(a):
+    """||a||^2 as ``np.vdot`` gives it; a zero row has no projection."""
     na2 = np.vdot(a, a).real
     if na2 == 0.0:
         raise ValueError("sensing vector must be nonzero")
-    return x - _coefficient(np.vdot(a, x), na2, y, tau) * a
+    return na2
 
 
 def _coefficient(s, na2, y, tau):
@@ -127,16 +132,27 @@ def _screen_start(x, z, aligned):
     return w, (w / abs(w) if w else 1.0), aligned * aligned
 
 
-def _screen_step(w, d2, g, c, s, u_i, na2):
-    """(w, d2, estimate of aligned^2) after the step x -> x - c a_i, from
-    s = a_i^* x before the step, u_i = a_i^* z and na2 = ||a_i||^2 (see
-    ``solve``).  The estimate is NaN when its denominator is not positive."""
-    c, s = complex(c), complex(s)
-    w -= c * u_i.conjugate()
-    d2 += (c.real * c.real + c.imag * c.imag) * na2 - 2.0 * (c.conjugate() * (s - g * u_i)).real
+def _screen_block(w, d2, g, c, s, u, na2):
+    """Estimates of aligned^2 after each step x -> x - c_j a_j of a block
+    that starts at the resync (w, g, d2), from the arrays c, s (a_j^* x
+    before the step), u (a_j^* z) and na2 (||a_j||^2); see ``solve``.
+
+    The running sums are sequential (``cumsum``), so each entry is the
+    step-by-step recurrence.  An estimate is NaN where its denominator is
+    not positive.
+    """
+    dw = -c * u.conj()
+    dw[0] += w
+    w = np.cumsum(dw)
+    dd = (c.real * c.real + c.imag * c.imag) * na2 - 2.0 * (c.conj() * (s - g * u)).real
+    dd[0] += d2
+    d2 = np.cumsum(dd)
     gw = g.conjugate() * w
-    den = abs(w) + gw.real
-    return w, d2, (d2 - 2.0 * gw.imag * gw.imag / den if den > 0.0 else math.nan)
+    den = np.abs(w) + gw.real
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        est = d2 - 2.0 * gw.imag * gw.imag / den
+    est[~(den > 0.0)] = math.nan
+    return est
 
 
 def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
@@ -157,10 +173,12 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     at the last iteration, so the final state is the last history entry.
     Rows are drawn a stride at a time, which gives the same indices as one
     ``rng.integers(m)`` per step, so the iterates are those of ``step``.
+    ||a_i||^2 is computed at a row's first draw and cached for the solve.
 
-    In aligned-error mode the stopping test is screened in O(1) per step.
-    With u_i = a_i^* z, the loop carries w = z^* x and d2 = ||x - g z||^2,
-    for the phase g fixed at the last history sample, which resyncs both
+    In aligned-error mode the stopping test is screened in O(1) per step,
+    for a whole block at once after its steps (``_screen_block``).  With
+    u_i = a_i^* z, the screen tracks w = z^* x and d2 = ||x - g z||^2, for
+    the phase g fixed at the last history sample, which resyncs both
     exactly.  A step x -> x - c a_i with s = a_i^* x updates them as
 
         w -> w - c conj(u_i),  d2 -> d2 - 2 Re(conj(c) (s - g u_i)) + |c|^2 ||a_i||^2,
@@ -168,9 +186,10 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     and aligned^2 = d2 - 2 (|w| - Re(conj(g) w)), evaluated as
     d2 - 2 Im(conj(g) w)^2 / (|w| + Re(conj(g) w)) to avoid cancellation.
     The exact ``dist_phase_aligned`` runs only when this estimate is at or
-    below (_SCREEN_MARGIN * tol * ||z||)^2 or is not finite; the exact value
-    alone decides every stop, so the stopping k is the one an exact test on
-    every iteration gives.
+    below (_SCREEN_MARGIN * tol * ||z||)^2 or is not finite, on that step's
+    iterate, rebuilt from the block's start by the same updates (so bitwise
+    the forward one); the exact value alone decides every stop, so the
+    stopping k is the one an exact test on every iteration gives.
     """
     if y.ensemble_ref != ensemble.ident:
         raise ValueError("measurement set does not belong to this ensemble")
@@ -201,6 +220,7 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
         return aligned, res
 
     rows, tau = ensemble.vectors, cfg.zero_threshold
+    norms = {}  # row index -> ||a_i||^2, computed at the row's first draw
     if experiment:
         u = row_products(ensemble, z)
         limit = (_SCREEN_MARGIN * cfg.tol_aligned_rel * nz) ** 2
@@ -209,25 +229,38 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     x, k = state.x, 0
     aligned, res = sample()
     while not cfg.converged(aligned, res, nz) and k < cfg.max_iters:
+        block = state.rng.integers(ensemble.m, size=min(stride, cfg.max_iters - k))
+        idx = block.tolist()
         if experiment:
             w, g, d2 = _screen_start(x, z, aligned)
-        block = state.rng.integers(ensemble.m, size=min(stride, cfg.max_iters - k))
-        last = len(block) - 1  # the sample after the block tests the last step
-        y_block = y.values[block].tolist()
-        u_block = u[block].tolist() if experiment else None
-        for j, i in enumerate(block.tolist()):
+            x_start = x.copy()
+        cs, ss, ns = [], [], []
+        for i, yi in zip(idx, y.values[block].tolist()):
             a = rows[i]
             s = np.vdot(a, x)
-            na2 = np.vdot(a, a).real
-            c = _coefficient(s, na2, y_block[j], tau)
+            na2 = norms.get(i)
+            if na2 is None:
+                na2 = norms[i] = _norm2(a)
+            c = _coefficient(s, na2, yi, tau)
             x -= c * a
-            k += 1
-            if experiment and j < last:
-                w, d2, est = _screen_step(w, d2, g, c, s, u_block[j], na2)
-                if not limit < est < math.inf:
-                    aligned = dist_phase_aligned(x, z).aligned
-                    if cfg.converged(aligned, res, nz):
-                        break
+            cs.append(c)
+            ss.append(s)
+            ns.append(na2)
+        k0, k = k, k + len(idx)
+        if experiment:
+            # the sample after the block tests its last step; any other step
+            # the screen cannot clear is rebuilt from x_start by the same
+            # updates, so bitwise, and tested exactly
+            est = _screen_block(w, d2, g, np.array(cs), np.array(ss), u[block], np.array(ns))[:-1]
+            done = 0
+            for j in np.flatnonzero(~((est > limit) & (est < math.inf))).tolist():
+                for t in range(done, j + 1):
+                    x_start -= cs[t] * rows[idx[t]]
+                done = j + 1
+                aligned = dist_phase_aligned(x_start, z).aligned
+                if cfg.converged(aligned, res, nz):
+                    state.x, k = x_start, k0 + j + 1
+                    break
         state.k = k
         if k % stride == 0:
             aligned, res = sample()

@@ -160,6 +160,9 @@ def test_estimate_l_missing_m_exits_2(capsys):
         (["--alpha", "0"], "alpha"),
         (["--alpha", "20", "--c0", "inf"], "c0"),
         (["--alpha", "20", "--seed", "-1"], "master_seed"),
+        # 2 + 4 alpha overflows: the terms would be infinite
+        (["--m", "4", "--alpha", "1e308", "--c0", "0.1"], "alpha"),
+        (["--n", "5", "--m", "40", "--alpha", "1e308", "--c0", "1e-300"], "alpha"),
     ],
 )
 def test_estimate_l_bad_numbers_exit_2(tmp_path, capsys, flags, message):

@@ -15,8 +15,8 @@ from kaczmarz_pr import dist_phase_aligned  # noqa: E402
 from kaczmarz_pr.solver import (  # noqa: E402
     SolverConfig,
     _coefficient,
+    _screen_block,
     _screen_start,
-    _screen_step,
 )
 
 EPS = np.finfo(float).eps
@@ -42,7 +42,7 @@ def vector_pairs(draw, max_n=8, max_distance=10.0):
 @settings(max_examples=300, deadline=None)
 @given(vector_pairs(max_distance=0.5), st.data())
 def test_recurrence_tracks_exact_aligned_distance(pair, data):
-    """The screen's estimate of aligned^2 after each of up to 30 steps on
+    """The screen's estimates of aligned^2 after each of up to 30 steps on
     consistent data (y = |a^* z|), while x stays within ||z|| / 2 of g z:
     the regime of the stopping test, where Re(conj(g) w) >= ||z||^2 / 2, so
     the estimate's denominator is bounded away from zero, so it must be
@@ -55,13 +55,18 @@ def test_recurrence_tracks_exact_aligned_distance(pair, data):
     w, g, d2 = _screen_start(x, z, dist_phase_aligned(x, z).aligned)
     tau = SolverConfig.zero_threshold
     worst_e, worst_x = np.linalg.norm(x - g * z), np.linalg.norm(x)
-    for k, a in enumerate(rows, start=1):
+    iterates, steps = [], []
+    for a in rows:
         u = complex(np.vdot(a, z))
         s = np.vdot(a, x)
         na2 = np.vdot(a, a).real
         c = _coefficient(s, na2, abs(u), tau)
         x = x - c * a
-        w, d2, est = _screen_step(w, d2, g, c, s, u, na2)
+        iterates.append(x)
+        steps.append((c, s, u, na2))
+    c, s, u, na2 = (np.array(v) for v in zip(*steps))
+    estimates = _screen_block(w, d2, g, c, s, u, na2)
+    for k, (x, est) in enumerate(zip(iterates, estimates), start=1):
         worst_e = max(worst_e, np.linalg.norm(x - g * z))
         worst_x = max(worst_x, np.linalg.norm(x))
         if worst_e > nz / 2:

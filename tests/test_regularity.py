@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from kaczmarz_pr import (
     second_dir_deriv_fi,
     wedge,
 )
+from kaczmarz_pr import regularity
 from kaczmarz_pr.regularity import RegularityParams, regularity_terms
 from kaczmarz_pr.verify import (
     CHECKS,
@@ -213,6 +216,30 @@ class TestEstimateL:
             assert_phase_aligned(rep, z)
             assert rep.L_estimate <= previous + 1e-12
             previous = rep.L_estimate
+
+    @pytest.mark.parametrize("n, m", [(2, 100), (8, 160)])
+    def test_report_does_not_depend_on_evaluation_blocks(self, monkeypatch, n, m):
+        # directions are evaluated in blocks of at most _EVAL_BYTES of
+        # products: one direction per block and every candidate batch in one
+        # block must give the report of the default blocks, bit for bit
+        ens = sample_sphere(n, m, 38)
+        z = sample_unit_vector(n, 39)
+        params = RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=600, seed=40)
+        reports = []
+        for eval_bytes in (regularity._EVAL_BYTES, 1, 16 * m * 4096):
+            monkeypatch.setattr(regularity, "_EVAL_BYTES", eval_bytes)
+            rep = estimate_L(ens, z, params)
+            reports.append(json.dumps(rep.to_dict(), sort_keys=True, allow_nan=False))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_rejects_alpha_whose_terms_overflow(self):
+        # 2 + 4 alpha overflows, so term3 and L would be infinite
+        ens = sample_sphere(2, 4, 41)
+        z = sample_unit_vector(2, 42)
+        with pytest.raises(ValueError, match="alpha"):
+            regularity_terms(ens, z, z, 0.1, 1e308)
+        with pytest.raises(ValueError, match="alpha"):
+            estimate_L(ens, z, RegularityParams(c0=0.1, alpha=1e308, net_or_samples=10))
 
     def test_rejects_singular_signal(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)

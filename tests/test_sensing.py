@@ -7,6 +7,7 @@ from kaczmarz_pr import (
     sample_sphere,
     sample_unit_vector,
 )
+from kaczmarz_pr.sensing import objective_f, row_products
 
 
 class TestSphereSampler:
@@ -111,3 +112,16 @@ class TestMeasure:
         y = measure(ens, sample_unit_vector(3, 6))
         assert y.ensemble_ref == ens.ident
         assert y.ensemble_ref != sample_sphere(3, 4, 7).ident
+
+
+class TestRowMagnitudes:
+    @pytest.mark.parametrize("n, m, seed", [(1, 5, 0), (7, 60, 1), (50, 2000, 2)])
+    def test_measure_and_objective_keep_their_bits(self, n, m, seed):
+        # |A conj(v)| skips row_products' outer conjugate; |conj(t)| = |t|
+        # exactly, so both must equal the row_products expressions bitwise
+        ens = sample_sphere(n, m, seed)
+        z, x = sample_unit_vector(n, seed + 10), sample_unit_vector(n, seed + 20)
+        y = measure(ens, z)
+        np.testing.assert_array_equal(y.values, np.abs(row_products(ens, z)))
+        r = np.abs(row_products(ens, x)) - y.values
+        assert objective_f(ens, y, x) == float(np.mean(r * r))

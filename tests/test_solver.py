@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kaczmarz_pr import (
+    SensingEnsemble,
     SolverConfig,
     SolverState,
     SpectralConfig,
@@ -165,6 +166,27 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(ens, y, sample_unit_vector(3, 72), cfg)
 
+    @pytest.mark.parametrize("aligned_mode", [True, False])
+    def test_zero_row_rejected_like_step(self, aligned_mode):
+        # the row-norm cache must refuse a zero row as project_magnitude does,
+        # not divide by it and run on with NaNs
+        vectors = np.array(sample_sphere(3, 4, 84).vectors)
+        vectors[2] = 0.0
+        ens = SensingEnsemble(vectors=vectors, model="custom", seed=0, n=3, m=4)
+        z = sample_unit_vector(3, 85)
+        y = measure(ens, z)
+        x0 = sample_unit_vector(3, 86)
+        if aligned_mode:
+            cfg = SolverConfig(max_iters=200, tol_aligned_rel=1e-8, seed=87)
+        else:
+            cfg = SolverConfig(max_iters=200, tol_residual=1e-20, seed=87)
+        with pytest.raises(ValueError, match="sensing vector must be nonzero"):
+            solve(ens, y, x0, cfg, z=z if aligned_mode else None)
+        with pytest.raises(ValueError, match="sensing vector must be nonzero"):
+            state = SolverState(x=x0.copy(), rng=np.random.default_rng(87))
+            for _ in range(200):
+                step(state, ens, y, cfg)
+
     def test_measurements_must_match_ensemble(self):
         ens = sample_sphere(3, 9, 80)
         other = sample_sphere(3, 9, 81)
@@ -269,9 +291,9 @@ class TestScreenedStoppingTest:
     """solve screens the aligned-error test in O(1) and draws its rows a
     stride at a time; neither may change k, x or the history."""
 
-    def instance(self, model, seed):
+    def instance(self, model, seed, m=150):
         if model == "sphere":
-            ens = sample_sphere(12, 150, seed)
+            ens = sample_sphere(12, m, seed)
         else:
             ens = sample_block_unitary(12, 12, seed)
         z = sample_unit_vector(12, seed + 1)
@@ -298,6 +320,23 @@ class TestScreenedStoppingTest:
             assert state.k < cfg.max_iters
             self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 7, None])
+    @pytest.mark.parametrize("tol", [0.0, 0.45, 1e-8])
+    def test_repeated_rows_match_exact_replay(self, m, stride, tol):
+        # blocks of 7 or 12 steps over m <= 3 rows repeat rows, so most
+        # norms come from the cache; m rows cannot pin down z, so the error
+        # stays near 0.45 ||z||: tol 0 tests exactly on every step, 0.45
+        # stops some runs mid-block and others at max_iters, and the screen
+        # clears every step at 1e-8
+        for seed in range(5):
+            ens, y, x0, z = self.instance("sphere", 200 + seed, m=m)
+            cfg = SolverConfig(
+                max_iters=200, tol_aligned_rel=tol, seed=seed, history_stride=stride
+            )
+            state = solve(ens, y, x0, cfg, z=z)
+            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
+
     @pytest.mark.parametrize("stride", [1, 7, None])
     def test_max_iters_cut_off_matches_exact_replay(self, stride):
         for seed in range(5):
@@ -321,6 +360,13 @@ class TestScreenedStoppingTest:
             state = solve(ens, y, x0, cfg, z=signal)
             assert state.k < cfg.max_iters
             self.assert_same_run(state, exact_replay(ens, y, x0, cfg, signal))
+
+    def test_screen_estimate_is_nan_where_its_denominator_vanishes(self):
+        # |w| + Re(conj(g) w) = 0 when w points against g: the estimate is
+        # undefined, and NaN sends the step to the exact test
+        zeros = np.zeros(3, dtype=complex)
+        est = solver._screen_block(-2.0 + 0j, 1.0, 1.0 + 0j, zeros, zeros, zeros + 1.0, np.ones(3))
+        assert np.isnan(est).all()
 
     def test_block_row_draws_equal_scalar_draws(self):
         # solve's rows are rng.integers(m, size=...) blocks; step draws
