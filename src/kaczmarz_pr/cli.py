@@ -3,7 +3,7 @@
 Subcommands:
   run         run a seeded experiment batch from a config file
   verify      run the invariant + Monte-Carlo verification suite
-  estimate-l  direction-search report for the regularity constant
+  estimate-l  lower and upper bounds on the regularity constant
 
 Exit codes: 0 success, 1 failed verification or a failed trial in ``run``,
 2 malformed config/arguments.

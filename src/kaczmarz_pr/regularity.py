@@ -7,10 +7,15 @@ The objective over a measurement set is
 whose local behavior around the true signal governs the expected per-step
 contraction of the row-projection solver.  f itself is
 ``sensing.objective_f``; this module provides its first and second
-directional derivatives, the row "wedge" sets, a direction-search
-estimator for the regularity constant, and seeded Monte-Carlo validators
-of the closed-form constants that appear in the analysis of these
-quantities.
+directional derivatives, the row "wedge" sets, an estimator of the
+regularity constant, and seeded Monte-Carlo validators of the closed-form
+constants that appear in the analysis of these quantities.
+
+The regularity constant is the minimum of term1 - term2 - term3 over the
+phase-aligned unit sphere.  ``estimate_L`` brackets it: one eigenproblem
+of a real quadratic form gives a certified lower bound, which is the
+constant itself where the wedge is empty, and a direction search anchored
+at that form's minimizer gives an upper bound.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .sensing import row_magnitudes, row_products, sample_unit_vector
+from .sensing import _complex_normal, row_magnitudes, row_products, sample_unit_vector
 
 __all__ = [
     "dir_deriv_f",
@@ -38,8 +43,10 @@ __all__ = [
 
 _MC_CHUNK = 100_000
 _EVAL_BYTES = 512 * 1024  # complex products held at once by _terms_evaluator
+# rows held at once by _bracket_form: a constant of its own, so that its
+# sums, and with them the whole report, do not depend on _EVAL_BYTES
+_FORM_BYTES = _EVAL_BYTES
 _DIR_CHUNK = 256
-_REFINE_POOL = 64
 
 
 def dir_deriv_f(ensemble, y, x, v) -> float:
@@ -150,19 +157,24 @@ class RegularityParams:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Result of the direction search.
+    """Result of the direction search, bracketed from below.
 
     L_estimate = (n/m) * (term1 - term2 - term3) at the reported direction,
     a unit vector with Im(z^* v) = 0.  The search visits finitely many
     directions of the phase-aligned unit sphere {v : ||v|| = 1,
     Im(z^* v) = 0}, so L_estimate is an UPPER bound on the true minimum
-    over that set; ``upper_bound_on_sphere_min`` (JSON key of the same
-    name) records this and is always True.  ``evaluations`` counts the
-    directions actually evaluated.  Both orientations of the 2 c0 alpha
-    vs 1 constraint are recorded rather than enforced.
+    over that set (``upper_bound_on_sphere_min`` is always True).
+    L_lower = (n/m) lam_min of ``_bracket_form`` is a certified LOWER
+    bound; ``lower_is_exact``: it is attained at the form's eigenvector
+    (always so where the wedge is empty), and the two agree up to rounding.
+    ``evaluations`` counts the directions evaluated; ``search_mode`` is
+    always "random_refine".  Both orientations of the 2 c0 alpha vs 1
+    constraint are recorded rather than enforced.
     """
 
     L_estimate: float
+    L_lower: float
+    lower_is_exact: bool
     argmin_direction: np.ndarray
     term1: float
     term2: float
@@ -187,6 +199,16 @@ class RegularityReport:
         return out
 
 
+def _term_coefficients(alpha: float, m: int):
+    """(6/(alpha-1), 2+4 alpha), the weights of term2 and term3; raises
+    where term2 + term3 could overflow at m unit rows."""
+    c_mid = 6.0 / (alpha - 1.0)
+    c_wedge = 2.0 + 4.0 * alpha
+    if not math.isfinite((c_mid + c_wedge) * m):
+        raise ValueError(f"alpha={alpha:g} is too large for m={m}: the terms overflow")
+    return c_mid, c_wedge
+
+
 def _terms_evaluator(ensemble, z, c0: float, alpha: float):
     """Batch evaluator: V (d, n) unit rows -> (term1, term2, term3) arrays.
 
@@ -199,15 +221,12 @@ def _terms_evaluator(ensemble, z, c0: float, alpha: float):
     any batch size; each row's values do not depend on the block.
     """
     uc, ua = _signal_products(ensemble, z)
+    c_mid, c_wedge = _term_coefficients(alpha, ensemble.m)
     a_ct = np.ascontiguousarray(ensemble.vectors.conj().T)  # (n, m)
     uc = uc[np.newaxis, :]
     inv2u2 = (1.0 / (2.0 * ua * ua))[np.newaxis, :]
     ua_row = ua[np.newaxis, :]
     wedge_beta = c0 * alpha
-    c_mid = 6.0 / (alpha - 1.0)
-    c_wedge = 2.0 + 4.0 * alpha
-    if not math.isfinite((c_mid + c_wedge) * ensemble.m):  # term2 + term3 <= that, unit rows
-        raise ValueError(f"alpha={alpha:g} is too large for m={ensemble.m}: the terms overflow")
     block = max(1, _EVAL_BYTES // (16 * ensemble.m))
 
     def terms(V: np.ndarray):
@@ -233,29 +252,45 @@ def regularity_terms(ensemble, z, v, c0: float, alpha: float):
     return float(t1[0]), float(t2[0]), float(t3[0]), float(t1[0] - t2[0] - t3[0])
 
 
-def _hypersphere_grid(n: int, budget: int) -> np.ndarray:
-    """Product grid on the unit sphere of C^n: n entry phases x (n-1)
-    magnitude angles.  Resolution r ~ budget^(1/(2n-1)); doubling r nests
-    the grid, so larger budgets only add directions."""
-    r = int(round(budget ** (1.0 / (2 * n - 1))))
-    r = min(max(r, 2), 128)
-    phase = 2.0 * np.pi * np.arange(r) / r
-    if n == 1:
-        return np.exp(1j * phase)[:, np.newaxis]
-    angle = np.linspace(0.0, np.pi / 2.0, r + 1)
-    axes = [phase] * n + [angle] * (n - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [g.reshape(-1) for g in mesh]
-    psi = np.stack(flat[:n], axis=1)
-    theta = np.stack(flat[n:], axis=1)
-    mags = np.empty((psi.shape[0], n))
-    running = np.ones(psi.shape[0])
-    for j in range(n - 1):
-        mags[:, j] = running * np.cos(theta[:, j])
-        running = running * np.sin(theta[:, j])
-    mags[:, n - 1] = running
-    V = mags * np.exp(1j * psi)
-    return V / np.linalg.norm(V, axis=1, keepdims=True)
+def _bracket_form(ensemble, z, c0: float, alpha: float):
+    """(lam_min, v, W): the minimum over the phase-aligned unit sphere of a
+    real quadratic form that bounds term1 - term2 - term3 from below, a unit
+    direction that attains it, and the rows W defined below.
+
+    In v_R = (Re v, Im v), term1 = ||G v_R||^2 with rows g_i = (Re b_i,
+    -Im b_i), b_i = conj(u_i) conj(a_i) / |u_i| and u_i = a_i^* z.  Every
+    wedge S(v, c0 alpha) of a unit v lies in W = {i : |u_i| <= c0 alpha
+    ||a_i||}, so term3 <= (2+4 alpha) sum_{i in W} |a_i^* v|^2 and the form
+
+        term1 - 6/(alpha-1) sum_i |a_i^* v|^2 - (2+4 alpha) sum_{i in W} |a_i^* v|^2
+
+    is at most the bracket, with equality at v if S(v, c0 alpha) = W (at
+    every v if W is empty).  Its minimum over v_R orthogonal to (i z)_R is
+    the smallest eigenvalue of its restriction to that complement.  G^T G
+    and the Hermitian part are summed over blocks of ``_FORM_BYTES`` rows.
+    """
+    n = ensemble.n
+    z = np.asarray(z, dtype=complex)
+    uc, ua = _signal_products(ensemble, z)
+    c_mid, c_wedge = _term_coefficients(alpha, ensemble.m)
+    gram = np.zeros((2 * n, 2 * n))
+    herm = np.zeros((n, n), dtype=complex)
+    w_rows = []
+    block = max(1, _FORM_BYTES // (16 * n))
+    for lo in range(0, ensemble.m, block):
+        a = ensemble.vectors[lo : lo + block]
+        b = a.conj() * (uc[lo : lo + block] / ua[lo : lo + block])[:, np.newaxis]
+        g = np.concatenate((b.real, -b.imag), axis=1)
+        gram += g.T @ g
+        in_w = ua[lo : lo + block] <= c0 * alpha * np.sqrt(np.sum(a.real**2 + a.imag**2, axis=1))
+        w_rows.append(lo + np.flatnonzero(in_w))
+        herm += (a * (c_mid + c_wedge * in_w)[:, np.newaxis]).T @ a.conj()
+    form = gram - np.block([[herm.real, -herm.imag], [herm.imag, herm.real]])
+    iz_r = np.concatenate((-z.imag, z.real))
+    basis = np.linalg.qr(iz_r[:, np.newaxis], mode="complete")[0][:, 1:]
+    lam, y = np.linalg.eigh(basis.T @ form @ basis)
+    v_r = basis @ y[:, 0]
+    return float(lam[0]), v_r[:n] + 1j * v_r[n:], np.concatenate(w_rows)
 
 
 def _phase_aligned(V: np.ndarray, zn: np.ndarray):
@@ -280,28 +315,20 @@ def _phase_aligned(V: np.ndarray, zn: np.ndarray):
 def _coordinate_refine(evaluate, v0: np.ndarray, f0: float, n: int,
                        step0: float = 0.25, min_step: float = 1e-3,
                        max_sweeps: int = 200):
-    """Deterministic local descent over the 2n real coordinates; each move
-    is mapped back by ``evaluate`` (rows -> (mapped rows, values, count
-    evaluated)).  Halves the step on failed sweeps."""
-    v = v0.copy()
-    fbest = float(f0)
-    step = step0
-    sweeps = 0
-    evals = 0
-    while step > min_step and sweeps < max_sweeps:
-        sweeps += 1
-        C = np.tile(v, (4 * n, 1))
-        for j in range(n):
-            C[4 * j + 0, j] += step
-            C[4 * j + 1, j] -= step
-            C[4 * j + 2, j] += 1j * step
-            C[4 * j + 3, j] -= 1j * step
-        C, f, count = evaluate(C)
+    """Deterministic local descent over the 2n real coordinates (moves
+    +-step, +-i step on each entry); each move is mapped back by
+    ``evaluate`` (rows -> (mapped rows, values, count evaluated)).  Halves
+    the step on failed sweeps."""
+    moves = np.kron(np.eye(n), [[1.0], [-1.0], [1j], [-1j]])
+    v, fbest, step, evals = v0, float(f0), step0, 0
+    for _ in range(max_sweeps):
+        if step <= min_step:
+            break
+        C, f, count = evaluate(v + step * moves)
         evals += count
         j = int(np.argmin(f))
         if f[j] < fbest:
-            v = C[j]
-            fbest = float(f[j])
+            v, fbest = C[j], float(f[j])
         else:
             step *= 0.5
     return v, fbest, evals
@@ -313,7 +340,8 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
 
         term1(v) - term2(v) - term3(v)
 
-    and report (n/m) times the smallest value found.
+    and report (n/m) times the smallest value found, with (n/m) times the
+    certified lower bound of ``_bracket_form``.
 
     The solver's error is measured up to a global phase: after alignment
     the error h = x - e^{it} z satisfies Im((e^{it} z)^* h) = 0, so the
@@ -322,18 +350,19 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     v <- v - i Im(z^* v) z / ||z||^2, renormalized; candidates on +-i z are
     dropped and not counted in ``evaluations``.
 
-    For n <= 3 a dense product grid over phases and angles is used; above
-    that, seeded uniform random directions plus local coordinate descent.
-    The candidate stream is prefix-stable in the budget and the descent is
-    anchored to the first min(budget, 64) candidates; the map acts point
-    by point, so enlarging the budget can only add directions and never
-    raises the reported minimum.  The result is an upper bound on the
-    minimum over the phase-aligned sphere.
+    Candidate 0 is the bracket form's eigenvector; seeded uniform random
+    directions follow, then a coordinate descent from the eigenvector.  The
+    random stream is prefix-stable in the budget and the anchor and its
+    descent do not depend on it, so a larger budget only adds directions
+    and never raises the reported minimum.  Where the eigenvector's wedge
+    is all of ``_bracket_form``'s W, always so where the wedge is empty for
+    every unit v (c0 alpha ||a_i|| < |a_i^* z| for every row), the
+    eigenvector is the minimizer and both values are the constant.
     """
     n, m = ensemble.n, ensemble.m
+    lam_min, anchor, w_rows = _bracket_form(ensemble, z, params.c0, params.alpha)
     terms = _terms_evaluator(ensemble, z, params.c0, params.alpha)
-    zn = np.asarray(z, dtype=complex)
-    zn = zn / np.linalg.norm(zn)
+    zn = np.asarray(z, dtype=complex) / np.linalg.norm(z)
 
     def evaluate(V):
         V, kept = _phase_aligned(V, zn)
@@ -342,63 +371,38 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
         f[kept] = t1 - t2 - t3
         return V, f, int(np.count_nonzero(kept))
 
-    best_v = None
-    best_f = math.inf
-    evaluations = 0
-
-    if n <= 3:
-        mode = "dense_net"
-        grid = _hypersphere_grid(n, params.net_or_samples)
-        for lo in range(0, len(grid), 1024):
-            V, f, count = evaluate(grid[lo : lo + 1024])
-            evaluations += count
-            j = int(np.argmin(f))
-            if f[j] < best_f:
-                best_f = float(f[j])
-                best_v = V[j].copy()
-    else:
-        mode = "random_refine"
-        rng = np.random.default_rng(int(params.seed))
-        pool_v = None
-        pool_f = math.inf
-        seen = 0
-        remaining = params.net_or_samples
-        while remaining > 0:
-            take = min(_DIR_CHUNK, remaining)
-            # always draw a full chunk so the stream position is independent
-            # of the requested budget (prefix stability)
-            g = rng.standard_normal((_DIR_CHUNK, 2 * n))
-            V, f, count = evaluate(g[:take, :n] + 1j * g[:take, n:])
-            j = int(np.argmin(f))
-            if f[j] < best_f:
-                best_f = float(f[j])
-                best_v = V[j].copy()
-            if seen < _REFINE_POOL:
-                upto = min(take, _REFINE_POOL - seen)
-                jj = int(np.argmin(f[:upto]))
-                if f[jj] < pool_f:
-                    pool_f = float(f[jj])
-                    pool_v = V[jj].copy()
-            seen += take
-            remaining -= take
-            evaluations += count
-        rv, rf, revals = _coordinate_refine(evaluate, pool_v, pool_f, n)
-        evaluations += revals
-        if rf < best_f:
-            best_f = rf
-            best_v = rv
+    V, f, evaluations = evaluate(anchor[np.newaxis, :])
+    anchor, anchor_f = best_v, best_f = V[0], float(f[0])
+    attained = np.array_equal(wedge(ensemble, z, anchor, params.c0 * params.alpha), w_rows)
+    rng = np.random.default_rng(int(params.seed))
+    for done in range(0, params.net_or_samples, _DIR_CHUNK):
+        take = min(_DIR_CHUNK, params.net_or_samples - done)
+        # always draw a full chunk so the stream position is independent
+        # of the requested budget (prefix stability)
+        g = rng.standard_normal((_DIR_CHUNK, 2 * n))
+        V, f, count = evaluate(g[:take, :n] + 1j * g[:take, n:])
+        evaluations += count
+        j = int(np.argmin(f))
+        if f[j] < best_f:
+            best_v, best_f = V[j].copy(), float(f[j])
+    rv, rf, revals = _coordinate_refine(evaluate, anchor, anchor_f, n)
+    evaluations += revals
+    if rf < best_f:
+        best_v = rv
 
     t1, t2, t3 = terms(best_v[np.newaxis, :])
     term1, term2, term3 = float(t1[0]), float(t2[0]), float(t3[0])
     flag = 2.0 * params.c0 * params.alpha
     return RegularityReport(
         L_estimate=(n / m) * (term1 - term2 - term3),
+        L_lower=(n / m) * lam_min,
+        lower_is_exact=attained,
         argmin_direction=best_v,
         term1=term1,
         term2=term2,
         term3=term3,
         params=params,
-        search_mode=mode,
+        search_mode="random_refine",
         n=n,
         m=m,
         evaluations=evaluations,
@@ -411,10 +415,17 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
 # Monte-Carlo estimators for closed-form constants
 
 
+def _normal_blocks(rng: np.random.Generator, trials: int, n: int):
+    """``trials`` standard complex normal rows of length n, drawn in blocks
+    of at most ``_MC_CHUNK`` rows."""
+    for done in range(0, trials, _MC_CHUNK):
+        yield _complex_normal(rng, (min(_MC_CHUNK, trials - done), n))
+
+
 def _orthonormal_pair(n: int, rng: np.random.Generator):
     z = sample_unit_vector(n, rng)
     while True:
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = _complex_normal(rng, n)
         w -= z * np.vdot(z, w)
         nw = np.linalg.norm(w)
         if nw > 1e-6:
@@ -433,12 +444,8 @@ def wedge_fraction_mc(beta: float, trials: int, seed: int, n: int = 2) -> float:
     z, v = _orthonormal_pair(n, rng)
     zc, vc = np.conj(z), np.conj(v)
     hits = 0
-    done = 0
-    while done < trials:
-        take = min(_MC_CHUNK, trials - done)
-        A = rng.standard_normal((take, n)) + 1j * rng.standard_normal((take, n))
+    for A in _normal_blocks(rng, trials, n):
         hits += int(np.count_nonzero(beta * np.abs(A @ vc) >= np.abs(A @ zc)))
-        done += take
     return hits / trials
 
 
@@ -451,14 +458,10 @@ def span_projection_mass_mc(n: int, trials: int, seed: int, c: float = 0.8) -> f
     z, v = _orthonormal_pair(n, rng)
     zc, vc = np.conj(z), np.conj(v)
     hits = 0
-    done = 0
-    while done < trials:
-        take = min(_MC_CHUNK, trials - done)
-        A = rng.standard_normal((take, n)) + 1j * rng.standard_normal((take, n))
+    for A in _normal_blocks(rng, trials, n):
         A /= np.linalg.norm(A, axis=1, keepdims=True)
         mass = np.abs(A @ zc) ** 2 + np.abs(A @ vc) ** 2
         hits += int(np.count_nonzero(mass >= c / n))
-        done += take
     return hits / trials
 
 
@@ -473,13 +476,9 @@ def plane_curvature_expectation_mc(theta: float, trials: int, seed: int) -> floa
     rng = np.random.default_rng(int(seed))
     ct, st = math.cos(theta), math.sin(theta)
     total = 0.0
-    done = 0
-    while done < trials:
-        take = min(_MC_CHUNK, trials - done)
-        B = rng.standard_normal((take, 2)) + 1j * rng.standard_normal((take, 2))
+    for B in _normal_blocks(rng, trials, 2):
         B /= np.linalg.norm(B, axis=1, keepdims=True)
         b1, b2 = B[:, 0], B[:, 1]
         x = np.conj(b1) * (ct * b1 + st * b2)
         total += float(np.sum(x.real**2 / np.abs(b1) ** 2))
-        done += take
     return total / trials

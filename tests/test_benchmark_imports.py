@@ -1,9 +1,13 @@
 """The benchmark under perfbench/ imports names from the package; tier-1 does
-not run it, so this test reads its imports and checks that each resolves."""
+not run it, so these tests read its imports and check that each resolves,
+and check the parts of the estimate_L report that its gate reads."""
 
 import ast
 import importlib
 from pathlib import Path
+
+from kaczmarz_pr import sample_sphere, sample_unit_vector
+from kaczmarz_pr.regularity import RegularityParams, estimate_L, regularity_terms
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench" / "bench.py"
 
@@ -28,3 +32,21 @@ def test_every_benchmark_import_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_estimate_l_report_keeps_the_benchmark_contract():
+    # the estimate_l workload at its tiny shape: bench.py builds these
+    # params by keyword, reads these report fields and gates on the terms
+    # being regularity_terms' at the argmin, bit for bit
+    c0, alpha = 1 / 80, 20.0
+    ens = sample_sphere(4, 100, 1)
+    z = sample_unit_vector(4, 2)
+    params = RegularityParams(c0=c0, alpha=alpha, net_or_samples=64, seed=0)
+    report = estimate_L(ens, z, params)
+    for field in ("argmin_direction", "term1", "term2", "term3", "L_estimate", "n", "m", "evaluations"):
+        assert hasattr(report, field), field
+    assert report.search_mode == "random_refine"
+    assert (report.n, report.m) == (4, 100) and report.evaluations > 64
+    t1, t2, t3, _ = regularity_terms(ens, z, report.argmin_direction, c0, alpha)
+    assert (report.term1, report.term2, report.term3) == (t1, t2, t3)
+    assert report.L_estimate == (report.n / report.m) * (t1 - t2 - t3)

@@ -97,7 +97,10 @@ def test_estimate_l_stdout_report(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert "L_estimate" in payload
-    assert payload["search_mode"] == "dense_net"
+    assert payload["search_mode"] == "random_refine"
+    # the bound is attained here, so the two agree up to rounding
+    assert payload["lower_is_exact"] is True
+    assert payload["L_lower"] <= payload["L_estimate"] + 1e-10 * abs(payload["L_estimate"])
 
 
 def test_estimate_l_out_file(tmp_path, capsys):

@@ -145,13 +145,23 @@ def assert_phase_aligned(rep, z):
     assert abs(np.vdot(z, v).imag) <= 1e-12
 
 
+def assert_lower_bound(rep):
+    """L_lower <= L_estimate up to rounding, and the two agree where the bound
+    is attained."""
+    slack = 1e-10 * max(1.0, abs(rep.L_estimate))
+    assert rep.L_lower <= rep.L_estimate + slack
+    if rep.lower_is_exact:
+        assert rep.L_estimate <= rep.L_lower + slack
+
+
 class TestEstimateL:
     def test_report_consistency(self):
         ens = sample_sphere(2, 100, 25)
         z = sample_unit_vector(2, 26)
         params = RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=500, seed=27)
         rep = estimate_L(ens, z, params)
-        assert rep.search_mode == "dense_net"
+        assert rep.search_mode == "random_refine"
+        assert_lower_bound(rep)
         assert_phase_aligned(rep, z)
         recomputed = (rep.n / rep.m) * (rep.term1 - rep.term2 - rep.term3)
         assert abs(rep.L_estimate - recomputed) <= 1e-12 * max(1.0, abs(rep.L_estimate))
@@ -185,37 +195,117 @@ class TestEstimateL:
         assert rep.L_estimate < 0.0
         assert_phase_aligned(rep, z)
 
-    def test_dense_net_drops_phase_direction(self):
-        # z = e1 lies on the grid: budget 500 gives resolution r = 8, so
-        # 8 * 8 * 9 = 576 grid points, of which the 2 * 8 at phase +-pi/2
-        # and angle 0 equal +-i z and are not evaluated
-        ens = sample_sphere(2, 100, 25)
-        z = np.array([1.0, 0.0], dtype=complex)
-        rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=500, seed=27))
-        assert rep.evaluations == 576 - 16
-        assert_phase_aligned(rep, z)
-
-    def test_budget_monotonicity_dense(self):
-        ens = sample_sphere(2, 150, 33)
-        z = sample_unit_vector(2, 34)
-        previous = np.inf
-        for r in (6, 12, 24):  # nested grids: resolution doubles
-            rep = estimate_L(ens, z, RegularityParams(c0=0.02, alpha=8.0, net_or_samples=r**3, seed=0))
-            assert rep.L_estimate <= previous + 1e-12
-            previous = rep.L_estimate
+    def test_phase_aligned_drops_phase_direction(self):
+        # rows on +-i z (any scale) have nothing to map and are not kept;
+        # every kept row is unit and phase-aligned
+        z = sample_unit_vector(3, 27)
+        zn = z / np.linalg.norm(z)
+        rng = np.random.default_rng(28)
+        V = np.stack([1j * z, -2j * z, z, sample_unit_vector(3, rng), 1j * z + 1e-3 * z])
+        rows, kept = regularity._phase_aligned(V, zn)
+        assert kept.tolist() == [False, False, True, True, True]
+        assert np.allclose(np.linalg.norm(rows[kept], axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.max(np.abs((rows[kept] @ zn.conj()).imag)) <= 1e-12
 
     def test_budget_monotonicity_random(self):
-        ens = sample_sphere(8, 160, 35)
-        z = sample_unit_vector(8, 36)
-        previous = np.inf
-        for budget in (64, 256, 1024):
-            rep = estimate_L(
-                ens, z, RegularityParams(c0=1e-6, alpha=600.0, net_or_samples=budget, seed=37)
-            )
-            assert rep.search_mode == "random_refine"
-            assert_phase_aligned(rep, z)
-            assert rep.L_estimate <= previous + 1e-12
-            previous = rep.L_estimate
+        # n = 2 with rows in W (c0 alpha = 0.16) and n = 8 with W empty
+        instances = [(2, 150, 33, 34, 0.02, 8.0), (8, 160, 35, 36, 1e-6, 600.0)]
+        for n, m, ens_seed, z_seed, c0, alpha in instances:
+            ens = sample_sphere(n, m, ens_seed)
+            z = sample_unit_vector(n, z_seed)
+            previous = np.inf
+            for budget in (64, 256, 1024):
+                rep = estimate_L(
+                    ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=budget, seed=37)
+                )
+                assert rep.search_mode == "random_refine"
+                assert_phase_aligned(rep, z)
+                assert rep.L_estimate <= previous + 1e-12
+                previous = rep.L_estimate
+
+    def test_search_is_anchored_at_the_eigenvector(self, monkeypatch):
+        # candidate 0 and the descent's start are the bracket form's
+        # eigenvector, and every evaluated direction is counted once; here
+        # random candidates beat the eigenvector, so the best candidate is
+        # not where the descent starts
+        ens = sample_sphere(5, 120, 57)
+        z = sample_unit_vector(5, 58)
+        _, v, _ = regularity._bracket_form(ens, z, 1 / 80, 20.0)
+        starts = []
+        refine = regularity._coordinate_refine
+
+        def spy(evaluate, v0, f0, n):
+            out = refine(evaluate, v0, f0, n)
+            starts.append((v0, f0, out[2]))
+            return out
+
+        monkeypatch.setattr(regularity, "_coordinate_refine", spy)
+        rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=57))
+        (v0, f0, refine_evals), = starts
+        assert np.max(np.abs(v0 - v)) <= 1e-12
+        assert f0 == regularity_terms(ens, z, v0, 1 / 80, 20.0)[3]
+        assert rep.L_estimate < (5 / 120) * f0
+        assert rep.evaluations == 1 + 300 + refine_evals
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_exact_where_the_wedge_is_empty(self, n):
+        # c0 alpha < min_i |a_i^* z| empties every wedge: the eigenvector of
+        # the bracket form is the minimizer and the search cannot beat it
+        m = 40 * n
+        ens = sample_sphere(n, m, 43)
+        z = sample_unit_vector(n, 44)
+        c0, alpha = 1e-6, 20.0
+        assert c0 * alpha < np.min(np.abs(ens.vectors.conj() @ z))
+        rep = estimate_L(ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=512, seed=45))
+        assert rep.lower_is_exact
+        assert rep.term3 == 0.0
+        assert_lower_bound(rep)
+        assert_phase_aligned(rep, z)
+
+    @pytest.mark.parametrize("c0", [1e-6, 1 / 80])
+    def test_bracket_form_does_not_depend_on_row_blocks(self, monkeypatch, c0):
+        # one row per block and 7 rows per block (m = 100 is not a multiple)
+        # give the minimum and minimizer of one block up to rounding
+        ens = sample_sphere(4, 100, 53)
+        z = sample_unit_vector(4, 54)
+        lam, v, w_rows = regularity._bracket_form(ens, z, c0, 20.0)
+        assert (w_rows.size == 0) == (c0 == 1e-6)
+        for rows in (1, 7):
+            monkeypatch.setattr(regularity, "_FORM_BYTES", 16 * 4 * rows)
+            lam_b, v_b, w_rows_b = regularity._bracket_form(ens, z, c0, 20.0)
+            assert abs(lam_b - lam) <= 1e-12 * max(1.0, abs(lam))
+            assert abs(abs(np.vdot(v, v_b)) - 1.0) <= 1e-9
+            assert w_rows_b.tolist() == w_rows.tolist()
+
+    @pytest.mark.parametrize("n, m", [(2, 100), (5, 120), (8, 400)])
+    def test_lower_bound_is_certified(self, n, m):
+        # at c0 = 1/80 the wedges are not empty: L_lower is below the search
+        # and below the bracket at every phase-aligned unit direction
+        c0, alpha = 1 / 80, 20.0
+        ens = sample_sphere(n, m, 46)
+        z = sample_unit_vector(n, 47)
+        assert regularity._bracket_form(ens, z, c0, alpha)[2].size > 0
+        rep = estimate_L(ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=256, seed=48))
+        assert_lower_bound(rep)
+        rng = np.random.default_rng(49)
+        zn = z / np.linalg.norm(z)
+        V, kept = regularity._phase_aligned(np.stack([sample_unit_vector(n, rng) for _ in range(200)]), zn)
+        assert kept.all()
+        for v in V:
+            bracket = regularity_terms(ens, z, v, c0, alpha)[3]
+            assert rep.L_lower <= (n / m) * bracket
+
+    @pytest.mark.parametrize("m", [10, 14])
+    def test_lower_bound_nonpositive_below_2n_minus_1_rows(self, m):
+        # m < 2n - 1 rows leave term1 a null direction on the (2n-1)-
+        # dimensional phase-aligned space, where the bracket is -term2 - term3
+        n = 8
+        ens = sample_sphere(n, m, 50)
+        z = sample_unit_vector(n, 51)
+        for c0 in (1e-6, 1 / 80):
+            rep = estimate_L(ens, z, RegularityParams(c0=c0, alpha=20.0, net_or_samples=64, seed=52))
+            assert rep.L_lower <= 0.0
+            assert_lower_bound(rep)
 
     @pytest.mark.parametrize("n, m", [(2, 100), (8, 160)])
     def test_report_does_not_depend_on_evaluation_blocks(self, monkeypatch, n, m):
