@@ -207,21 +207,32 @@ class TestEstimateL:
         assert np.allclose(np.linalg.norm(rows[kept], axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.max(np.abs((rows[kept] @ zn.conj()).imag)) <= 1e-12
 
+    def test_budget_monotonicity_dense(self):
+        # n = 2 with rows in W (c0 alpha = 0.16): budgets of nested grid
+        # sizes r^3, each a prefix of the next one's candidates
+        ens = sample_sphere(2, 150, 33)
+        z = sample_unit_vector(2, 34)
+        previous = np.inf
+        for r in (6, 12, 24):
+            rep = estimate_L(ens, z, RegularityParams(c0=0.02, alpha=8.0, net_or_samples=r**3, seed=0))
+            assert rep.search_mode == "random_refine"
+            assert_phase_aligned(rep, z)
+            assert rep.L_estimate <= previous + 1e-12
+            previous = rep.L_estimate
+
     def test_budget_monotonicity_random(self):
-        # n = 2 with rows in W (c0 alpha = 0.16) and n = 8 with W empty
-        instances = [(2, 150, 33, 34, 0.02, 8.0), (8, 160, 35, 36, 1e-6, 600.0)]
-        for n, m, ens_seed, z_seed, c0, alpha in instances:
-            ens = sample_sphere(n, m, ens_seed)
-            z = sample_unit_vector(n, z_seed)
-            previous = np.inf
-            for budget in (64, 256, 1024):
-                rep = estimate_L(
-                    ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=budget, seed=37)
-                )
-                assert rep.search_mode == "random_refine"
-                assert_phase_aligned(rep, z)
-                assert rep.L_estimate <= previous + 1e-12
-                previous = rep.L_estimate
+        # n = 8 with W empty
+        ens = sample_sphere(8, 160, 35)
+        z = sample_unit_vector(8, 36)
+        previous = np.inf
+        for budget in (64, 256, 1024):
+            rep = estimate_L(
+                ens, z, RegularityParams(c0=1e-6, alpha=600.0, net_or_samples=budget, seed=37)
+            )
+            assert rep.search_mode == "random_refine"
+            assert_phase_aligned(rep, z)
+            assert rep.L_estimate <= previous + 1e-12
+            previous = rep.L_estimate
 
     def test_search_is_anchored_at_the_eigenvector(self, monkeypatch):
         # candidate 0 and the descent's start are the bracket form's
