@@ -461,9 +461,9 @@ def apply_settings(cfg: ExperimentConfig | None, settings: dict[str, str]) -> Ex
 def parse_config_file(path) -> ExperimentConfig:
     """Parse the key = value experiment format (see README for the keys)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
     raw: dict[str, str] = {}

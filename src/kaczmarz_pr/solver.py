@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import dist_phase_aligned
-from .sensing import objective_f, row_products
+from .sensing import objective_f
 
 __all__ = [
     "SolverConfig",
@@ -24,9 +24,12 @@ __all__ = [
     "solve",
 ]
 
-# solve's screen runs the exact stopping test once its O(1) estimate of the
-# aligned error is within this factor of the tolerance
+# solve's screen runs the exact stopping test once its vector-form value of
+# the aligned error is within this factor of the tolerance (plus rounding)
 _SCREEN_MARGIN = 1.5
+# solve's blocks hold at most this many bytes of iterates, so a large
+# history_stride does not allocate stride * n
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -78,7 +81,7 @@ class SolverState:
     ``history`` holds (k, raw_error, aligned_error, residual) tuples with
     strictly increasing k; error entries are NaN when no reference signal
     is available.  After ``solve``, ``rng`` is past the last row it used:
-    rows are drawn a stride at a time and the unused rest of the last block
+    rows are drawn a block at a time and the unused rest of the last block
     is dropped.
     """
 
@@ -125,34 +128,14 @@ def _coefficient(s, na2, y, tau):
     return (s - y) / na2
 
 
-def _screen_start(x, z, aligned):
-    """(w, g, d2) at a history sample: w = z^* x, g = w / |w| (1 when
-    w = 0) and d2 = ||x - g z||^2, which is aligned^2."""
-    w = complex(np.vdot(z, x))
-    return w, (w / abs(w) if w else 1.0), aligned * aligned
-
-
-def _screen_block(w, d2, g, c, s, u, na2):
-    """Estimates of aligned^2 after each step x -> x - c_j a_j of a block
-    that starts at the resync (w, g, d2), from the arrays c, s (a_j^* x
-    before the step), u (a_j^* z) and na2 (||a_j||^2); see ``solve``.
-
-    The running sums are sequential (``cumsum``), so each entry is the
-    step-by-step recurrence.  An estimate is NaN where its denominator is
-    not positive.
-    """
-    dw = -c * u.conj()
-    dw[0] += w
-    w = np.cumsum(dw)
-    dd = (c.real * c.real + c.imag * c.imag) * na2 - 2.0 * (c.conj() * (s - g * u)).real
-    dd[0] += d2
-    d2 = np.cumsum(dd)
-    gw = g.conjugate() * w
-    den = np.abs(w) + gw.real
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        est = d2 - 2.0 * gw.imag * gw.imag / den
-    est[~(den > 0.0)] = math.nan
-    return est
+def _aligned2_rows(X, z):
+    """aligned^2 of each row x of X: ``dist_phase_aligned``'s ||x - g z||^2
+    with g = z^* x / |z^* x| (1 where z^* x = 0), in vector form, so it
+    differs from ``dist_phase_aligned(x, z).aligned ** 2`` by rounding only."""
+    w = X @ np.conj(z)
+    aw = np.abs(w)
+    d = (X - np.divide(w, aw, out=np.ones_like(w), where=aw > 0.0)[:, None] * z).view(float)
+    return np.einsum("ij,ij->i", d, d)
 
 
 def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
@@ -171,25 +154,24 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
 
     The residual is evaluated at history samples (O(mn)): every stride and
     at the last iteration, so the final state is the last history entry.
-    Rows are drawn a stride at a time, which gives the same indices as one
-    ``rng.integers(m)`` per step, so the iterates are those of ``step``.
-    ||a_i||^2 is computed at a row's first draw and cached for the solve.
+    Rows are drawn a block at a time, which gives the same indices as one
+    ``rng.integers(m)`` per step, so the iterates are those of ``step``.  A
+    block never crosses a stride boundary and holds at most ``_BLOCK_BYTES``
+    of iterates.  ||a_i||^2 is computed at a row's first draw and cached.
 
-    In aligned-error mode the stopping test is screened in O(1) per step,
-    for a whole block at once after its steps (``_screen_block``).  With
-    u_i = a_i^* z, the screen tracks w = z^* x and d2 = ||x - g z||^2, for
-    the phase g fixed at the last history sample, which resyncs both
-    exactly.  A step x -> x - c a_i with s = a_i^* x updates them as
+    The step loop writes each iterate into the block's (block, n) buffer.
+    In aligned-error mode ``_aligned2_rows`` then screens all of the block's
+    rows at once, in O(n) per step.  The exact ``dist_phase_aligned`` runs,
+    on the stored row (the forward iterate bit for bit), only where the
+    screen is not finite or is at or below
 
-        w -> w - c conj(u_i),  d2 -> d2 - 2 Re(conj(c) (s - g u_i)) + |c|^2 ||a_i||^2,
+        (_SCREEN_MARGIN tol ||z|| + 4 (n + 3) eps (2 + tol) ||z||)^2,
 
-    and aligned^2 = d2 - 2 (|w| - Re(conj(g) w)), evaluated as
-    d2 - 2 Im(conj(g) w)^2 / (|w| + Re(conj(g) w)) to avoid cancellation.
-    The exact ``dist_phase_aligned`` runs only when this estimate is at or
-    below (_SCREEN_MARGIN * tol * ||z||)^2 or is not finite, on that step's
-    iterate, rebuilt from the block's start by the same updates (so bitwise
-    the forward one); the exact value alone decides every stop, so the
-    stopping k is the one an exact test on every iteration gives.
+    whose second term covers the rounding gap between the row form and the
+    per-vector form (at most (n + 3) eps (||x|| + ||z||), and ||x|| is at
+    most (1 + tol) ||z|| within the tolerance).  The exact value alone
+    decides every stop, so the stopping k is the one an exact test on every
+    iteration gives.
     """
     if y.ensemble_ref != ensemble.ident:
         raise ValueError("measurement set does not belong to this ensemble")
@@ -219,49 +201,36 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
         state.history.append((state.k, raw, aligned, res))
         return aligned, res
 
-    rows, tau = ensemble.vectors, cfg.zero_threshold
+    rows, tau, n = ensemble.vectors, cfg.zero_threshold, ensemble.n
     norms = {}  # row index -> ||a_i||^2, computed at the row's first draw
     if experiment:
-        u = row_products(ensemble, z)
-        limit = (_SCREEN_MARGIN * cfg.tol_aligned_rel * nz) ** 2
-        if not limit > 0.0:  # tol * ||z|| = 0: test exactly at every step
+        tol = cfg.tol_aligned_rel
+        eps = np.finfo(float).eps
+        limit = ((_SCREEN_MARGIN * tol + 4.0 * (n + 3) * eps * (2.0 + tol)) * nz) ** 2
+        if not tol * nz > 0.0:  # tol * ||z|| = 0: test exactly at every step
             limit = math.inf
     x, k = state.x, 0
     aligned, res = sample()
     while not cfg.converged(aligned, res, nz) and k < cfg.max_iters:
-        block = state.rng.integers(ensemble.m, size=min(stride, cfg.max_iters - k))
-        idx = block.tolist()
-        if experiment:
-            w, g, d2 = _screen_start(x, z, aligned)
-            x_start = x.copy()
-        cs, ss, ns = [], [], []
-        for i, yi in zip(idx, y.values[block].tolist()):
+        size = min(stride - k % stride, max(1, _BLOCK_BYTES // (16 * n)), cfg.max_iters - k)
+        block = state.rng.integers(ensemble.m, size=size)
+        X = np.empty((size, n), dtype=complex)
+        for i, yi, out in zip(block.tolist(), y.values[block].tolist(), X):
             a = rows[i]
-            s = np.vdot(a, x)
             na2 = norms.get(i)
             if na2 is None:
                 na2 = norms[i] = _norm2(a)
-            c = _coefficient(s, na2, yi, tau)
-            x -= c * a
-            cs.append(c)
-            ss.append(s)
-            ns.append(na2)
-        k0, k = k, k + len(idx)
+            x = np.subtract(x, _coefficient(np.vdot(a, x), na2, yi, tau) * a, out)
+        k0, k = k, k + size
         if experiment:
-            # the sample after the block tests its last step; any other step
-            # the screen cannot clear is rebuilt from x_start by the same
-            # updates, so bitwise, and tested exactly
-            est = _screen_block(w, d2, g, np.array(cs), np.array(ss), u[block], np.array(ns))[:-1]
-            done = 0
-            for j in np.flatnonzero(~((est > limit) & (est < math.inf))).tolist():
-                for t in range(done, j + 1):
-                    x_start -= cs[t] * rows[idx[t]]
-                done = j + 1
-                aligned = dist_phase_aligned(x_start, z).aligned
+            # a block that ends on a sample leaves its last step to the sample
+            d2 = _aligned2_rows(X[: size - (k % stride == 0)], z)
+            for j in np.flatnonzero(~((d2 > limit) & (d2 < math.inf))).tolist():
+                aligned = dist_phase_aligned(X[j], z).aligned
                 if cfg.converged(aligned, res, nz):
-                    state.x, k = x_start, k0 + j + 1
+                    x, k = X[j], k0 + j + 1
                     break
-        state.k = k
+        state.x, state.k = x, k
         if k % stride == 0:
             aligned, res = sample()
     if state.history[-1][0] != state.k:

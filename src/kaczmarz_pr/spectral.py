@@ -39,9 +39,9 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
     """Hermitian PSD matrix (1/m) sum y_i^2 a_i a_i^* over rows with
     y_i <= multiplier * lam0, where lam0 = sqrt(mean y^2).
 
-    Returns (Y, lam0).  The mask is never empty: a row is dropped only if
-    y_i^2 exceeds multiplier^2 times the mean, which cannot hold for all
-    rows at once (multiplier >= 1).
+    Returns (Y, lam0).  A row is dropped only if y_i^2 exceeds
+    multiplier^2 times the mean, which cannot hold for all rows at once when
+    multiplier >= 1; a smaller multiplier that drops every row raises.
     """
     if y.ensemble_ref != ensemble.ident:
         raise ValueError("measurement set does not belong to this ensemble")
@@ -50,6 +50,8 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
     if lam0 == 0.0:
         raise ValueError("all measurements are zero; initialization undefined")
     mask = vals <= multiplier * lam0
+    if not mask.any():
+        raise ValueError(f"no measurement is within truncation_multiplier {multiplier} times the RMS level")
     aw = ensemble.vectors[mask]
     w = vals[mask] ** 2
     Y = (aw.T * w) @ aw.conj() / ensemble.m

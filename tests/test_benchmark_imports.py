@@ -1,12 +1,15 @@
 """The benchmark under perfbench/ imports names from the package; tier-1 does
 not run it, so these tests read its imports and check that each resolves,
-and check the parts of the estimate_L report that its gate reads."""
+check the parts of the estimate_L report that its gate reads, and run its
+traced replay of a batch, which its gate compares with the batch CSV."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
-from kaczmarz_pr import sample_sphere, sample_unit_vector
+from kaczmarz_pr import run_experiment, sample_sphere, sample_unit_vector
+from kaczmarz_pr.harness import render_csv
 from kaczmarz_pr.regularity import RegularityParams, estimate_L, regularity_terms
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench" / "bench.py"
@@ -50,3 +53,18 @@ def test_estimate_l_report_keeps_the_benchmark_contract():
     t1, t2, t3, _ = regularity_terms(ens, z, report.argmin_direction, c0, alpha)
     assert (report.term1, report.term2, report.term3) == (t1, t2, t3)
     assert report.L_estimate == (report.n / report.m) * (t1 - t2 - t3)
+
+
+def test_traced_replay_reproduces_the_batch_csv(monkeypatch):
+    # the gate "traced replay reproduces the batch CSV" at every workload's
+    # tiny batch shape, with the traced run's master seed for seed 3; no
+    # bytecode is written under perfbench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH.parent))
+    bench = importlib.import_module("bench")
+    tracing = importlib.import_module("tracing")
+    for name, tiny in bench.TINY.items():
+        cfg = bench.config(tiny.batch, 3000)
+        replays = [bench.replay_trial(cfg, tid, tracing.Tracer()) for tid in range(cfg.num_trials)]
+        csv = render_csv(run_experiment(cfg, workers=1))
+        assert render_csv([r.record for r in replays]) == csv, name

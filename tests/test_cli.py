@@ -28,6 +28,15 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_run_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"n = 4\nm = 40\n# caf\xe9\nout = o.csv\n")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}:")
+    assert "Traceback" not in err
+
+
 def test_run_without_output_path_exits_2(tmp_path, capsys):
     path = tmp_path / "no_out.cfg"
     path.write_text(GOOD_CONFIG)

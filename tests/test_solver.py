@@ -307,17 +307,75 @@ class TestScreenedStoppingTest:
 
     @pytest.mark.parametrize("model", ["sphere", "unitary"])
     @pytest.mark.parametrize("stride", [1, 7, None])
-    @pytest.mark.parametrize("tol", [1e-8, 1e-13])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-13, 1e-15, 1e-16])
     def test_aligned_mode_matches_exact_replay(self, model, stride, tol):
         # at 1e-13 the aligned error crosses the tolerance within a few
-        # hundred ulps of ||z||, where rounding is closest to the screen
+        # hundred ulps of ||z||, at 1e-15 within the screen's rounding term;
+        # 1e-16 is below the rounding floor at n = 12, so those runs end at
+        # max_iters, with the steps near the floor tested exactly
+        floor = tol < 1e-15
         for seed in range(0, 50, 10):
             ens, y, x0, z = self.instance(model, 200 + seed)
             cfg = SolverConfig(
-                max_iters=20_000, tol_aligned_rel=tol, seed=seed, history_stride=stride
+                max_iters=2500 if floor else 20_000, tol_aligned_rel=tol, seed=seed,
+                history_stride=stride,
             )
             state = solve(ens, y, x0, cfg, z=z)
+            if not floor:
+                assert state.k < cfg.max_iters
+            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-15])
+    def test_screen_margin_covers_the_rounding_bound(self, monkeypatch, tol):
+        # a screen that reads every row high by the whole rounding bound of
+        # tests/test_properties.py, (n + 3) eps (||x|| + ||z||), must still
+        # send each step within the tolerance to the exact test
+        screen = solver._aligned2_rows
+
+        def high(X, z):
+            bound = (X.shape[1] + 3) * np.finfo(float).eps * (
+                np.linalg.norm(X, axis=1) + np.linalg.norm(z)
+            )
+            return (np.sqrt(screen(X, z)) + bound) ** 2
+
+        monkeypatch.setattr(solver, "_aligned2_rows", high)
+        for seed in range(0, 50, 10):
+            ens, y, x0, z = self.instance("sphere", 200 + seed)
+            cfg = SolverConfig(max_iters=20_000, tol_aligned_rel=tol, seed=seed, history_stride=7)
+            state = solve(ens, y, x0, cfg, z=z)
             assert state.k < cfg.max_iters
+            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
+
+    def test_long_stride_matches_exact_replay(self):
+        # a stride of 9000 at n = 4 puts thousands of steps in a block, and
+        # the stop deep inside the first one: the screen of each step must
+        # not depend on how far it is from the block's start
+        for seed in range(6):
+            ens, z = sample_sphere(4, 60, seed), sample_unit_vector(4, seed + 100)
+            x0 = z * np.exp(0.3j) + 0.3 * sample_unit_vector(4, seed + 200)
+            cfg = SolverConfig(
+                max_iters=20_000, tol_aligned_rel=1e-13, seed=seed, history_stride=9000
+            )
+            y = measure(ens, z)
+            state = solve(ens, y, x0, cfg, z=z)
+            assert state.k < 9000
+            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
+
+    @pytest.mark.parametrize("rows_held", [1, 3])
+    @pytest.mark.parametrize("stride", [7, None])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-13, 0.0])
+    def test_split_blocks_match_exact_replay(self, monkeypatch, rows_held, stride, tol):
+        # a byte budget of 1 or 3 iterates at n = 12 ends blocks inside a
+        # stride of 7 or 12, where no sample follows and the screen also
+        # tests the block's last step
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", rows_held * 16 * 12)
+        for seed in range(3):
+            ens, y, x0, z = self.instance("sphere", 500 + seed)
+            cfg = SolverConfig(
+                max_iters=2000, tol_aligned_rel=tol, seed=seed, history_stride=stride
+            )
+            state = solve(ens, y, x0, cfg, z=z)
+            assert (state.k < cfg.max_iters) == (tol > 0.0)
             self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
 
     @pytest.mark.parametrize("m", [1, 3])
@@ -361,12 +419,28 @@ class TestScreenedStoppingTest:
             assert state.k < cfg.max_iters
             self.assert_same_run(state, exact_replay(ens, y, x0, cfg, signal))
 
-    def test_screen_estimate_is_nan_where_its_denominator_vanishes(self):
-        # |w| + Re(conj(g) w) = 0 when w points against g: the estimate is
-        # undefined, and NaN sends the step to the exact test
-        zeros = np.zeros(3, dtype=complex)
-        est = solver._screen_block(-2.0 + 0j, 1.0, 1.0 + 0j, zeros, zeros, zeros + 1.0, np.ones(3))
-        assert np.isnan(est).all()
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_screen_value_goes_to_the_exact_test(self, monkeypatch, value):
+        # a NaN row screens as NaN; the screen clears only finite values
+        # above its limit, so with every value NaN or inf each step that no
+        # sample tests is tested exactly, and the run is unchanged
+        ens, y, x0, z = self.instance("sphere", 250)
+        X = np.ones((3, 12), dtype=complex)
+        X[1, 4] = math.nan
+        assert np.isnan(solver._aligned2_rows(X, z)).tolist() == [False, True, False]
+        cfg = SolverConfig(max_iters=20_000, tol_aligned_rel=1e-8, seed=5, history_stride=7)
+        replay = exact_replay(ens, y, x0, cfg, z)
+        calls = []
+
+        def counted(x, signal):
+            calls.append(1)
+            return dist_phase_aligned(x, signal)
+
+        monkeypatch.setattr(solver, "_aligned2_rows", lambda X, z: np.full(len(X), value))
+        monkeypatch.setattr(solver, "dist_phase_aligned", counted)
+        state = solve(ens, y, x0, cfg, z=z)
+        self.assert_same_run(state, replay)
+        assert len(calls) - len(state.history) == state.k - state.k // 7
 
     def test_block_row_draws_equal_scalar_draws(self):
         # solve's rows are rng.integers(m, size=...) blocks; step draws

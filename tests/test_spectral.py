@@ -42,6 +42,14 @@ class TestTruncatedCovariance:
         with pytest.raises(ValueError):
             truncated_covariance(ens, y)
 
+    def test_empty_truncation_mask_rejected(self):
+        # a multiplier below 1 can drop every row: with m = 1 the one
+        # measurement is the RMS level itself, above 0.5 times it
+        ens = sample_sphere(2, 1, 10)
+        y = measure(ens, sample_unit_vector(2, 11))
+        with pytest.raises(ValueError, match="truncation_multiplier 0.5"):
+            truncated_covariance(ens, y, 0.5)
+
 
 class TestSpectralInit:
     def test_one_dimensional_case(self):
