@@ -2,7 +2,9 @@
 
 Vectors are plain 1-D numpy arrays of complex128. The inner product is
 conjugate-linear in its FIRST argument, ``inner(a, b) == a^* b``, so row
-measurement expressions like ``a_i^* x`` read off directly.
+measurement expressions like ``a_i^* x`` read off directly.  The
+phase-aligned distance, the solver's error metric, is computed only here,
+by ``aligned2_rows``; ``dist_phase_aligned`` is its one-row form.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 __all__ = [
     "inner",
     "PhaseAlignedDistance",
+    "aligned2_rows",
     "dist_phase_aligned",
     "phase_diff_bound_check",
 ]
@@ -39,30 +42,36 @@ class PhaseAlignedDistance(NamedTuple):
     aligned: float
 
 
-def dist_phase_aligned(x, z) -> PhaseAlignedDistance:
-    """Distance pair between x and z.
+def aligned2_rows(X, z) -> np.ndarray:
+    """min_t ||x - e^{it} z||^2 for each row x of the (rows, n) array X.
 
-    aligned^2 = ||x||^2 + ||z||^2 - 2|<x, z>|, the closed form of
-    min_t ||x - e^{it} z||^2.  Magnitude-only measurements determine a
-    signal only up to a global phase, so the aligned distance is the
-    natural error metric; the raw distance is kept alongside it.
+    Magnitudes determine a signal only up to a global phase, so this
+    aligned distance is the natural error metric.  It is summed as
+    ||x - g z||^2 with the optimal phase g = z^* x / |z^* x| (1 where
+    z^* x = 0, as all phases then cost the same): the closed form
+    ||x||^2 + ||z||^2 - 2|z^* x| loses half the significant digits to
+    cancellation once the distance drops below ~1e-8 * ||x||.
 
-    Evaluated as ||x - e^{it*} z|| with the optimal phase applied
-    explicitly: the closed form as written loses half the significant
-    digits to cancellation once the distance drops below ~1e-8 * ||x||,
-    while the rotated difference does not.
+    Every product is an ``einsum`` without ``optimize``, so a row's bits do
+    not depend on the other rows of X; a BLAS product, or numpy's
+    vectorized complex multiply at n = 1, would change them with the row
+    count.
     """
-    x = np.asarray(x)
-    z = np.asarray(z)
+    w = np.einsum("ij,j->i", X, np.conj(z))
+    aw = np.abs(w)
+    g = np.divide(w, aw, out=np.ones_like(w), where=aw > 0.0)
+    d = (X - np.einsum("i,j->ij", g, z)).view(float)
+    return np.einsum("ij,ij->i", d, d)
+
+
+def dist_phase_aligned(x, z) -> PhaseAlignedDistance:
+    """Raw distance ||x - z|| and the aligned distance
+    sqrt(``aligned2_rows``) on the one row x."""
+    x = np.asarray(x, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     _check_same_dim(x, z)
-    w = np.vdot(x, z)  # x^* z; optimal rotation is conj(w)/|w|
-    aw = abs(w)
-    if aw == 0.0:
-        aligned = float(np.linalg.norm(x - z))  # all phases cost the same
-    else:
-        aligned = float(np.linalg.norm(x - (np.conj(w) / aw) * z))
-    raw = float(np.linalg.norm(x - z))
-    return PhaseAlignedDistance(raw=raw, aligned=aligned)
+    aligned = float(np.sqrt(aligned2_rows(x[None, :], z)[0]))
+    return PhaseAlignedDistance(raw=float(np.linalg.norm(x - z)), aligned=aligned)
 
 
 def phase_diff_bound_check(x, z):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import dist_phase_aligned
+from .core import aligned2_rows, dist_phase_aligned
 from .sensing import objective_f
 
 __all__ = [
@@ -24,9 +24,6 @@ __all__ = [
     "solve",
 ]
 
-# solve's screen runs the exact stopping test once its vector-form value of
-# the aligned error is within this factor of the tolerance (plus rounding)
-_SCREEN_MARGIN = 1.5
 # solve's blocks hold at most this many bytes of iterates, so a large
 # history_stride does not allocate stride * n
 _BLOCK_BYTES = 256 * 1024
@@ -128,16 +125,6 @@ def _coefficient(s, na2, y, tau):
     return (s - y) / na2
 
 
-def _aligned2_rows(X, z):
-    """aligned^2 of each row x of X: ``dist_phase_aligned``'s ||x - g z||^2
-    with g = z^* x / |z^* x| (1 where z^* x = 0), in vector form, so it
-    differs from ``dist_phase_aligned(x, z).aligned ** 2`` by rounding only."""
-    w = X @ np.conj(z)
-    aw = np.abs(w)
-    d = (X - np.divide(w, aw, out=np.ones_like(w), where=aw > 0.0)[:, None] * z).view(float)
-    return np.einsum("ij,ij->i", d, d)
-
-
 def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
     """One randomized projection step on a uniformly drawn row; mutates and
     returns ``state``."""
@@ -160,18 +147,11 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     of iterates.  ||a_i||^2 is computed at a row's first draw and cached.
 
     The step loop writes each iterate into the block's (block, n) buffer.
-    In aligned-error mode ``_aligned2_rows`` then screens all of the block's
-    rows at once, in O(n) per step.  The exact ``dist_phase_aligned`` runs,
-    on the stored row (the forward iterate bit for bit), only where the
-    screen is not finite or is at or below
-
-        (_SCREEN_MARGIN tol ||z|| + 4 (n + 3) eps (2 + tol) ||z||)^2,
-
-    whose second term covers the rounding gap between the row form and the
-    per-vector form (at most (n + 3) eps (||x|| + ||z||), and ||x|| is at
-    most (1 + tol) ||z|| within the tolerance).  The exact value alone
-    decides every stop, so the stopping k is the one an exact test on every
-    iteration gives.
+    In aligned-error mode ``aligned2_rows`` then gives the aligned error of
+    every row at once, in O(n) per step, and the first row that passes
+    ``cfg.converged`` is the stop.  Each row's value has the bits
+    ``dist_phase_aligned`` gives for that iterate alone, so the stopping k
+    is the one an exact test on every iteration gives.
     """
     if y.ensemble_ref != ensemble.ident:
         raise ValueError("measurement set does not belong to this ensemble")
@@ -192,23 +172,13 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     nz = float(np.linalg.norm(z)) if z is not None else math.nan
 
     def sample():
-        if z is not None:
-            d = dist_phase_aligned(state.x, z)
-            raw, aligned = d.raw, d.aligned
-        else:
-            raw, aligned = math.nan, math.nan
+        raw, aligned = dist_phase_aligned(state.x, z) if z is not None else (math.nan, math.nan)
         res = objective_f(ensemble, y, state.x)
         state.history.append((state.k, raw, aligned, res))
         return aligned, res
 
     rows, tau, n = ensemble.vectors, cfg.zero_threshold, ensemble.n
     norms = {}  # row index -> ||a_i||^2, computed at the row's first draw
-    if experiment:
-        tol = cfg.tol_aligned_rel
-        eps = np.finfo(float).eps
-        limit = ((_SCREEN_MARGIN * tol + 4.0 * (n + 3) * eps * (2.0 + tol)) * nz) ** 2
-        if not tol * nz > 0.0:  # tol * ||z|| = 0: test exactly at every step
-            limit = math.inf
     x, k = state.x, 0
     aligned, res = sample()
     while not cfg.converged(aligned, res, nz) and k < cfg.max_iters:
@@ -223,13 +193,11 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
             x = np.subtract(x, _coefficient(np.vdot(a, x), na2, yi, tau) * a, out)
         k0, k = k, k + size
         if experiment:
-            # a block that ends on a sample leaves its last step to the sample
-            d2 = _aligned2_rows(X[: size - (k % stride == 0)], z)
-            for j in np.flatnonzero(~((d2 > limit) & (d2 < math.inf))).tolist():
-                aligned = dist_phase_aligned(X[j], z).aligned
-                if cfg.converged(aligned, res, nz):
-                    x, k = X[j], k0 + j + 1
-                    break
+            errors = np.sqrt(aligned2_rows(X, z))
+            stops = np.flatnonzero(cfg.converged(errors, res, nz))
+            if stops.size:
+                j = int(stops[0])
+                x, k, aligned = X[j], k0 + j + 1, errors[j]
         state.x, state.k = x, k
         if k % stride == 0:
             aligned, res = sample()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kaczmarz_pr import dist_phase_aligned, inner, phase_diff_bound_check, sample_unit_vector
+from kaczmarz_pr.core import aligned2_rows
 
 
 def e(k, n):
@@ -84,6 +85,25 @@ class TestPhaseAlignedDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dist_phase_aligned(np.ones(2, dtype=complex), np.ones(3, dtype=complex))
+
+    def test_rows_match_one_row_and_vector_forms_bit_for_bit(self):
+        # solve stops on the rows of a block: each row's value must be the
+        # one it has alone and the one dist_phase_aligned gives, at every n
+        # (n = 1 too) and block size, and where z^* x = 0 exactly
+        rng = np.random.default_rng(7)
+        for n in [1, 1, 2, 3] + rng.integers(1, 81, 56).tolist():
+            rows = int(rng.integers(1, 301))
+            z = sample_unit_vector(n, rng)
+            z[1:] *= rng.random(n - 1) < 0.7
+            X = z * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (rows, 1)))
+            X += 10.0 ** rng.uniform(-17.0, 1.0, (rows, 1)) * (
+                rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+            )
+            X[rng.random(rows) < 0.1] *= z == 0  # z^* x = 0 exactly, x = 0 at n = 1
+            values = aligned2_rows(X, z)
+            for j, x in enumerate(X):
+                assert values[j] == aligned2_rows(X[j : j + 1], z)[0]
+                assert np.sqrt(values[j]) == dist_phase_aligned(x, z).aligned
 
 
 class TestPhaseDiffBound:

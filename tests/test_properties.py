@@ -1,8 +1,16 @@
-"""Property tests, over inputs drawn by hypothesis: the screen of solve's
-stopping test against the phase-aligned distance it screens, that
-distance's invariances, and the projection onto {w : |a^* w| = y}."""
+"""Property tests, over inputs drawn by hypothesis: the row form of the
+phase-aligned distance, on which solve stops, against its one-row form and
+``dist_phase_aligned`` bit for bit, that distance's invariances, the
+projection onto {w : |a^* w| = y}, malformed ``run --config`` files, and
+the CSV/JSON round trip of run records."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +20,16 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from kaczmarz_pr import dist_phase_aligned  # noqa: E402
-from kaczmarz_pr.solver import SolverConfig, _aligned2_rows, project_magnitude  # noqa: E402
+from kaczmarz_pr import ExperimentConfig, dist_phase_aligned, run_experiment  # noqa: E402
+from kaczmarz_pr.cli import main  # noqa: E402
+from kaczmarz_pr.core import aligned2_rows  # noqa: E402
+from kaczmarz_pr.harness import (  # noqa: E402
+    render_csv,
+    setting_fields,
+    summary_dict,
+    write_summary_json,
+)
+from kaczmarz_pr.solver import SolverConfig, project_magnitude  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -62,16 +78,14 @@ def blocks(draw, max_n=8, max_rows=8):
 
 @settings(max_examples=300, deadline=None)
 @given(blocks())
-def test_screen_rows_match_exact_aligned_distance(block):
-    """solve's screen differs from the exact test by rounding only: for
-    each row the two forms of ||x - g z|| round g and the sums apart, by at
-    most (n + 3) eps (||x|| + ||z||); solve's limit adds 4 times that."""
+def test_aligned_rows_match_one_row_form_bit_for_bit(block):
+    """solve stops on the row form: each row's value is the one the row
+    has alone, and its square root is ``dist_phase_aligned``'s."""
     X, z = block
-    n, nz = len(z), np.linalg.norm(z)
-    screened = np.sqrt(_aligned2_rows(X, z))
-    for x, value in zip(X, screened):
-        exact = dist_phase_aligned(x, z).aligned
-        assert abs(value - exact) <= (n + 3) * EPS * (np.linalg.norm(x) + nz)
+    values = aligned2_rows(X, z)
+    for j, x in enumerate(X):
+        assert values[j] == aligned2_rows(X[j : j + 1], z)[0]
+        assert np.sqrt(values[j]) == dist_phase_aligned(x, z).aligned
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,3 +177,139 @@ def test_projection_is_idempotent(case):
     x, a, y = case
     w = project_magnitude(x, a, y)
     assert np.linalg.norm(project_magnitude(w, a, y) - w) <= projection_slack(x, a, y, w)
+
+
+# signal files a config may name, written into the test's directory;
+# "missing.json" is never written
+SIGNAL_FILES = {
+    "good.json": {"re": [1.0, 0.0, 0.5], "im": [0.0, 1.0, 0.5]},
+    "short.json": {"re": [1.0], "im": [0.0, 1.0]},
+    "no_im.json": {"re": [1.0, 2.0]},
+    "zero.json": {"re": [0.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]},
+    "not_json.json": None,
+}
+# integers small enough that every valid config runs in milliseconds
+values = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["none", "None", "nan", "inf", "-inf", "", "sphere", "unitary", "json"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+)
+# paths stay inside the test's directory: a signal path is only read, but
+# an output path is written
+path_values = {
+    "signal_path": st.sampled_from(["none", "", ".", "missing.json", *SIGNAL_FILES]),
+    "out": st.sampled_from(["none", "", ".", "out.csv", "out.json", "missing/out.csv"]),
+}
+keys = st.sampled_from(sorted(setting_fields()) + ["bogus", "N", "seed", "num_trials"])
+
+
+@st.composite
+def config_files(draw):
+    """Lines of a `key = value` config file: random settings over none or
+    over a valid config, whose signal is random, good or zero (a failed
+    trial), and sometimes one line repeated."""
+    signal = draw(st.sampled_from([None, "none", "good.json", "zero.json"]))
+    chosen = {}
+    if signal is not None:
+        chosen = {"n": "3", "m": "20", "trials": "2", "out": "out.csv", "signal_path": signal}
+    for key in draw(st.lists(keys, max_size=3)):
+        chosen[key] = draw(path_values.get(key, values))
+    lines = [f"{key} = {value}" for key, value in chosen.items()]
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(lines)))
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_files())
+def test_malformed_config_exits_cleanly(lines):
+    # `run --config` exits 0, 1 or 2 and never raises; an exit 2 prints one
+    # `error:` line.  Warnings are shown, not raised, as on the command line
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, payload in SIGNAL_FILES.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write("{re: 1" if payload is None else json.dumps(payload))
+        with open(os.path.join(tmp, "exp.cfg"), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        cwd, err = os.getcwd(), io.StringIO()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings(record=True) as shown:
+                    warnings.simplefilter("always")
+                    code = main(["run", "--config", "exp.cfg"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not shown
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+
+
+@st.composite
+def experiments(draw):
+    """Small seeded batches; in half of them a zero signal, a truncation
+    multiplier of 0.5 (which can leave no row) or a power iteration of one
+    step fails some or all trials."""
+    n = draw(st.integers(1, 5))
+    unitary = draw(st.booleans())
+    failure = None
+    if draw(st.booleans()):
+        failure = draw(st.sampled_from(["zero signal", "no rows", "one step"]))
+    return ExperimentConfig(
+        n=n,
+        model="unitary" if unitary else "sphere",
+        m=None if unitary else draw(st.integers(1, 40)),
+        K=draw(st.integers(1, 6)) if unitary else None,
+        num_trials=draw(st.integers(1, 3)),
+        master_seed=draw(st.integers(0, 2**32)),
+        max_iters=draw(st.sampled_from([None, 1, 7, 50])),
+        tol_aligned_rel=draw(st.sampled_from([1e-8, 1e-13, 0.3])),
+        history_stride=draw(st.sampled_from([None, 1, 3])),
+        truncation_multiplier=0.5 if failure == "no rows" else 3.0,
+        power_iters_max=1 if failure == "one step" else 1000,
+        signal=np.zeros(n, dtype=complex) if failure == "zero signal" else None,
+    )
+
+
+def _floats_back(text):
+    return math.nan if text == "nan" else float(text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(experiments())
+def test_csv_and_json_round_trip(cfg):
+    records = run_experiment(cfg, workers=1)
+    rows = [line.split(",") for line in render_csv(records).splitlines()]
+    assert rows[0] == [
+        "trial_id", "seed", "n", "m", "model", "epoch", "aligned_error", "raw_error", "residual"
+    ]
+    rows = iter(rows[1:])
+    for rec in records:
+        expected = list(zip(rec.epochs, rec.aligned_errors, rec.raw_errors, rec.residuals))
+        expected.append((
+            rec.iterations_run / rec.n,
+            rec.final_aligned_error,
+            rec.final_raw_error,
+            rec.final_residual,
+        ))
+        for values_out in expected:
+            row = next(rows)
+            assert row[:5] == [str(rec.trial_id), str(rec.seed), str(rec.n), str(rec.m), rec.model]
+            back = [_floats_back(text) for text in row[5:]]
+            # .17g gives every float back exactly, and nan where it is unset
+            assert np.array_equal(back, values_out, equal_nan=True)
+    assert next(rows, None) is None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "summary.json")
+        write_summary_json(cfg, records, path)
+        with open(path) as fh:
+            loaded = json.load(fh)
+    # non-finite values are written as null, so the two compare equal
+    assert loaded == summary_dict(cfg, records)
+    for rec, trial in zip(records, loaded["trials"]):
+        for key, value in vars(rec).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                assert trial[key] is None

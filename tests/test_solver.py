@@ -18,6 +18,7 @@ from kaczmarz_pr import (
     step,
 )
 from kaczmarz_pr import solver
+from kaczmarz_pr.core import aligned2_rows
 from kaczmarz_pr.harness import ExperimentConfig, run_experiment
 from kaczmarz_pr.regularity import dir_deriv_f
 from kaczmarz_pr.sensing import objective_f
@@ -288,8 +289,8 @@ def exact_replay(ens, y, x0, cfg, z=None):
 
 
 class TestScreenedStoppingTest:
-    """solve screens the aligned-error test in O(1) and draws its rows a
-    stride at a time; neither may change k, x or the history."""
+    """solve tests the aligned error on a block's rows at once and draws
+    its rows a block at a time; neither may change k, x or the history."""
 
     def instance(self, model, seed, m=150):
         if model == "sphere":
@@ -323,27 +324,6 @@ class TestScreenedStoppingTest:
             state = solve(ens, y, x0, cfg, z=z)
             if not floor:
                 assert state.k < cfg.max_iters
-            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
-
-    @pytest.mark.parametrize("tol", [1e-14, 1e-15])
-    def test_screen_margin_covers_the_rounding_bound(self, monkeypatch, tol):
-        # a screen that reads every row high by the whole rounding bound of
-        # tests/test_properties.py, (n + 3) eps (||x|| + ||z||), must still
-        # send each step within the tolerance to the exact test
-        screen = solver._aligned2_rows
-
-        def high(X, z):
-            bound = (X.shape[1] + 3) * np.finfo(float).eps * (
-                np.linalg.norm(X, axis=1) + np.linalg.norm(z)
-            )
-            return (np.sqrt(screen(X, z)) + bound) ** 2
-
-        monkeypatch.setattr(solver, "_aligned2_rows", high)
-        for seed in range(0, 50, 10):
-            ens, y, x0, z = self.instance("sphere", 200 + seed)
-            cfg = SolverConfig(max_iters=20_000, tol_aligned_rel=tol, seed=seed, history_stride=7)
-            state = solve(ens, y, x0, cfg, z=z)
-            assert state.k < cfg.max_iters
             self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
 
     def test_long_stride_matches_exact_replay(self):
@@ -420,27 +400,25 @@ class TestScreenedStoppingTest:
             self.assert_same_run(state, exact_replay(ens, y, x0, cfg, signal))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_screen_value_goes_to_the_exact_test(self, monkeypatch, value):
-        # a NaN row screens as NaN; the screen clears only finite values
-        # above its limit, so with every value NaN or inf each step that no
-        # sample tests is tested exactly, and the run is unchanged
+    def test_non_finite_error_never_stops_a_run(self, monkeypatch, value):
+        # a NaN entry gives its row a NaN error, and neither NaN nor inf is
+        # within a tolerance: with every block's errors replaced by one of
+        # them, only the history samples, every 7 steps, can stop the run
         ens, y, x0, z = self.instance("sphere", 250)
         X = np.ones((3, 12), dtype=complex)
         X[1, 4] = math.nan
-        assert np.isnan(solver._aligned2_rows(X, z)).tolist() == [False, True, False]
+        assert np.isnan(aligned2_rows(X, z)).tolist() == [False, True, False]
         cfg = SolverConfig(max_iters=20_000, tol_aligned_rel=1e-8, seed=5, history_stride=7)
-        replay = exact_replay(ens, y, x0, cfg, z)
-        calls = []
-
-        def counted(x, signal):
-            calls.append(1)
-            return dist_phase_aligned(x, signal)
-
-        monkeypatch.setattr(solver, "_aligned2_rows", lambda X, z: np.full(len(X), value))
-        monkeypatch.setattr(solver, "dist_phase_aligned", counted)
+        assert not cfg.converged(np.array([math.nan, math.inf]), math.nan, 1.0).any()
+        sampled = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(cfg.seed))
+        while dist_phase_aligned(sampled.x, z).aligned > 1e-8 * float(np.linalg.norm(z)):
+            for _ in range(7):
+                step(sampled, ens, y, cfg)
+        monkeypatch.setattr(solver, "aligned2_rows", lambda X, z: np.full(len(X), value))
         state = solve(ens, y, x0, cfg, z=z)
-        self.assert_same_run(state, replay)
-        assert len(calls) - len(state.history) == state.k - state.k // 7
+        assert exact_replay(ens, y, x0, cfg, z).k < state.k == sampled.k < cfg.max_iters
+        assert np.array_equal(state.x, sampled.x)
+        assert [h[0] for h in state.history] == list(range(0, state.k + 1, 7))
 
     def test_block_row_draws_equal_scalar_draws(self):
         # solve's rows are rng.integers(m, size=...) blocks; step draws
@@ -452,7 +430,7 @@ class TestScreenedStoppingTest:
             assert drawn == [int(scalars.integers(m)) for _ in drawn]
             assert blocks.bit_generator.state == scalars.bit_generator.state
 
-    def test_exact_distance_runs_on_few_iterations(self, monkeypatch):
+    def test_exact_distance_runs_once_per_history_sample(self, monkeypatch):
         ens = sample_sphere(50, 2000, 500)
         z = sample_unit_vector(50, 501)
         y = measure(ens, z)
@@ -468,9 +446,8 @@ class TestScreenedStoppingTest:
         monkeypatch.setattr(solver, "dist_phase_aligned", counted)
         state = solve(ens, y, x0, cfg, z=z)
         assert state.k == replay.k < cfg.max_iters
-        # one exact call per history sample; the screen makes the rest
-        screened = len(calls) - len(state.history)
-        assert 0 < screened < 0.05 * state.k
+        # the block's own errors decide every stop; only samples call it
+        assert len(calls) == len(state.history)
 
 
 class TestContractionIdentity:
