@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import repeat
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -252,11 +253,6 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     return rec
 
 
-def _trial_worker(args) -> TrialRecord:
-    cfg, trial_id = args
-    return run_trial(cfg, trial_id)
-
-
 def _worker_count(workers: int | None) -> int:
     source = "workers"
     if workers is None:
@@ -274,18 +270,15 @@ def _worker_count(workers: int | None) -> int:
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRecord]:
     """Run all trials; ``workers`` falls back to the PR_KACZMARZ_THREADS
     environment variable (unset -> serial, 0 -> all cores, negative ->
-    ConfigError).  Output order and content are independent of the worker
-    count."""
+    ConfigError).  Both maps return the records in trial order, and their
+    content is independent of the worker count."""
     cfg.validate()
     nworkers = _worker_count(workers)
-    ids = list(range(cfg.num_trials))
+    ids = range(cfg.num_trials)
     if nworkers == 1 or cfg.num_trials == 1:
-        records = [run_trial(cfg, tid) for tid in ids]
-    else:
-        with ProcessPoolExecutor(max_workers=min(nworkers, cfg.num_trials)) as pool:
-            records = list(pool.map(_trial_worker, [(cfg, tid) for tid in ids]))
-    records.sort(key=lambda r: r.trial_id)
-    return records
+        return list(map(run_trial, repeat(cfg), ids))
+    with ProcessPoolExecutor(max_workers=min(nworkers, cfg.num_trials)) as pool:
+        return list(pool.map(run_trial, repeat(cfg), ids))
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +317,8 @@ def render_csv(records: list[TrialRecord]) -> str:
             rec.epochs, rec.aligned_errors, rec.raw_errors, rec.residuals
         ):
             lines.append(f"{prefix},{_fmt(ep)},{_fmt(al)},{_fmt(raw)},{_fmt(res)}")
-        n = max(rec.n, 1)
-        summary_epoch = rec.iterations_run / n
         lines.append(
-            f"{prefix},{_fmt(summary_epoch)},{_fmt(rec.final_aligned_error)},"
+            f"{prefix},{_fmt(rec.iterations_run / rec.n)},{_fmt(rec.final_aligned_error)},"
             f"{_fmt(rec.final_raw_error)},{_fmt(rec.final_residual)}"
         )
     return "\n".join(lines) + "\n"

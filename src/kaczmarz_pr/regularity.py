@@ -13,7 +13,7 @@ constants that appear in the analysis of these quantities.
 
 The regularity constant is the minimum of term1 - term2 - term3 over the
 phase-aligned unit sphere.  ``estimate_L`` brackets it: one eigenproblem
-of a real quadratic form gives a certified lower bound, which is the
+of a real quadratic form gives a lower bound, which is the
 constant itself where the wedge is empty, and a direction search anchored
 at that form's minimizer gives an upper bound.
 """
@@ -47,6 +47,7 @@ _EVAL_BYTES = 512 * 1024  # complex products held at once by _terms_evaluator
 # sums, and with them the whole report, do not depend on _EVAL_BYTES
 _FORM_BYTES = _EVAL_BYTES
 _DIR_CHUNK = 256
+_STEP0, _MIN_STEP, _MAX_SWEEPS = 0.25, 1e-3, 200  # _coordinate_refine's schedule
 
 
 def dir_deriv_f(ensemble, y, x, v) -> float:
@@ -164,9 +165,10 @@ class RegularityReport:
     directions of the phase-aligned unit sphere {v : ||v|| = 1,
     Im(z^* v) = 0}, so L_estimate is an UPPER bound on the true minimum
     over that set (``upper_bound_on_sphere_min`` is always True).
-    L_lower = (n/m) lam_min of ``_bracket_form`` is a certified LOWER
-    bound; ``lower_is_exact``: it is attained at the form's eigenvector
-    (always so where the wedge is empty), and the two agree up to rounding.
+    L_lower = (n/m) lam_min of ``_bracket_form`` is a LOWER bound on that
+    minimum, so L_lower <= L_estimate up to rounding; ``lower_is_exact``:
+    it is attained at the form's eigenvector (always so where the wedge is
+    empty), and the two agree up to rounding, either one the larger.
     ``evaluations`` counts the directions evaluated; ``search_mode`` is
     always "random_refine".  Both orientations of the 2 c0 alpha vs 1
     constraint are recorded rather than enforced.
@@ -218,7 +220,9 @@ def _terms_evaluator(ensemble, z, c0: float, alpha: float):
 
     Directions are evaluated in blocks of at most ``_EVAL_BYTES`` of complex
     products (at least one direction), so the temporaries stay small at
-    any batch size; each row's values do not depend on the block.
+    any batch size.  From n = 8 on, a row's last bits can depend on its
+    block; reported terms are recomputed on one row, as in
+    ``regularity_terms``, so they equal it bit for bit.
     """
     uc, ua = _signal_products(ensemble, z)
     c_mid, c_wedge = _term_coefficients(alpha, ensemble.m)
@@ -312,26 +316,23 @@ def _phase_aligned(V: np.ndarray, zn: np.ndarray):
     return V, kept
 
 
-def _coordinate_refine(evaluate, v0: np.ndarray, f0: float, n: int,
-                       step0: float = 0.25, min_step: float = 1e-3,
-                       max_sweeps: int = 200):
-    """Deterministic local descent over the 2n real coordinates (moves
-    +-step, +-i step on each entry); each move is mapped back by
-    ``evaluate`` (rows -> (mapped rows, values, count evaluated)).  Halves
-    the step on failed sweeps."""
-    moves = np.kron(np.eye(n), [[1.0], [-1.0], [1j], [-1j]])
-    v, fbest, step, evals = v0, float(f0), step0, 0
-    for _ in range(max_sweeps):
-        if step <= min_step:
+def _coordinate_refine(offer, v: np.ndarray, f: float) -> None:
+    """Deterministic descent from v (value f) over the 2n real coordinates:
+    each sweep offers the moves +-step, +-i step on each entry to ``offer``
+    (rows -> (mapped rows, values)) and moves to the lowest if it beats f,
+    else halves the step (``_STEP0`` down to ``_MIN_STEP``, at most
+    ``_MAX_SWEEPS`` sweeps); ``offer`` keeps the best direction."""
+    moves = np.kron(np.eye(len(v)), [[1.0], [-1.0], [1j], [-1j]])
+    step = _STEP0
+    for _ in range(_MAX_SWEEPS):
+        if step <= _MIN_STEP:
             break
-        C, f, count = evaluate(v + step * moves)
-        evals += count
-        j = int(np.argmin(f))
-        if f[j] < fbest:
-            v, fbest = C[j], float(f[j])
+        C, fc = offer(v + step * moves)
+        j = int(np.argmin(fc))
+        if fc[j] < f:
+            v, f = C[j], float(fc[j])
         else:
             step *= 0.5
-    return v, fbest, evals
 
 
 def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
@@ -341,7 +342,7 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
         term1(v) - term2(v) - term3(v)
 
     and report (n/m) times the smallest value found, with (n/m) times the
-    certified lower bound of ``_bracket_form``.
+    lower bound of ``_bracket_form``.
 
     The solver's error is measured up to a global phase: after alignment
     the error h = x - e^{it} z satisfies Im((e^{it} z)^* h) = 0, so the
@@ -351,44 +352,43 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     dropped and not counted in ``evaluations``.
 
     Candidate 0 is the bracket form's eigenvector; seeded uniform random
-    directions follow, then a coordinate descent from the eigenvector.  The
-    random stream is prefix-stable in the budget and the anchor and its
-    descent do not depend on it, so a larger budget only adds directions
-    and never raises the reported minimum.  Where the eigenvector's wedge
-    is all of ``_bracket_form``'s W, always so where the wedge is empty for
-    every unit v (c0 alpha ||a_i|| < |a_i^* z| for every row), the
-    eigenvector is the minimizer and both values are the constant.
+    directions follow, then ``_coordinate_refine`` descends from the
+    eigenvector.  ``offer`` maps, evaluates and counts every candidate and
+    keeps the first lowest.  The stream draws only the rows the budget
+    asks for, in order, so it is prefix-stable in the budget; the anchor
+    and its descent do not depend on it, so a larger budget only adds
+    directions and, up to rounding, never raises the minimum found.  Where
+    the eigenvector's wedge is all of ``_bracket_form``'s W, always so where
+    the wedge is empty for every unit v (c0 alpha ||a_i|| < |a_i^* z| for
+    every row), the eigenvector is the minimizer and both values are the
+    constant.
     """
     n, m = ensemble.n, ensemble.m
     lam_min, anchor, w_rows = _bracket_form(ensemble, z, params.c0, params.alpha)
     terms = _terms_evaluator(ensemble, z, params.c0, params.alpha)
     zn = np.asarray(z, dtype=complex) / np.linalg.norm(z)
+    evaluations, best_v, best_f = 0, None, math.inf
 
-    def evaluate(V):
+    def offer(V):
+        nonlocal evaluations, best_v, best_f
         V, kept = _phase_aligned(V, zn)
         f = np.full(len(V), math.inf)
         t1, t2, t3 = terms(V[kept])
         f[kept] = t1 - t2 - t3
-        return V, f, int(np.count_nonzero(kept))
-
-    V, f, evaluations = evaluate(anchor[np.newaxis, :])
-    anchor, anchor_f = best_v, best_f = V[0], float(f[0])
-    attained = np.array_equal(wedge(ensemble, z, anchor, params.c0 * params.alpha), w_rows)
-    rng = np.random.default_rng(int(params.seed))
-    for done in range(0, params.net_or_samples, _DIR_CHUNK):
-        take = min(_DIR_CHUNK, params.net_or_samples - done)
-        # always draw a full chunk so the stream position is independent
-        # of the requested budget (prefix stability)
-        g = rng.standard_normal((_DIR_CHUNK, 2 * n))
-        V, f, count = evaluate(g[:take, :n] + 1j * g[:take, n:])
-        evaluations += count
+        evaluations += int(np.count_nonzero(kept))
         j = int(np.argmin(f))
         if f[j] < best_f:
             best_v, best_f = V[j].copy(), float(f[j])
-    rv, rf, revals = _coordinate_refine(evaluate, anchor, anchor_f, n)
-    evaluations += revals
-    if rf < best_f:
-        best_v = rv
+        return V, f
+
+    V, f = offer(anchor[np.newaxis, :])
+    anchor = V[0]
+    attained = np.array_equal(wedge(ensemble, z, anchor, params.c0 * params.alpha), w_rows)
+    rng = np.random.default_rng(int(params.seed))
+    for done in range(0, params.net_or_samples, _DIR_CHUNK):
+        g = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n))
+        offer(g[:, :n] + 1j * g[:, n:])
+    _coordinate_refine(offer, anchor, float(f[0]))
 
     t1, t2, t3 = terms(best_v[np.newaxis, :])
     term1, term2, term3 = float(t1[0]), float(t2[0]), float(t3[0])
@@ -432,25 +432,24 @@ def _orthonormal_pair(n: int, rng: np.random.Generator):
             return z, w / nw
 
 
-def wedge_fraction_mc(beta: float, trials: int, seed: int, n: int = 2) -> float:
+def wedge_fraction_mc(beta: float, trials: int, seed: int) -> float:
     """Empirical Pr(beta |a^* v| >= |a^* z|) for a uniform on the sphere of
-    C^n and a fixed orthonormal pair (z, v).  The closed form is
-    beta^2 / (1 + beta^2), independent of n.  The indicator is invariant
-    under scaling of a, so the Gaussian draws are used unnormalized.
+    C^2 and a fixed orthonormal pair (z, v).  The closed form is
+    beta^2 / (1 + beta^2), independent of the dimension.  The indicator is
+    invariant under scaling of a, so the Gaussian draws are used
+    unnormalized.
     """
-    if n < 2:
-        raise ValueError("needs n >= 2 for an orthonormal pair")
     rng = np.random.default_rng(int(seed))
-    z, v = _orthonormal_pair(n, rng)
+    z, v = _orthonormal_pair(2, rng)
     zc, vc = np.conj(z), np.conj(v)
     hits = 0
-    for A in _normal_blocks(rng, trials, n):
+    for A in _normal_blocks(rng, trials, 2):
         hits += int(np.count_nonzero(beta * np.abs(A @ vc) >= np.abs(A @ zc)))
     return hits / trials
 
 
-def span_projection_mass_mc(n: int, trials: int, seed: int, c: float = 0.8) -> float:
-    """Empirical Pr(||P a||^2 >= c / n) where P projects onto the span of a
+def span_projection_mass_mc(n: int, trials: int, seed: int) -> float:
+    """Empirical Pr(||P a||^2 >= 0.8 / n) where P projects onto the span of a
     fixed orthonormal pair and a is uniform on the unit sphere of C^n."""
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -461,7 +460,7 @@ def span_projection_mass_mc(n: int, trials: int, seed: int, c: float = 0.8) -> f
     for A in _normal_blocks(rng, trials, n):
         A /= np.linalg.norm(A, axis=1, keepdims=True)
         mass = np.abs(A @ zc) ** 2 + np.abs(A @ vc) ** 2
-        hits += int(np.count_nonzero(mass >= c / n))
+        hits += int(np.count_nonzero(mass >= 0.8 / n))
     return hits / trials
 
 

@@ -60,32 +60,27 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
 
 def spectral_init(ensemble, y, cfg: SpectralConfig) -> np.ndarray:
     """Estimate of the signal: lam0 times the unit leading eigenvector of
-    the truncated covariance.
+    the truncated covariance Y.
 
     Power iteration from a seeded random start; terminates when the
     residual ||Y v - mu v|| drops below power_tol * mu and raises if the
-    budget runs out first.  The eigenvector phase is fixed by making its
+    budget runs out first.  Y = 0 (every kept row has a zero measurement)
+    raises at once; for any other Y every iterate after the start lies in
+    range(Y), where Y v is not zero.  The phase is fixed by making the
     largest-modulus entry real and positive, so runs are reproducible.
     """
     Y, lam0 = truncated_covariance(ensemble, y, cfg.truncation_multiplier)
-    n = ensemble.n
-    rng = np.random.default_rng(int(cfg.seed))
-    v = sample_unit_vector(n, rng)
-
-    converged = False
+    if not Y.any():
+        raise ValueError(f"truncated covariance is zero: every row kept at truncation_multiplier "
+                         f"{cfg.truncation_multiplier} has a zero measurement")
+    v = sample_unit_vector(ensemble.n, np.random.default_rng(int(cfg.seed)))
     for _ in range(cfg.power_iters_max):
         w = Y @ v
         mu = float(np.vdot(v, w).real)  # Rayleigh quotient, real for Hermitian Y
         if mu > 0.0 and float(np.linalg.norm(w - mu * v)) <= cfg.power_tol * mu:
-            converged = True
             break
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # v fell exactly in the kernel; restart from the stream
-            v = sample_unit_vector(n, rng)
-            continue
-        v = w / nw
-    if not converged:
+        v = w / float(np.linalg.norm(w))
+    else:
         raise RuntimeError(
             f"power iteration did not reach tol {cfg.power_tol} "
             f"within {cfg.power_iters_max} iterations"

@@ -175,6 +175,7 @@ def test_estimate_l_missing_m_exits_2(capsys):
         # 2 + 4 alpha overflows: the terms would be infinite
         (["--m", "4", "--alpha", "1e308", "--c0", "0.1"], "alpha"),
         (["--n", "5", "--m", "40", "--alpha", "1e308", "--c0", "1e-300"], "alpha"),
+        (["--alpha", "20", "--budget", "0"], "net_or_samples must be >= 1"),
     ],
 )
 def test_estimate_l_bad_numbers_exit_2(tmp_path, capsys, flags, message):
@@ -182,6 +183,42 @@ def test_estimate_l_bad_numbers_exit_2(tmp_path, capsys, flags, message):
     code = main(["estimate-l", "--n", "2", "--m", "20", "--out", str(out), *flags])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SIGNALS = {
+    "short.json": {"re": [1.0, 0.0], "im": [0.0, 0.0]},
+    "unnamed.json": {"real": [1.0] * 8},
+    "ragged.json": {"re": [1.0] * 8, "im": [0.0] * 7},
+}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("signal_path = {dir}/short.json", "provided signal has wrong dimension"),
+        ("signal_path = {dir}/unnamed.json", "needs 're' and 'im' lists"),
+        ("signal_path = {dir}/ragged.json", "has mismatched re/im lists"),
+        ("format = xml", "unknown format 'xml'"),
+        ("max_iters = 0", "max_iters must be >= 1"),
+        ("zero_threshold = 0", "zero_threshold must be positive"),
+        ("history_stride = 0", "history_stride must be >= 1"),
+        ("truncation_multiplier = 0", "truncation_multiplier must be positive"),
+        ("power_iters_max = 0", "power_iters_max must be >= 1"),
+    ],
+)
+def test_run_rejected_setting_exits_2(tmp_path, capsys, monkeypatch, line, message):
+    # one `error:` line, and no trial runs
+    for name, payload in _SIGNALS.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    path = tmp_path / "exp.cfg"
+    out = tmp_path / "o.csv"
+    path.write_text(GOOD_CONFIG + f"out = {out}\n" + line.format(dir=tmp_path) + "\n")
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

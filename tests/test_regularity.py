@@ -234,6 +234,20 @@ class TestEstimateL:
             assert rep.L_estimate <= previous + 1e-12
             previous = rep.L_estimate
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 50])
+    def test_direction_stream_is_prefix_stable(self, n):
+        # estimate_L draws only the rows its budget asks for, a chunk at a
+        # time: the rows of any budget must be the first rows of one draw
+        chunk = regularity._DIR_CHUNK
+        whole = np.random.default_rng(n).standard_normal((3 * chunk, 2 * n))
+        for budget in (1, chunk, chunk + 44, 3 * chunk):
+            rng = np.random.default_rng(n)
+            drawn = [
+                rng.standard_normal((min(chunk, budget - done), 2 * n))
+                for done in range(0, budget, chunk)
+            ]
+            assert np.array_equal(np.concatenate(drawn), whole[:budget])
+
     def test_search_is_anchored_at_the_eigenvector(self, monkeypatch):
         # candidate 0 and the descent's start are the bracket form's
         # eigenvector, and every evaluated direction is counted once; here
@@ -245,10 +259,16 @@ class TestEstimateL:
         starts = []
         refine = regularity._coordinate_refine
 
-        def spy(evaluate, v0, f0, n):
-            out = refine(evaluate, v0, f0, n)
-            starts.append((v0, f0, out[2]))
-            return out
+        def spy(offer, v0, f0):
+            kept = []
+
+            def counted(V):
+                C, f = offer(V)
+                kept.append(int(np.count_nonzero(np.isfinite(f))))
+                return C, f
+
+            refine(counted, v0, f0)
+            starts.append((v0, f0, sum(kept)))
 
         monkeypatch.setattr(regularity, "_coordinate_refine", spy)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=57))
@@ -257,6 +277,32 @@ class TestEstimateL:
         assert f0 == regularity_terms(ens, z, v0, 1 / 80, 20.0)[3]
         assert rep.L_estimate < (5 / 120) * f0
         assert rep.evaluations == 1 + 300 + refine_evals
+
+    def test_reports_the_lowest_candidate_evaluated(self, monkeypatch):
+        # the anchor, the random chunks and the descent all go through one
+        # evaluator, and the report is recomputed on the lowest of them
+        ens = sample_sphere(5, 120, 61)
+        z = sample_unit_vector(5, 62)
+        values = []
+        make = regularity._terms_evaluator
+
+        def recording(*args):
+            terms = make(*args)
+
+            def evaluate(V):
+                t1, t2, t3 = terms(V)
+                values.append(t1 - t2 - t3)
+                return t1, t2, t3
+
+            return evaluate
+
+        monkeypatch.setattr(regularity, "_terms_evaluator", recording)
+        rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=63))
+        *searched, reported = values
+        assert len(reported) == 1
+        assert sum(map(len, searched)) == rep.evaluations
+        assert reported[0] == pytest.approx(min(f.min() for f in searched if len(f)), rel=1e-12)
+        assert rep.L_estimate == (5 / 120) * reported[0]
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_exact_where_the_wedge_is_empty(self, n):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kaczmarz_pr import (
+    MeasurementSet,
     SensingEnsemble,
     SolverConfig,
     SolverState,
@@ -94,6 +95,10 @@ class TestProjectMagnitude:
     def test_zero_sensing_vector_rejected(self):
         with pytest.raises(ValueError):
             project_magnitude(np.ones(2, dtype=complex), np.zeros(2, dtype=complex), 1.0)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            project_magnitude(np.ones(3, dtype=complex), np.ones(2, dtype=complex), 1.0)
 
 
 class TestStep:
@@ -187,6 +192,16 @@ class TestSolve:
             state = SolverState(x=x0.copy(), rng=np.random.default_rng(87))
             for _ in range(200):
                 step(state, ens, y, cfg)
+
+    def test_measurement_count_and_start_must_match_ensemble(self):
+        ens = sample_sphere(3, 9, 84)
+        y = measure(ens, sample_unit_vector(3, 85))
+        cfg = SolverConfig(max_iters=10, tol_residual=1e-8)
+        short = MeasurementSet(values=y.values[:-1], ensemble_ref=ens.ident)
+        with pytest.raises(ValueError, match="measurement count"):
+            solve(ens, short, sample_unit_vector(3, 86), cfg)
+        with pytest.raises(ValueError, match="x0 dimension"):
+            solve(ens, y, sample_unit_vector(4, 86), cfg)
 
     def test_measurements_must_match_ensemble(self):
         ens = sample_sphere(3, 9, 80)
@@ -311,9 +326,10 @@ class TestScreenedStoppingTest:
     @pytest.mark.parametrize("tol", [1e-8, 1e-13, 1e-15, 1e-16])
     def test_aligned_mode_matches_exact_replay(self, model, stride, tol):
         # at 1e-13 the aligned error crosses the tolerance within a few
-        # hundred ulps of ||z||, at 1e-15 within the screen's rounding term;
-        # 1e-16 is below the rounding floor at n = 12, so those runs end at
-        # max_iters, with the steps near the floor tested exactly
+        # hundred ulps of ||z||, at 1e-15 within a few ulps, where only the
+        # one-row bits give the exact stop; 1e-16 is below the rounding
+        # floor at n = 12, so those runs end at max_iters, with the steps
+        # near the floor tested exactly
         floor = tol < 1e-15
         for seed in range(0, 50, 10):
             ens, y, x0, z = self.instance(model, 200 + seed)
@@ -328,7 +344,7 @@ class TestScreenedStoppingTest:
 
     def test_long_stride_matches_exact_replay(self):
         # a stride of 9000 at n = 4 puts thousands of steps in a block, and
-        # the stop deep inside the first one: the screen of each step must
+        # the stop deep inside the first one: the test of each step must
         # not depend on how far it is from the block's start
         for seed in range(6):
             ens, z = sample_sphere(4, 60, seed), sample_unit_vector(4, seed + 100)
@@ -346,8 +362,8 @@ class TestScreenedStoppingTest:
     @pytest.mark.parametrize("tol", [1e-8, 1e-13, 0.0])
     def test_split_blocks_match_exact_replay(self, monkeypatch, rows_held, stride, tol):
         # a byte budget of 1 or 3 iterates at n = 12 ends blocks inside a
-        # stride of 7 or 12, where no sample follows and the screen also
-        # tests the block's last step
+        # stride of 7 or 12, where no sample follows and the block's own
+        # values also test its last step
         monkeypatch.setattr(solver, "_BLOCK_BYTES", rows_held * 16 * 12)
         for seed in range(3):
             ens, y, x0, z = self.instance("sphere", 500 + seed)
@@ -365,8 +381,8 @@ class TestScreenedStoppingTest:
         # blocks of 7 or 12 steps over m <= 3 rows repeat rows, so most
         # norms come from the cache; m rows cannot pin down z, so the error
         # stays near 0.45 ||z||: tol 0 tests exactly on every step, 0.45
-        # stops some runs mid-block and others at max_iters, and the screen
-        # clears every step at 1e-8
+        # stops some runs mid-block and others at max_iters, and no step
+        # passes at 1e-8
         for seed in range(5):
             ens, y, x0, z = self.instance("sphere", 200 + seed, m=m)
             cfg = SolverConfig(

@@ -3,6 +3,7 @@ import pytest
 
 from kaczmarz_pr import (
     MeasurementSet,
+    SensingEnsemble,
     SpectralConfig,
     dist_phase_aligned,
     measure,
@@ -120,6 +121,18 @@ class TestSpectralInit:
             direction = x0 / np.linalg.norm(x0)
             good += dist_phase_aligned(direction, z).aligned <= 0.4
         assert good >= 19
+
+    def test_zero_truncated_covariance_rejected_at_once(self):
+        # the one row kept at multiplier 0.5 measures 0, so Y = 0 and has no
+        # leading eigenvector: no start of the power iteration can help
+        vecs = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        ens = SensingEnsemble(vectors=vecs, model="custom", seed=0, n=2, m=2)
+        y = measure(ens, np.array([1.0, 0.0], dtype=complex))
+        Y, _ = truncated_covariance(ens, y, 0.5)
+        assert not Y.any()
+        cfg = SpectralConfig(truncation_multiplier=0.5, seed=25)
+        with pytest.raises(ValueError, match="truncated covariance is zero"):
+            spectral_init(ens, y, cfg)
 
     def test_mismatched_measurements_rejected(self):
         ens = sample_sphere(3, 12, 21)
