@@ -3,14 +3,14 @@
 The package splits into:
 
 * ``core``       complex vector primitives and the phase-aligned metric
-* ``sensing``    sphere / block-unitary ensembles, measurements and the
-                 objective f
+* ``sensing``    sphere / block-unitary ensembles (an ensemble is its rows),
+                 measurements that carry their ensemble, and the objective f
 * ``solver``     the randomized projection iteration
 * ``spectral``   truncated spectral initialization
-* ``regularity`` derivatives of f, wedge sets, regularity estimator,
-                 Monte-Carlo estimators of the lemma constants
+* ``regularity`` derivatives of f, wedge sets and the regularity estimator
 * ``harness``    seeded experiment batches, rate fitting, CSV/JSON output
-* ``verify``     every invariant and lemma check, shared by the acceptance
+* ``verify``     every invariant and lemma check, with the Monte-Carlo
+                 estimates of the lemma constants, shared by the acceptance
                  tests and ``kaczmarz-pr verify``
 """
 

@@ -7,9 +7,9 @@ The objective over a measurement set is
 whose local behavior around the true signal governs the expected per-step
 contraction of the row-projection solver.  f itself is
 ``sensing.objective_f``; this module provides its first and second
-directional derivatives, the row "wedge" sets, an estimator of the
-regularity constant, and seeded Monte-Carlo validators of the closed-form
-constants that appear in the analysis of these quantities.
+directional derivatives, the row "wedge" sets and an estimator of the
+regularity constant.  The Monte-Carlo checks of the lemma constants behind
+the analysis live in ``verify``.
 
 The regularity constant is the minimum of term1 - term2 - term3 over the
 phase-aligned unit sphere.  ``estimate_L`` brackets it: one eigenproblem
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .sensing import _complex_normal, row_magnitudes, row_products, sample_unit_vector
+from .sensing import row_magnitudes, row_products
 
 __all__ = [
     "dir_deriv_f",
@@ -36,12 +36,8 @@ __all__ = [
     "RegularityReport",
     "regularity_terms",
     "estimate_L",
-    "wedge_fraction_mc",
-    "span_projection_mass_mc",
-    "plane_curvature_expectation_mc",
 ]
 
-_MC_CHUNK = 100_000
 _EVAL_BYTES = 512 * 1024  # complex products held at once by _terms_evaluator
 # rows held at once by _bracket_form: a constant of its own, so that its
 # sums, and with them the whole report, do not depend on _EVAL_BYTES
@@ -60,12 +56,13 @@ def dir_deriv_f(ensemble, y, x, v) -> float:
     Rows with a_i^* x == 0 make the formula meaningless (the derivative
     still exists one-sidedly) and raise instead of being regularized.
     """
+    values = y.of(ensemble)
     s = row_products(ensemble, x)
     sa = np.abs(s)
     if np.any(sa == 0.0):
         raise ValueError("formula requires |a_i^* x| > 0 for every row")
     t = row_products(ensemble, v)
-    return float(np.mean((1.0 - y.values / sa) * 2.0 * np.real(t * np.conj(s))))
+    return float(np.mean((1.0 - values / sa) * 2.0 * np.real(t * np.conj(s))))
 
 
 def second_dir_deriv_fi(a, z, x, v) -> float:
@@ -409,75 +406,3 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
         constraint_2c0alpha_lt_1=flag < 1.0,
         constraint_2c0alpha_gt_1=flag > 1.0,
     )
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo estimators for closed-form constants
-
-
-def _normal_blocks(rng: np.random.Generator, trials: int, n: int):
-    """``trials`` standard complex normal rows of length n, drawn in blocks
-    of at most ``_MC_CHUNK`` rows."""
-    for done in range(0, trials, _MC_CHUNK):
-        yield _complex_normal(rng, (min(_MC_CHUNK, trials - done), n))
-
-
-def _orthonormal_pair(n: int, rng: np.random.Generator):
-    z = sample_unit_vector(n, rng)
-    while True:
-        w = _complex_normal(rng, n)
-        w -= z * np.vdot(z, w)
-        nw = np.linalg.norm(w)
-        if nw > 1e-6:
-            return z, w / nw
-
-
-def wedge_fraction_mc(beta: float, trials: int, seed: int) -> float:
-    """Empirical Pr(beta |a^* v| >= |a^* z|) for a uniform on the sphere of
-    C^2 and a fixed orthonormal pair (z, v).  The closed form is
-    beta^2 / (1 + beta^2), independent of the dimension.  The indicator is
-    invariant under scaling of a, so the Gaussian draws are used
-    unnormalized.
-    """
-    rng = np.random.default_rng(int(seed))
-    z, v = _orthonormal_pair(2, rng)
-    zc, vc = np.conj(z), np.conj(v)
-    hits = 0
-    for A in _normal_blocks(rng, trials, 2):
-        hits += int(np.count_nonzero(beta * np.abs(A @ vc) >= np.abs(A @ zc)))
-    return hits / trials
-
-
-def span_projection_mass_mc(n: int, trials: int, seed: int) -> float:
-    """Empirical Pr(||P a||^2 >= 0.8 / n) where P projects onto the span of a
-    fixed orthonormal pair and a is uniform on the unit sphere of C^n."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    rng = np.random.default_rng(int(seed))
-    z, v = _orthonormal_pair(n, rng)
-    zc, vc = np.conj(z), np.conj(v)
-    hits = 0
-    for A in _normal_blocks(rng, trials, n):
-        A /= np.linalg.norm(A, axis=1, keepdims=True)
-        mass = np.abs(A @ zc) ** 2 + np.abs(A @ vc) ** 2
-        hits += int(np.count_nonzero(mass >= 0.8 / n))
-    return hits / trials
-
-
-def plane_curvature_expectation_mc(theta: float, trials: int, seed: int) -> float:
-    """Empirical E[(Re(b^* zh  vh^* b))^2 / |b^* zh|^2] for b uniform on the
-    unit sphere of C^2, zh = e1, vh = [cos theta, sin theta].
-
-    Closed form: cos^2(theta)/2 + sin^2(theta)/4.  The doubled variant
-    (2 Re(.))^2 / (2 |.|^2) equals exactly twice this quantity pointwise,
-    so its expectation is 2x the value returned here.
-    """
-    rng = np.random.default_rng(int(seed))
-    ct, st = math.cos(theta), math.sin(theta)
-    total = 0.0
-    for B in _normal_blocks(rng, trials, 2):
-        B /= np.linalg.norm(B, axis=1, keepdims=True)
-        b1, b2 = B[:, 0], B[:, 1]
-        x = np.conj(b1) * (ct * b1 + st * b2)
-        total += float(np.sum(x.real**2 / np.abs(b1) ** 2))
-    return total / trials

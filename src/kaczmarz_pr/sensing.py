@@ -6,7 +6,8 @@ Two models, both with unit-norm rows:
 * ``unitary`` -- K independent Haar unitary n x n matrices, their columns
   laid out block by block, so m = K * n.
 
-An ensemble stores its rows as an (m, n) complex array with row i = a_i.
+An ensemble is its rows, an (m, n) complex array with row i = a_i, and a
+measurement set holds the ensemble it measured.
 """
 
 from __future__ import annotations
@@ -48,25 +49,37 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SensingEnsemble:
-    """m unit-norm sensing vectors in C^n, rows of ``vectors``."""
+    """m unit-norm sensing vectors in C^n: an ensemble is the rows of
+    ``vectors``, and m and n are read from their shape."""
 
     vectors: np.ndarray  # (m, n) complex128, read-only
-    model: str
-    seed: int
-    n: int
-    m: int
 
     @property
-    def ident(self) -> str:
-        return f"{self.model}:n={self.n}:m={self.m}:seed={self.seed}"
+    def m(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Nonnegative magnitudes y_i = |a_i^* z| tied to their ensemble."""
+    """Nonnegative magnitudes y_i = |a_i^* z| of the rows of ``ensemble``;
+    every function of (ensemble, y) reads them through ``of``."""
 
     values: np.ndarray  # (m,) float64
-    ensemble_ref: str
+    ensemble: SensingEnsemble
+
+    def __post_init__(self):
+        if np.shape(self.values) != (self.ensemble.m,):
+            raise ValueError("measurement count does not match ensemble")
+
+    def of(self, ensemble: SensingEnsemble) -> np.ndarray:
+        """``values``, once ``ensemble`` is the very ensemble they measure."""
+        if self.ensemble is not ensemble:
+            raise ValueError("measurement set does not belong to this ensemble")
+        return self.values
 
 
 def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
@@ -80,9 +93,7 @@ def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
     rng = np.random.default_rng(int(seed))
     g = _complex_normal(rng, (m, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return SensingEnsemble(
-        vectors=_freeze(g), model=MODEL_SPHERE, seed=int(seed), n=int(n), m=int(m)
-    )
+    return SensingEnsemble(vectors=_freeze(g))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,13 +115,7 @@ def sample_block_unitary(n: int, K: int, seed: int) -> SensingEnsemble:
     rng = np.random.default_rng(int(seed))
     blocks = [haar_unitary(n, rng).T for _ in range(K)]  # row j of U.T is column j of U
     vectors = np.ascontiguousarray(np.vstack(blocks))
-    return SensingEnsemble(
-        vectors=_freeze(vectors),
-        model=MODEL_UNITARY,
-        seed=int(seed),
-        n=int(n),
-        m=int(K * n),
-    )
+    return SensingEnsemble(vectors=_freeze(vectors))
 
 
 def sample_unit_vector(n: int, seed) -> np.ndarray:
@@ -138,13 +143,14 @@ def measure(ensemble: SensingEnsemble, z) -> MeasurementSet:
     if z.shape != (ensemble.n,):
         raise ValueError(f"signal dimension {z.shape} does not match n={ensemble.n}")
     y = row_magnitudes(ensemble, z)
-    return MeasurementSet(values=_freeze(y), ensemble_ref=ensemble.ident)
+    return MeasurementSet(values=_freeze(y), ensemble=ensemble)
 
 
 def objective_f(ensemble: SensingEnsemble, y: MeasurementSet, x) -> float:
     """Mean squared magnitude residual (1/m) sum_i (|a_i^* x| - y_i)^2."""
+    values = y.of(ensemble)
     r = row_magnitudes(ensemble, x)
-    r -= y.values
+    r -= values
     r *= r
     return float(np.mean(r))
 

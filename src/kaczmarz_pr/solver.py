@@ -128,10 +128,9 @@ def _coefficient(s, na2, y, tau):
 def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
     """One randomized projection step on a uniformly drawn row; mutates and
     returns ``state``."""
+    values = y.of(ensemble)
     i = int(state.rng.integers(ensemble.m))
-    state.x = project_magnitude(
-        state.x, ensemble.vectors[i], float(y.values[i]), cfg.zero_threshold
-    )
+    state.x = project_magnitude(state.x, ensemble.vectors[i], float(values[i]), cfg.zero_threshold)
     state.k += 1
     return state
 
@@ -151,12 +150,10 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     every row at once, in O(n) per step, and the first row that passes
     ``cfg.converged`` is the stop.  Each row's value has the bits
     ``dist_phase_aligned`` gives for that iterate alone, so the stopping k
-    is the one an exact test on every iteration gives.
+    is the one an exact test on every iteration gives.  Measurements of
+    another ensemble raise ``ValueError`` (``MeasurementSet.of``).
     """
-    if y.ensemble_ref != ensemble.ident:
-        raise ValueError("measurement set does not belong to this ensemble")
-    if len(y.values) != ensemble.m:
-        raise ValueError("measurement count does not match ensemble")
+    values = y.of(ensemble)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (ensemble.n,):
         raise ValueError(f"x0 dimension {x0.shape} does not match n={ensemble.n}")
@@ -185,7 +182,7 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
         size = min(stride - k % stride, max(1, _BLOCK_BYTES // (16 * n)), cfg.max_iters - k)
         block = state.rng.integers(ensemble.m, size=size)
         X = np.empty((size, n), dtype=complex)
-        for i, yi, out in zip(block.tolist(), y.values[block].tolist(), X):
+        for i, yi, out in zip(block.tolist(), values[block].tolist(), X):
             a = rows[i]
             na2 = norms.get(i)
             if na2 is None:

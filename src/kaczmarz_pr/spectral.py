@@ -41,11 +41,10 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
 
     Returns (Y, lam0).  A row is dropped only if y_i^2 exceeds
     multiplier^2 times the mean, which cannot hold for all rows at once when
-    multiplier >= 1; a smaller multiplier that drops every row raises.
+    multiplier >= 1; a smaller multiplier that drops every row raises, as
+    do measurements of another ensemble (``MeasurementSet.of``).
     """
-    if y.ensemble_ref != ensemble.ident:
-        raise ValueError("measurement set does not belong to this ensemble")
-    vals = y.values
+    vals = y.of(ensemble)
     lam0 = float(np.sqrt(np.mean(vals * vals)))
     if lam0 == 0.0:
         raise ValueError("all measurements are zero; initialization undefined")

@@ -21,15 +21,7 @@ import numpy as np
 
 from . import sensing
 from .core import dist_phase_aligned, inner, phase_diff_bound_check
-from .regularity import (
-    dir_deriv_f,
-    plane_curvature_expectation_mc,
-    second_dir_deriv_at_signal,
-    second_dir_deriv_fi,
-    span_projection_mass_mc,
-    wedge,
-    wedge_fraction_mc,
-)
+from .regularity import dir_deriv_f, second_dir_deriv_at_signal, second_dir_deriv_fi, wedge
 from .seeding import derive_seed
 from .solver import SolverConfig, SolverState, project_magnitude, solve, step
 from .spectral import SpectralConfig, spectral_init, truncated_covariance
@@ -57,6 +49,7 @@ __all__ = [
 ]
 
 MIN_TRIALS = 100_000
+_MC_CHUNK = 100_000  # rows per block of a Monte-Carlo check's draws
 
 
 @dataclass(frozen=True)
@@ -186,13 +179,14 @@ def check_contraction_identity(seed, reps):
         ens = sensing.sample_sphere(n, m, derive_seed(*seed, rep))
         z = sensing.sample_unit_vector(n, rng)
         y = sensing.measure(ens, z)
+        values = y.of(ens)
         while True:
             x = z + 0.4 * sensing.sample_unit_vector(n, rng)
             if np.abs(sensing.row_products(ens, x)).min() > 1e-6:
                 break
         lhs = np.mean(
             [
-                np.linalg.norm(project_magnitude(x, ens.vectors[i], y.values[i]) - z) ** 2
+                np.linalg.norm(project_magnitude(x, ens.vectors[i], values[i]) - z) ** 2
                 for i in range(m)
             ]
         )
@@ -307,6 +301,7 @@ def check_solver_determinism_and_constraint(seed):
     ens = sensing.sample_sphere(6, 60, s)
     z = sensing.sample_unit_vector(6, s + 1)
     y = sensing.measure(ens, z)
+    values = y.of(ens)
     cfg = SolverConfig(max_iters=300, tol_aligned_rel=1e-12, seed=s + 2)
     x0 = sensing.sample_unit_vector(6, s + 3)
     s1 = solve(ens, y, x0, cfg, z=z)
@@ -322,7 +317,7 @@ def check_solver_determinism_and_constraint(seed):
         step(state, ens, y, step_cfg)
         worst = max(
             worst,
-            abs(abs(np.vdot(ens.vectors[i], state.x)) - y.values[i]) / y.values[i],
+            abs(abs(np.vdot(ens.vectors[i], state.x)) - values[i]) / values[i],
         )
     ok = identical and worst <= 1e-10
     return CheckResult(
@@ -332,17 +327,41 @@ def check_solver_determinism_and_constraint(seed):
     )
 
 
+def _normal_blocks(rng: np.random.Generator, trials: int, n: int):
+    """``trials`` standard complex normal rows of length n, drawn in blocks
+    of at most ``_MC_CHUNK`` rows."""
+    for done in range(0, trials, _MC_CHUNK):
+        yield sensing._complex_normal(rng, (min(_MC_CHUNK, trials - done), n))
+
+
+def _orthonormal_pair(n: int, rng: np.random.Generator):
+    """conj(z), conj(v) for a random orthonormal pair (z, v) in C^n."""
+    z = sensing.sample_unit_vector(n, rng)
+    while True:
+        w = sensing._complex_normal(rng, n)
+        w -= z * np.vdot(z, w)
+        nw = np.linalg.norm(w)
+        if nw > 1e-6:
+            return np.conj(z), np.conj(w / nw)
+
+
 def check_wedge_fraction(seed, trials, tol, sigmas=0.0):
-    """Pr(beta |a^* v| >= |a^* z|) = beta^2/(1+beta^2) for v orthogonal to z
-    at n = 2 and beta in {1/2, 1, 2}.  Each estimate must lie within
-    max(tol, sigmas standard errors) of its target; the default sigmas=0
-    keeps the tolerance flat."""
+    """Pr(beta |a^* v| >= |a^* z|) = beta^2/(1+beta^2) for a uniform on the
+    sphere of C^2, (z, v) orthonormal and beta in {1/2, 1, 2}; the target
+    does not depend on the dimension.  The indicator is invariant under
+    scaling of a, so the Gaussian draws are used unnormalized.  Each
+    estimate must lie within max(tol, sigmas standard errors) of its
+    target; the default sigmas=0 keeps the tolerance flat."""
     worst = 0.0
     passed = True
     for beta in (0.5, 1.0, 2.0):
         target = beta * beta / (1.0 + beta * beta)
-        est = wedge_fraction_mc(beta, trials, derive_seed(*seed, int(beta * 2)))
-        dev = abs(est - target)
+        rng = np.random.default_rng(derive_seed(*seed, int(beta * 2)))
+        zc, vc = _orthonormal_pair(2, rng)
+        hits = 0
+        for A in _normal_blocks(rng, trials, 2):
+            hits += int(np.count_nonzero(beta * np.abs(A @ vc) >= np.abs(A @ zc)))
+        dev = abs(hits / trials - target)
         se = math.sqrt(target * (1.0 - target) / trials)
         passed = passed and dev <= max(tol, sigmas * se)
         worst = max(worst, dev)
@@ -350,15 +369,24 @@ def check_wedge_fraction(seed, trials, tol, sigmas=0.0):
 
 
 def check_plane_curvature(seed, trials):
-    """The two-dimensional curvature expectation equals
+    """E[(Re(b^* zh  vh^* b))^2 / |b^* zh|^2] for b uniform on the unit
+    sphere of C^2, zh = e1 and vh = [cos theta, sin theta] equals
     cos^2(theta)/2 + sin^2(theta)/4 within 0.01 at theta in {0, pi/4, pi/2}.
-    The literal (2 Re(.))^2/(2|.|^2) form averages to exactly twice that
-    and is reported alongside."""
+    The literal (2 Re(.))^2/(2|.|^2) form is pointwise exactly twice that
+    quantity; its average is reported alongside."""
     worst = 0.0
     doubled = []
     for k, theta in enumerate((0.0, math.pi / 4.0, math.pi / 2.0)):
-        target = 0.5 * math.cos(theta) ** 2 + 0.25 * math.sin(theta) ** 2
-        est = plane_curvature_expectation_mc(theta, trials, derive_seed(*seed, k))
+        ct, st = math.cos(theta), math.sin(theta)
+        target = 0.5 * ct**2 + 0.25 * st**2
+        rng = np.random.default_rng(derive_seed(*seed, k))
+        total = 0.0
+        for B in _normal_blocks(rng, trials, 2):
+            B /= np.linalg.norm(B, axis=1, keepdims=True)
+            b1, b2 = B[:, 0], B[:, 1]
+            x = np.conj(b1) * (ct * b1 + st * b2)
+            total += float(np.sum(x.real**2 / np.abs(b1) ** 2))
+        est = total / trials
         worst = max(worst, abs(est - target))
         doubled.append(2.0 * est)
     return CheckResult(
@@ -369,8 +397,19 @@ def check_plane_curvature(seed, trials):
 
 
 def check_projection_mass(seed, trials):
-    """Pr(||P_span(v,z) a||^2 >= 0.8/n) >= 0.74 at n in {4, 16, 64}."""
-    worst = min(span_projection_mass_mc(n, trials, derive_seed(*seed, n)) for n in (4, 16, 64))
+    """Pr(||P a||^2 >= 0.8/n) >= 0.74 at n in {4, 16, 64}, where P projects
+    onto the span of an orthonormal pair (z, v) and a is uniform on the
+    unit sphere of C^n."""
+    worst = 1.0
+    for n in (4, 16, 64):
+        rng = np.random.default_rng(derive_seed(*seed, n))
+        zc, vc = _orthonormal_pair(n, rng)
+        hits = 0
+        for A in _normal_blocks(rng, trials, n):
+            A /= np.linalg.norm(A, axis=1, keepdims=True)
+            mass = np.abs(A @ zc) ** 2 + np.abs(A @ vc) ** 2
+            hits += int(np.count_nonzero(mass >= 0.8 / n))
+        worst = min(worst, hits / trials)
     return CheckResult("projection_mass", worst >= 0.74, f"min estimate {worst:.4f}")
 
 

@@ -38,8 +38,8 @@ class TestObjective:
 
     def test_single_measurement_value(self):
         vecs = np.array([[1.0, 0.0]], dtype=complex)
-        ens = SensingEnsemble(vectors=vecs, model="custom", seed=0, n=2, m=1)
-        y = MeasurementSet(values=np.array([1.0]), ensemble_ref=ens.ident)
+        ens = SensingEnsemble(vectors=vecs)
+        y = MeasurementSet(values=np.array([1.0]), ensemble=ens)
         x = np.array([2.0, 0.0], dtype=complex)
         assert objective_f(ens, y, x) == 1.0
 
@@ -80,8 +80,8 @@ class TestFirstDerivative:
 
     def test_zero_row_product_rejected(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        ens = SensingEnsemble(vectors=vecs, model="custom", seed=0, n=2, m=2)
-        y = MeasurementSet(values=np.array([1.0, 1.0]), ensemble_ref=ens.ident)
+        ens = SensingEnsemble(vectors=vecs)
+        y = MeasurementSet(values=np.array([1.0, 1.0]), ensemble=ens)
         x = np.array([1.0, 0.0], dtype=complex)  # orthogonal to row 2
         with pytest.raises(ValueError):
             dir_deriv_f(ens, y, x, x)
@@ -175,7 +175,7 @@ class TestEstimateL:
         # three sums, so the search minimum cannot be positive
         row = sample_unit_vector(2, 28)
         vecs = np.tile(row, (40, 1))
-        ens = SensingEnsemble(vectors=vecs, model="custom", seed=0, n=2, m=40)
+        ens = SensingEnsemble(vectors=vecs)
         rep = estimate_L(ens, row, RegularityParams(c0=0.01, alpha=5.0, net_or_samples=400, seed=29))
         assert rep.L_estimate <= 0.0
 
@@ -390,7 +390,7 @@ class TestEstimateL:
 
     def test_rejects_singular_signal(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        ens = SensingEnsemble(vectors=vecs, model="custom", seed=0, n=2, m=2)
+        ens = SensingEnsemble(vectors=vecs)
         z = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
             estimate_L(ens, z, RegularityParams(c0=0.01, alpha=5.0, net_or_samples=100, seed=0))

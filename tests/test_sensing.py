@@ -85,7 +85,7 @@ class TestMeasure:
         from kaczmarz_pr import SensingEnsemble
 
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        ens = SensingEnsemble(vectors=vecs, model="custom", seed=0, n=2, m=2)
+        ens = SensingEnsemble(vectors=vecs)
         y = measure(ens, np.array([1.0, 0.0], dtype=complex))
         assert y.values[0] == 1.0
         assert y.values[1] == 0.0
@@ -110,8 +110,10 @@ class TestMeasure:
     def test_reference_identifies_ensemble(self):
         ens = sample_sphere(3, 4, 5)
         y = measure(ens, sample_unit_vector(3, 6))
-        assert y.ensemble_ref == ens.ident
-        assert y.ensemble_ref != sample_sphere(3, 4, 7).ident
+        assert y.ensemble is ens
+        assert (ens.m, ens.n) == ens.vectors.shape
+        with pytest.raises(ValueError, match="does not belong"):
+            y.of(sample_sphere(3, 4, 7))
 
 
 class TestRowMagnitudes:

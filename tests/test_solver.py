@@ -17,6 +17,7 @@ from kaczmarz_pr import (
     solve,
     spectral_init,
     step,
+    truncated_covariance,
 )
 from kaczmarz_pr import solver
 from kaczmarz_pr.core import aligned2_rows
@@ -178,7 +179,7 @@ class TestSolve:
         # not divide by it and run on with NaNs
         vectors = np.array(sample_sphere(3, 4, 84).vectors)
         vectors[2] = 0.0
-        ens = SensingEnsemble(vectors=vectors, model="custom", seed=0, n=3, m=4)
+        ens = SensingEnsemble(vectors=vectors)
         z = sample_unit_vector(3, 85)
         y = measure(ens, z)
         x0 = sample_unit_vector(3, 86)
@@ -197,9 +198,8 @@ class TestSolve:
         ens = sample_sphere(3, 9, 84)
         y = measure(ens, sample_unit_vector(3, 85))
         cfg = SolverConfig(max_iters=10, tol_residual=1e-8)
-        short = MeasurementSet(values=y.values[:-1], ensemble_ref=ens.ident)
         with pytest.raises(ValueError, match="measurement count"):
-            solve(ens, short, sample_unit_vector(3, 86), cfg)
+            MeasurementSet(values=y.values[:-1], ensemble=ens)
         with pytest.raises(ValueError, match="x0 dimension"):
             solve(ens, y, sample_unit_vector(4, 86), cfg)
 
@@ -210,6 +210,24 @@ class TestSolve:
         cfg = SolverConfig(max_iters=10, tol_residual=1e-8)
         with pytest.raises(ValueError):
             solve(ens, y, sample_unit_vector(3, 83), cfg)
+        # two hand-built ensembles of one shape: every function of
+        # (ensemble, y) refuses the other one's measurements
+        first, second = (
+            SensingEnsemble(vectors=np.array(sample_sphere(3, 30, s).vectors)) for s in (84, 85)
+        )
+        z, x = sample_unit_vector(3, 86), sample_unit_vector(3, 87)
+        y = measure(first, z)
+        calls = [
+            lambda: solve(second, y, x, SolverConfig(max_iters=3000, tol_aligned_rel=1e-8), z=z),
+            lambda: step(SolverState(x=x.copy(), rng=np.random.default_rng(0)), second, y, cfg),
+            lambda: truncated_covariance(second, y),
+            lambda: spectral_init(second, y, SpectralConfig()),
+            lambda: objective_f(second, y, x),
+            lambda: dir_deriv_f(second, y, x, z - x),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="does not belong"):
+                call()
 
     def test_exactly_one_tolerance(self):
         with pytest.raises(ValueError):

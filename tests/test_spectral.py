@@ -29,7 +29,7 @@ class TestTruncatedCovariance:
         y = measure(ens, sample_unit_vector(4, 3))
         vals = y.values.copy()
         vals[7] = 100.0  # way above 3 * lam0
-        y_out = MeasurementSet(values=vals, ensemble_ref=ens.ident)
+        y_out = MeasurementSet(values=vals, ensemble=ens)
         Y, lam0 = truncated_covariance(ens, y_out)
         assert vals[7] > 3.0 * lam0
         mask = vals <= 3.0 * lam0
@@ -126,7 +126,7 @@ class TestSpectralInit:
         # the one row kept at multiplier 0.5 measures 0, so Y = 0 and has no
         # leading eigenvector: no start of the power iteration can help
         vecs = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        ens = SensingEnsemble(vectors=vecs, model="custom", seed=0, n=2, m=2)
+        ens = SensingEnsemble(vectors=vecs)
         y = measure(ens, np.array([1.0, 0.0], dtype=complex))
         Y, _ = truncated_covariance(ens, y, 0.5)
         assert not Y.any()
