@@ -13,9 +13,9 @@ the analysis live in ``verify``.
 
 The regularity constant is the minimum of term1 - term2 - term3 over the
 phase-aligned unit sphere.  ``estimate_L`` brackets it: one eigenproblem
-of a real quadratic form gives a lower bound, which is the
-constant itself where the wedge is empty, and a direction search anchored
-at that form's minimizer gives an upper bound.
+of a real quadratic form gives a lower bound, which is the constant
+itself where the wedge is empty, and a direction search in the form's
+eigenframe gives an upper bound.
 """
 
 from __future__ import annotations
@@ -162,13 +162,14 @@ class RegularityReport:
     directions of the phase-aligned unit sphere {v : ||v|| = 1,
     Im(z^* v) = 0}, so L_estimate is an UPPER bound on the true minimum
     over that set (``upper_bound_on_sphere_min`` is always True).
-    L_lower = (n/m) lam_min of ``_bracket_form`` is a LOWER bound on that
+    L_lower = (n/m) lam[0] of ``_bracket_form`` is a LOWER bound on that
     minimum, so L_lower <= L_estimate up to rounding; ``lower_is_exact``:
     it is attained at the form's eigenvector (always so where the wedge is
     empty), and the two agree up to rounding, either one the larger.
-    ``evaluations`` counts the directions evaluated; ``search_mode`` is
-    always "random_refine".  Both orientations of the 2 c0 alpha vs 1
-    constraint are recorded rather than enforced.
+    ``evaluations`` counts the directions evaluated, 1 + budget +
+    2 (2n-1) per descent sweep; ``search_mode`` is always "random_refine".
+    Both orientations of the 2 c0 alpha vs 1 constraint are recorded
+    rather than enforced.
     """
 
     L_estimate: float
@@ -254,9 +255,9 @@ def regularity_terms(ensemble, z, v, c0: float, alpha: float):
 
 
 def _bracket_form(ensemble, z, c0: float, alpha: float):
-    """(lam_min, v, W): the minimum over the phase-aligned unit sphere of a
-    real quadratic form that bounds term1 - term2 - term3 from below, a unit
-    direction that attains it, and the rows W defined below.
+    """(lam, frame, W): the eigenvalues, ascending, and eigenframe of a real
+    quadratic form that bounds term1 - term2 - term3 from below on the
+    phase-aligned unit sphere, and the rows W defined below.
 
     In v_R = (Re v, Im v), term1 = ||G v_R||^2 with rows g_i = (Re b_i,
     -Im b_i), b_i = conj(u_i) conj(a_i) / |u_i| and u_i = a_i^* z.  Every
@@ -266,9 +267,11 @@ def _bracket_form(ensemble, z, c0: float, alpha: float):
         term1 - 6/(alpha-1) sum_i |a_i^* v|^2 - (2+4 alpha) sum_{i in W} |a_i^* v|^2
 
     is at most the bracket, with equality at v if S(v, c0 alpha) = W (at
-    every v if W is empty).  Its minimum over v_R orthogonal to (i z)_R is
-    the smallest eigenvalue of its restriction to that complement.  G^T G
-    and the Hermitian part are summed over blocks of ``_FORM_BYTES`` rows.
+    every v if W is empty).  ``frame`` is a real (2n, 2n-1) array whose
+    orthonormal columns span the complement of (i z)_R and diagonalize the
+    form there: a unit c in R^{2n-1} gives a unit, phase-aligned v by
+    v_R = frame c, at which the form is sum_j lam_j c_j^2.  G^T G and the
+    Hermitian part are summed over blocks of ``_FORM_BYTES`` rows.
     """
     n = ensemble.n
     z = np.asarray(z, dtype=complex)
@@ -290,44 +293,24 @@ def _bracket_form(ensemble, z, c0: float, alpha: float):
     iz_r = np.concatenate((-z.imag, z.real))
     basis = np.linalg.qr(iz_r[:, np.newaxis], mode="complete")[0][:, 1:]
     lam, y = np.linalg.eigh(basis.T @ form @ basis)
-    v_r = basis @ y[:, 0]
-    return float(lam[0]), v_r[:n] + 1j * v_r[n:], np.concatenate(w_rows)
+    return lam, basis @ y, np.concatenate(w_rows)
 
 
-def _phase_aligned(V: np.ndarray, zn: np.ndarray):
-    """Map each row v of V onto the phase-aligned unit sphere
-    {v : ||v|| = 1, Im(z^* v) = 0}, where zn = z / ||z||: remove the
-    component along i zn and renormalize.  Returns (rows, kept): rows that
-    lie on +-i zn (at most 1e-8 of their norm left after the removal) have
-    nothing to map and are marked not kept.  The map is applied twice, so
-    that rounding left by a near-cancelling first pass is removed too
-    (|Im(z^* v)| stays at rounding level for every kept row)."""
-    zc = zn.conj()
-    norm_in = np.linalg.norm(V, axis=1)
-    V = V - 1j * np.imag(V @ zc)[:, np.newaxis] * zn
-    r = np.linalg.norm(V, axis=1)
-    kept = r > 1e-8 * norm_in
-    V /= np.where(kept, r, 1.0)[:, np.newaxis]
-    V -= 1j * np.imag(V @ zc)[:, np.newaxis] * zn
-    V /= np.where(kept, np.linalg.norm(V, axis=1), 1.0)[:, np.newaxis]
-    return V, kept
-
-
-def _coordinate_refine(offer, v: np.ndarray, f: float) -> None:
-    """Deterministic descent from v (value f) over the 2n real coordinates:
-    each sweep offers the moves +-step, +-i step on each entry to ``offer``
-    (rows -> (mapped rows, values)) and moves to the lowest if it beats f,
-    else halves the step (``_STEP0`` down to ``_MIN_STEP``, at most
-    ``_MAX_SWEEPS`` sweeps); ``offer`` keeps the best direction."""
-    moves = np.kron(np.eye(len(v)), [[1.0], [-1.0], [1j], [-1j]])
+def _coordinate_refine(offer, c: np.ndarray, f: float) -> None:
+    """Deterministic descent from frame coordinates c (value f): each sweep
+    offers the moves +-step along each frame axis to ``offer`` (rows ->
+    (unit rows, values)) and moves to the lowest if it beats f, else halves
+    the step (``_STEP0`` down to ``_MIN_STEP``, at most ``_MAX_SWEEPS``
+    sweeps); ``offer`` keeps the best direction."""
+    moves = np.kron(np.eye(len(c)), [[1.0], [-1.0]])
     step = _STEP0
     for _ in range(_MAX_SWEEPS):
         if step <= _MIN_STEP:
             break
-        C, fc = offer(v + step * moves)
+        C, fc = offer(c + step * moves)
         j = int(np.argmin(fc))
         if fc[j] < f:
-            v, f = C[j], float(fc[j])
+            c, f = C[j], float(fc[j])
         else:
             step *= 0.5
 
@@ -344,55 +327,54 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     The solver's error is measured up to a global phase: after alignment
     the error h = x - e^{it} z satisfies Im((e^{it} z)^* h) = 0, so the
     flat direction i z (where term1 vanishes and term2 does not) is left
-    out.  Every candidate is mapped onto that set before it is evaluated:
-    v <- v - i Im(z^* v) z / ||z||^2, renormalized; candidates on +-i z are
-    dropped and not counted in ``evaluations``.
-
-    Candidate 0 is the bracket form's eigenvector; seeded uniform random
-    directions follow, then ``_coordinate_refine`` descends from the
-    eigenvector.  ``offer`` maps, evaluates and counts every candidate and
-    keeps the first lowest.  The stream draws only the rows the budget
-    asks for, in order, so it is prefix-stable in the budget; the anchor
-    and its descent do not depend on it, so a larger budget only adds
-    directions and, up to rounding, never raises the minimum found.  Where
-    the eigenvector's wedge is all of ``_bracket_form``'s W, always so where
-    the wedge is empty for every unit v (c0 alpha ||a_i|| < |a_i^* z| for
-    every row), the eigenvector is the minimizer and both values are the
-    constant.
+    out.  A candidate is a nonzero c in R^{2n-1}; normalized, it gives
+    v_R = frame c in ``_bracket_form``'s eigenframe, and every unit v of
+    the set is some such c.  Candidate 0 is e_0, the form's minimizer;
+    seeded standard normal coordinates follow, uniform on the set once
+    normalized, then ``_coordinate_refine`` descends from e_0 along the
+    frame axes.  ``offer`` normalizes, evaluates and counts every
+    candidate and keeps the first lowest, so ``evaluations`` is exactly
+    1 + budget + 2 (2n-1) times the sweeps run.  The stream draws only the
+    rows the budget asks for, in order, so it is prefix-stable in the
+    budget; the anchor and its descent do not depend on it, so a larger
+    budget only adds directions and, up to rounding, never raises the
+    minimum found.  Where the eigenvector's wedge is all of W, always so
+    where the wedge is empty for every unit v (c0 alpha ||a_i|| <
+    |a_i^* z| for every row), the eigenvector is the minimizer and both
+    values are the constant.
     """
     n, m = ensemble.n, ensemble.m
-    lam_min, anchor, w_rows = _bracket_form(ensemble, z, params.c0, params.alpha)
+    lam, frame, w_rows = _bracket_form(ensemble, z, params.c0, params.alpha)
     terms = _terms_evaluator(ensemble, z, params.c0, params.alpha)
-    zn = np.asarray(z, dtype=complex) / np.linalg.norm(z)
     evaluations, best_v, best_f = 0, None, math.inf
 
-    def offer(V):
+    def offer(C):
         nonlocal evaluations, best_v, best_f
-        V, kept = _phase_aligned(V, zn)
-        f = np.full(len(V), math.inf)
-        t1, t2, t3 = terms(V[kept])
-        f[kept] = t1 - t2 - t3
-        evaluations += int(np.count_nonzero(kept))
+        C = C / np.linalg.norm(C, axis=1, keepdims=True)
+        V = C @ frame.T
+        V = V[:, :n] + 1j * V[:, n:]
+        t1, t2, t3 = terms(V)
+        f = t1 - t2 - t3
+        evaluations += len(C)
         j = int(np.argmin(f))
         if f[j] < best_f:
             best_v, best_f = V[j].copy(), float(f[j])
-        return V, f
+        return C, f
 
-    V, f = offer(anchor[np.newaxis, :])
-    anchor = V[0]
-    attained = np.array_equal(wedge(ensemble, z, anchor, params.c0 * params.alpha), w_rows)
+    anchor = np.eye(2 * n - 1)[:1]
+    anchor_f = float(offer(anchor)[1][0])
+    attained = np.array_equal(wedge(ensemble, z, best_v, params.c0 * params.alpha), w_rows)
     rng = np.random.default_rng(int(params.seed))
     for done in range(0, params.net_or_samples, _DIR_CHUNK):
-        g = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n))
-        offer(g[:, :n] + 1j * g[:, n:])
-    _coordinate_refine(offer, anchor, float(f[0]))
+        offer(rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1)))
+    _coordinate_refine(offer, anchor[0], anchor_f)
 
     t1, t2, t3 = terms(best_v[np.newaxis, :])
     term1, term2, term3 = float(t1[0]), float(t2[0]), float(t3[0])
     flag = 2.0 * params.c0 * params.alpha
     return RegularityReport(
         L_estimate=(n / m) * (term1 - term2 - term3),
-        L_lower=(n / m) * lam_min,
+        L_lower=(n / m) * float(lam[0]),
         lower_is_exact=attained,
         argmin_direction=best_v,
         term1=term1,

@@ -47,7 +47,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingEnsemble:
     """m unit-norm sensing vectors in C^n: an ensemble is the rows of
     ``vectors``, and m and n are read from their shape."""
@@ -63,7 +63,7 @@ class SensingEnsemble:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Nonnegative magnitudes y_i = |a_i^* z| of the rows of ``ensemble``;
     every function of (ensemble, y) reads them through ``of``."""

@@ -112,6 +112,17 @@ def test_estimate_l_stdout_report(capsys):
     assert payload["L_lower"] <= payload["L_estimate"] + 1e-10 * abs(payload["L_estimate"])
 
 
+def test_estimate_l_search_is_pinned(capsys):
+    # the default c0 = 1/(4 alpha) puts rows in the wedge, so the search,
+    # not the closed form, sets L_estimate: a change to the search shows
+    # up here
+    code = main(["estimate-l", "--n", "8", "--m", "160", "--alpha", "20", "--seed", "1"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["evaluations"] == 3309
+    assert payload["L_estimate"] == pytest.approx(-22.493141199211088, rel=1e-9)
+
+
 def test_estimate_l_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([

@@ -1,8 +1,9 @@
 """Property tests, over inputs drawn by hypothesis: the row form of the
 phase-aligned distance, on which solve stops, against its one-row form and
 ``dist_phase_aligned`` bit for bit, that distance's invariances, the
-projection onto {w : |a^* w| = y}, malformed ``run --config`` files, and
-the CSV/JSON round trip of run records."""
+projection onto {w : |a^* w| = y}, the regularity bracket form against
+the bracket off its minimizer, malformed ``run --config`` files, and the
+CSV/JSON round trip of run records."""
 
 import contextlib
 import io
@@ -20,7 +21,15 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from kaczmarz_pr import ExperimentConfig, dist_phase_aligned, run_experiment  # noqa: E402
+from kaczmarz_pr import (  # noqa: E402
+    ExperimentConfig,
+    dist_phase_aligned,
+    run_experiment,
+    sample_block_unitary,
+    sample_sphere,
+    sample_unit_vector,
+    wedge,
+)
 from kaczmarz_pr.cli import main  # noqa: E402
 from kaczmarz_pr.core import aligned2_rows  # noqa: E402
 from kaczmarz_pr.harness import (  # noqa: E402
@@ -29,6 +38,7 @@ from kaczmarz_pr.harness import (  # noqa: E402
     summary_dict,
     write_summary_json,
 )
+from kaczmarz_pr.regularity import _bracket_form, regularity_terms  # noqa: E402
 from kaczmarz_pr.solver import SolverConfig, project_magnitude  # noqa: E402
 
 EPS = np.finfo(float).eps
@@ -106,6 +116,48 @@ def test_aligned_distance_is_at_most_raw(pair):
     d = dist_phase_aligned(x, z)
     slack = 4.0 * (len(z) + 2) * EPS * np.linalg.norm(z)  # the rounded rotation
     assert d.aligned <= d.raw + slack
+
+
+@st.composite
+def frame_directions(draw, max_n=6):
+    """(ensemble, z, c0, c): a sphere or block-unitary ensemble, a unit
+    signal, c0 from the empty-wedge regime (1e-6) or one with wedge rows,
+    and a unit c in R^{2n-1}, the coordinates of a direction in the bracket
+    form's eigenframe."""
+    n = draw(st.integers(1, max_n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        ens = sample_sphere(n, draw(st.integers(1, 16 * n)), seed)
+    else:
+        ens = sample_block_unitary(n, draw(st.integers(1, 16)), seed)
+    c = draw(arrays(float, 2 * n - 1, elements=st.floats(-1.0, 1.0)))
+    assume(np.linalg.norm(c) >= 1e-3)
+    c0 = draw(st.sampled_from([1e-6, 1 / 80, 0.02]))
+    return ens, sample_unit_vector(n, seed + 1), c0, c / np.linalg.norm(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_directions())
+def test_bracket_form_bounds_the_bracket(case):
+    """At v_R = frame c the form is sum_j lam_j c_j^2: at most the bracket,
+    and equal to it where the wedge of v is all of W (always where W is
+    empty, as at c0 = 1e-6)."""
+    ens, z, c0, c = case
+    n, alpha = ens.n, 20.0
+    lam, frame, w_rows = _bracket_form(ens, z, c0, alpha)
+    v_r = frame @ c
+    v = v_r[:n] + 1j * v_r[n:]
+    assert abs(np.linalg.norm(v) - 1.0) <= 8 * n * EPS
+    assert abs(np.vdot(z, v).imag) <= 8 * n * EPS
+    t1, t2, t3, bracket = regularity_terms(ens, z, v, c0, alpha)
+    form = float(lam @ (c * c))
+    # eigh and the sums round relative to the form's scale
+    slack = 16 * (2 * n) * EPS * (t1 + t2 + t3 + np.max(np.abs(lam)))
+    assert bracket >= form - slack
+    if c0 == 1e-6:
+        assert w_rows.size == 0
+    if np.array_equal(wedge(ens, z, v, c0 * alpha), w_rows):
+        assert abs(bracket - form) <= slack
 
 
 # parts of magnitude 0 or 1e-50 to 10: no product in a projection

@@ -195,18 +195,6 @@ class TestEstimateL:
         assert rep.L_estimate < 0.0
         assert_phase_aligned(rep, z)
 
-    def test_phase_aligned_drops_phase_direction(self):
-        # rows on +-i z (any scale) have nothing to map and are not kept;
-        # every kept row is unit and phase-aligned
-        z = sample_unit_vector(3, 27)
-        zn = z / np.linalg.norm(z)
-        rng = np.random.default_rng(28)
-        V = np.stack([1j * z, -2j * z, z, sample_unit_vector(3, rng), 1j * z + 1e-3 * z])
-        rows, kept = regularity._phase_aligned(V, zn)
-        assert kept.tolist() == [False, False, True, True, True]
-        assert np.allclose(np.linalg.norm(rows[kept], axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.max(np.abs((rows[kept] @ zn.conj()).imag)) <= 1e-12
-
     def test_budget_monotonicity_dense(self):
         # n = 2 with rows in W (c0 alpha = 0.16): budgets of nested grid
         # sizes r^3, each a prefix of the next one's candidates
@@ -239,44 +227,47 @@ class TestEstimateL:
         # estimate_L draws only the rows its budget asks for, a chunk at a
         # time: the rows of any budget must be the first rows of one draw
         chunk = regularity._DIR_CHUNK
-        whole = np.random.default_rng(n).standard_normal((3 * chunk, 2 * n))
+        whole = np.random.default_rng(n).standard_normal((3 * chunk, 2 * n - 1))
         for budget in (1, chunk, chunk + 44, 3 * chunk):
             rng = np.random.default_rng(n)
             drawn = [
-                rng.standard_normal((min(chunk, budget - done), 2 * n))
+                rng.standard_normal((min(chunk, budget - done), 2 * n - 1))
                 for done in range(0, budget, chunk)
             ]
             assert np.array_equal(np.concatenate(drawn), whole[:budget])
 
     def test_search_is_anchored_at_the_eigenvector(self, monkeypatch):
-        # candidate 0 and the descent's start are the bracket form's
-        # eigenvector, and every evaluated direction is counted once; here
-        # random candidates beat the eigenvector, so the best candidate is
-        # not where the descent starts
-        ens = sample_sphere(5, 120, 57)
-        z = sample_unit_vector(5, 58)
-        _, v, _ = regularity._bracket_form(ens, z, 1 / 80, 20.0)
+        # candidate 0 and the descent's start are e_0 of the bracket form's
+        # eigenframe, whose direction is frame column 0, and every
+        # evaluated direction is counted once; here random candidates beat
+        # the eigenvector, so the best candidate is not where the descent
+        # starts
+        n = 5
+        ens = sample_sphere(n, 120, 57)
+        z = sample_unit_vector(n, 58)
+        _, frame, _ = regularity._bracket_form(ens, z, 1 / 80, 20.0)
         starts = []
         refine = regularity._coordinate_refine
 
-        def spy(offer, v0, f0):
-            kept = []
+        def spy(offer, start, f0):
+            sweeps = []
 
-            def counted(V):
-                C, f = offer(V)
-                kept.append(int(np.count_nonzero(np.isfinite(f))))
-                return C, f
+            def counted(C):
+                sweeps.append(len(C))
+                return offer(C)
 
-            refine(counted, v0, f0)
-            starts.append((v0, f0, sum(kept)))
+            refine(counted, start, f0)
+            starts.append((start, f0, sweeps))
 
         monkeypatch.setattr(regularity, "_coordinate_refine", spy)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=57))
-        (v0, f0, refine_evals), = starts
-        assert np.max(np.abs(v0 - v)) <= 1e-12
+        (start, f0, sweeps), = starts
+        assert start.tolist() == np.eye(2 * n - 1)[0].tolist()
+        v0 = frame[:n, 0] + 1j * frame[n:, 0]
         assert f0 == regularity_terms(ens, z, v0, 1 / 80, 20.0)[3]
-        assert rep.L_estimate < (5 / 120) * f0
-        assert rep.evaluations == 1 + 300 + refine_evals
+        assert rep.L_estimate < (n / 120) * f0
+        assert set(sweeps) == {2 * (2 * n - 1)}
+        assert rep.evaluations == 1 + 300 + 2 * (2 * n - 1) * len(sweeps)
 
     def test_reports_the_lowest_candidate_evaluated(self, monkeypatch):
         # the anchor, the random chunks and the descent all go through one
@@ -322,16 +313,17 @@ class TestEstimateL:
     @pytest.mark.parametrize("c0", [1e-6, 1 / 80])
     def test_bracket_form_does_not_depend_on_row_blocks(self, monkeypatch, c0):
         # one row per block and 7 rows per block (m = 100 is not a multiple)
-        # give the minimum and minimizer of one block up to rounding
+        # give the eigenvalues and minimizer of one block up to rounding
         ens = sample_sphere(4, 100, 53)
         z = sample_unit_vector(4, 54)
-        lam, v, w_rows = regularity._bracket_form(ens, z, c0, 20.0)
+        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, 20.0)
         assert (w_rows.size == 0) == (c0 == 1e-6)
         for rows in (1, 7):
             monkeypatch.setattr(regularity, "_FORM_BYTES", 16 * 4 * rows)
-            lam_b, v_b, w_rows_b = regularity._bracket_form(ens, z, c0, 20.0)
-            assert abs(lam_b - lam) <= 1e-12 * max(1.0, abs(lam))
-            assert abs(abs(np.vdot(v, v_b)) - 1.0) <= 1e-9
+            lam_b, frame_b, w_rows_b = regularity._bracket_form(ens, z, c0, 20.0)
+            assert abs(lam_b[0] - lam[0]) <= 1e-12 * max(1.0, abs(lam[0]))
+            assert np.max(np.abs(lam_b - lam)) <= 1e-12 * max(1.0, np.max(np.abs(lam)))
+            assert abs(abs(frame[:, 0] @ frame_b[:, 0]) - 1.0) <= 1e-9
             assert w_rows_b.tolist() == w_rows.tolist()
 
     @pytest.mark.parametrize("n, m", [(2, 100), (5, 120), (8, 400)])
@@ -344,11 +336,10 @@ class TestEstimateL:
         assert regularity._bracket_form(ens, z, c0, alpha)[2].size > 0
         rep = estimate_L(ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=256, seed=48))
         assert_lower_bound(rep)
-        rng = np.random.default_rng(49)
-        zn = z / np.linalg.norm(z)
-        V, kept = regularity._phase_aligned(np.stack([sample_unit_vector(n, rng) for _ in range(200)]), zn)
-        assert kept.all()
-        for v in V:
+        frame = regularity._bracket_form(ens, z, c0, alpha)[1]
+        C = np.random.default_rng(49).standard_normal((200, 2 * n - 1))
+        V = (C / np.linalg.norm(C, axis=1, keepdims=True)) @ frame.T
+        for v in V[:, :n] + 1j * V[:, n:]:
             bracket = regularity_terms(ens, z, v, c0, alpha)[3]
             assert rep.L_lower <= (n / m) * bracket
 

@@ -115,6 +115,16 @@ class TestMeasure:
         with pytest.raises(ValueError, match="does not belong"):
             y.of(sample_sphere(3, 4, 7))
 
+    def test_equality_and_hash_are_identity(self):
+        # membership is identity (``MeasurementSet.of``), so == and hash
+        # agree with it rather than comparing the arrays
+        ens, twin = sample_sphere(3, 4, 0), sample_sphere(3, 4, 0)
+        z = sample_unit_vector(3, 1)
+        y, y_twin = measure(ens, z), measure(twin, z)
+        assert ens == ens and ens != twin
+        assert y == y and y != y_twin
+        assert len({ens, twin, ens}) == 2 and len({y, y_twin, y}) == 2
+
 
 class TestRowMagnitudes:
     @pytest.mark.parametrize("n, m, seed", [(1, 5, 0), (7, 60, 1), (50, 2000, 2)])
