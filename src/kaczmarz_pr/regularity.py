@@ -38,9 +38,10 @@ __all__ = [
     "estimate_L",
 ]
 
-_EVAL_BYTES = 512 * 1024  # complex products held at once by _terms_evaluator
-# rows held at once by _bracket_form: a constant of its own, so that its
-# sums, and with them the whole report, do not depend on _EVAL_BYTES
+_EVAL_BYTES = 512 * 1024  # bytes held by each temporary of the search's scores
+# rows held at once by _bracket_form and by the scorer's frame products: a
+# constant of its own, so that the form and the products do not depend on
+# _EVAL_BYTES
 _FORM_BYTES = _EVAL_BYTES
 _DIR_CHUNK = 256
 _STEP0, _MIN_STEP, _MAX_SWEEPS = 0.25, 1e-3, 200  # _coordinate_refine's schedule
@@ -96,12 +97,11 @@ def _signal_products(ensemble, z):
     return np.conj(u), ua
 
 
-def _curvature(t, uc, inv2u2):
-    """(2 Re(t conj(u)))^2 / (2 |u|^2) elementwise, from conj(u) and
-    1 / (2 |u|^2) computed once per signal."""
+def _curvature(t, uc, ua):
+    """(2 Re(t conj(u)))^2 / (2 |u|^2) elementwise, from conj(u) and |u|."""
     cross = 2.0 * np.real(t * uc)
     cross *= cross
-    cross *= inv2u2
+    cross *= 1.0 / (2.0 * ua * ua)
     return cross
 
 
@@ -115,7 +115,7 @@ def second_dir_deriv_at_signal(ensemble, z, v) -> np.ndarray:
     direction of f).
     """
     uc, ua = _signal_products(ensemble, z)
-    return _curvature(row_products(ensemble, v), uc, 1.0 / (2.0 * ua * ua))
+    return _curvature(row_products(ensemble, v), uc, ua)
 
 
 # ---------------------------------------------------------------------------
@@ -209,49 +209,26 @@ def _term_coefficients(alpha: float, m: int):
     return c_mid, c_wedge
 
 
-def _terms_evaluator(ensemble, z, c0: float, alpha: float):
-    """Batch evaluator: V (d, n) unit rows -> (term1, term2, term3) arrays.
+def regularity_terms(ensemble, z, v, c0: float, alpha: float):
+    """(term1, term2, term3, bracket) at a single unit direction v:
 
     term1 = 1/2 sum_i curvature_i(v)
     term2 = 6/(alpha-1) sum_i |a_i^* v|^2
     term3 = (2+4 alpha) sum over the wedge S(v, c0 alpha) of |a_i^* v|^2
 
-    Directions are evaluated in blocks of at most ``_EVAL_BYTES`` of complex
-    products (at least one direction), so the temporaries stay small at
-    any batch size.  From n = 8 on, a row's last bits can depend on its
-    block; reported terms are recomputed on one row, as in
-    ``regularity_terms``, so they equal it bit for bit.
+    and bracket = term1 - term2 - term3.
     """
     uc, ua = _signal_products(ensemble, z)
     c_mid, c_wedge = _term_coefficients(alpha, ensemble.m)
-    a_ct = np.ascontiguousarray(ensemble.vectors.conj().T)  # (n, m)
-    uc = uc[np.newaxis, :]
-    inv2u2 = (1.0 / (2.0 * ua * ua))[np.newaxis, :]
-    ua_row = ua[np.newaxis, :]
-    wedge_beta = c0 * alpha
-    block = max(1, _EVAL_BYTES // (16 * ensemble.m))
-
-    def terms(V: np.ndarray):
-        term1, term2, term3 = (np.empty(len(V)) for _ in range(3))
-        for lo in range(0, len(V), block):
-            T = V[lo : lo + block] @ a_ct
-            Ta = np.abs(T)
-            term1[lo : lo + block] = 0.5 * _curvature(T, uc, inv2u2).sum(axis=1)
-            p2 = Ta * Ta
-            term2[lo : lo + block] = c_mid * p2.sum(axis=1)
-            Ta *= wedge_beta
-            p2 *= Ta >= ua_row  # p2 >= 0, so rows outside the wedge give +0
-            term3[lo : lo + block] = c_wedge * p2.sum(axis=1)
-        return term1, term2, term3
-
-    return terms
-
-
-def regularity_terms(ensemble, z, v, c0: float, alpha: float):
-    """(term1, term2, term3, bracket) at a single unit direction v."""
-    terms = _terms_evaluator(ensemble, z, c0, alpha)
-    t1, t2, t3 = terms(np.asarray(v, dtype=complex)[np.newaxis, :])
-    return float(t1[0]), float(t2[0]), float(t3[0]), float(t1[0] - t2[0] - t3[0])
+    t = row_products(ensemble, v)
+    ta = np.abs(t)
+    p2 = ta * ta
+    term1 = 0.5 * float(_curvature(t, uc, ua).sum())
+    term2 = c_mid * float(p2.sum())
+    ta *= c0 * alpha
+    p2 *= ta >= ua  # p2 >= 0, so rows outside the wedge give +0
+    term3 = c_wedge * float(p2.sum())
+    return term1, term2, term3, term1 - term2 - term3
 
 
 def _bracket_form(ensemble, z, c0: float, alpha: float):
@@ -296,18 +273,89 @@ def _bracket_form(ensemble, z, c0: float, alpha: float):
     return lam, basis @ y, np.concatenate(w_rows)
 
 
-def _coordinate_refine(offer, c: np.ndarray, f: float) -> None:
-    """Deterministic descent from frame coordinates c (value f): each sweep
-    offers the moves +-step along each frame axis to ``offer`` (rows ->
-    (unit rows, values)) and moves to the lowest if it beats f, else halves
-    the step (``_STEP0`` down to ``_MIN_STEP``, at most ``_MAX_SWEEPS``
-    sweeps); ``offer`` keeps the best direction."""
-    moves = np.kron(np.eye(len(c)), [[1.0], [-1.0]])
+def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
+    """(rows, moves): the direction search's scores of frame coordinates.
+
+    At a unit c, with v_R = frame c, t_i = a_i^* v, u_i = a_i^* z and
+    beta = c0 alpha, every wedge row lies in W, so the bracket is the form
+    of ``_bracket_form`` plus its gap over the rows of W outside the wedge:
+
+        score(c) = sum_j lam_j c_j^2 + (2+4 alpha) sum_{i in W, beta |t_i| < |u_i|} |t_i|^2
+
+    (tested as |t_i|^2 < (|u_i| / beta)^2).  Products are linear in c,
+    t = sum_j c_j P_j, with P_j the products of W's rows with frame axis j,
+    built once.  ``rows(C)`` scores unit rows C through P, O(n |W|) each;
+    ``moves(c, step)`` returns the moves c +- step e_j of a unit c in the
+    order +e_0, -e_0, +e_1, ..., normalized, with their scores: their
+    products are (t_c +- step P_j) / ||c +- step e_j||, O(|W|) each.  Where
+    W is empty a score is the form alone, O(n).  P is built over row blocks
+    of ``_FORM_BYTES``, and every temporary of a score holds at most
+    ``_EVAL_BYTES`` (one row or axis at least).
+    """
+    n, k, w = ensemble.n, 2 * ensemble.n - 1, len(w_rows)
+    c_wedge = _term_coefficients(alpha, ensemble.m)[1]
+    lim = (row_magnitudes(ensemble, z)[w_rows] / (c0 * alpha)) ** 2
+    axes_conj = frame[:n] - 1j * frame[n:]
+    P = np.empty((k, 2, w))  # axis j: (Re, Im) of its products
+    form_block = max(1, _FORM_BYTES // (16 * n))
+    for lo in range(0, w, form_block):
+        q = ensemble.vectors[w_rows[lo : lo + form_block]] @ axes_conj  # conj(a_i^* f_j)
+        P[:, 0, lo : lo + form_block] = q.real.T
+        P[:, 1, lo : lo + form_block] = -q.imag.T
+    flat, Q = P.reshape(k, 2 * w), P[:, 0] ** 2 + P[:, 1] ** 2
+    block = max(1, _EVAL_BYTES // (16 * max(w, 1)))  # rows of C, or axes of a sweep
+    unit_moves = np.kron(np.eye(k), [[1.0], [-1.0]])
+
+    def gap(p2):
+        """(d, |W|) squared products -> (d,) gaps, masking p2 in place."""
+        p2 *= p2 < lim  # p2 >= 0, so wedge rows give +0
+        return c_wedge * p2.sum(axis=1)
+
+    def rows(C):
+        f = (C * C) @ lam
+        for lo in range(0, len(C), block):
+            B = C[lo : lo + block]
+            T = (B @ flat).reshape(len(B), 2, w)
+            T *= T
+            f[lo : lo + len(B)] += gap(T[:, 0] + T[:, 1])
+        return f
+
+    def moves(c, step):
+        R = c + step * unit_moves
+        norms = np.linalg.norm(R, axis=1)
+        C = R / norms[:, np.newaxis]
+        f = (C * C) @ lam
+        # |t_c +- step P_j|^2 = |t_c|^2 + step^2 |P_j|^2 +- 2 step Re(conj(t_c) P_j)
+        tr, ti = (c @ flat).reshape(2, w)
+        t2 = tr * tr + ti * ti
+        tr, ti = 2.0 * step * tr, 2.0 * step * ti
+        inv = (1.0 / (norms * norms)).reshape(k, 2, 1)
+        for lo in range(0, k, block):
+            cross = P[lo : lo + block, 0] * tr
+            cross += P[lo : lo + block, 1] * ti
+            base = Q[lo : lo + block] * (step * step)
+            base += t2
+            p2 = np.empty((len(base), 2, w))  # (axis, sign, row)
+            np.add(base, cross, out=p2[:, 0])
+            np.subtract(base, cross, out=p2[:, 1])
+            p2 *= inv[lo : lo + block]
+            f[2 * lo : 2 * lo + 2 * len(base)] += gap(p2.reshape(2 * len(base), w))
+        return C, f
+
+    return rows, moves
+
+
+def _coordinate_refine(sweep, c: np.ndarray, f: float) -> None:
+    """Deterministic descent from unit frame coordinates c (value f): each
+    sweep scores the moves +-step along each frame axis through ``sweep``
+    ((c, step) -> (unit moves, values)) and moves to the lowest if it beats
+    f, else halves the step (``_STEP0`` down to ``_MIN_STEP``, at most
+    ``_MAX_SWEEPS`` sweeps); ``sweep`` keeps the best direction."""
     step = _STEP0
     for _ in range(_MAX_SWEEPS):
         if step <= _MIN_STEP:
             break
-        C, fc = offer(c + step * moves)
+        C, fc = sweep(c, step)
         j = int(np.argmin(fc))
         if fc[j] < f:
             c, f = C[j], float(fc[j])
@@ -329,51 +377,56 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     flat direction i z (where term1 vanishes and term2 does not) is left
     out.  A candidate is a nonzero c in R^{2n-1}; normalized, it gives
     v_R = frame c in ``_bracket_form``'s eigenframe, and every unit v of
-    the set is some such c.  Candidate 0 is e_0, the form's minimizer;
-    seeded standard normal coordinates follow, uniform on the set once
-    normalized, then ``_coordinate_refine`` descends from e_0 along the
-    frame axes.  ``offer`` normalizes, evaluates and counts every
-    candidate and keeps the first lowest, so ``evaluations`` is exactly
-    1 + budget + 2 (2n-1) times the sweeps run.  The stream draws only the
-    rows the budget asks for, in order, so it is prefix-stable in the
-    budget; the anchor and its descent do not depend on it, so a larger
-    budget only adds directions and, up to rounding, never raises the
-    minimum found.  Where the eigenvector's wedge is all of W, always so
+    the set is some such c.  Candidate 0 is e_0, the form's minimizer,
+    evaluated by ``regularity_terms``; seeded standard normal coordinates
+    follow, uniform on the set once normalized, then ``_coordinate_refine``
+    descends from e_0 along the frame axes, both scored by
+    ``_search_scorer``.  ``offer`` counts every candidate and keeps the
+    first lowest, so ``evaluations`` is exactly 1 + budget + 2 (2n-1) times
+    the sweeps run, and the report is ``regularity_terms`` at the lowest.
+    The stream draws only the rows the budget asks for, in order, so it is
+    prefix-stable in the budget; the anchor and its descent do not depend
+    on it, so a larger budget only adds directions and, up to rounding,
+    never raises the minimum found.  Where the eigenvector's wedge is all of W, always so
     where the wedge is empty for every unit v (c0 alpha ||a_i|| <
     |a_i^* z| for every row), the eigenvector is the minimizer and both
     values are the constant.
     """
     n, m = ensemble.n, ensemble.m
-    lam, frame, w_rows = _bracket_form(ensemble, z, params.c0, params.alpha)
-    terms = _terms_evaluator(ensemble, z, params.c0, params.alpha)
-    evaluations, best_v, best_f = 0, None, math.inf
+    c0, alpha = params.c0, params.alpha
+    lam, frame, w_rows = _bracket_form(ensemble, z, c0, alpha)
+    rows, moves = _search_scorer(ensemble, z, lam, frame, w_rows, c0, alpha)
 
-    def offer(C):
-        nonlocal evaluations, best_v, best_f
-        C = C / np.linalg.norm(C, axis=1, keepdims=True)
-        V = C @ frame.T
-        V = V[:, :n] + 1j * V[:, n:]
-        t1, t2, t3 = terms(V)
-        f = t1 - t2 - t3
+    def direction(c):
+        v = frame @ c
+        return v[:n] + 1j * v[n:]
+
+    anchor = np.eye(2 * n - 1)[0]
+    v0 = direction(anchor)
+    anchor_f = regularity_terms(ensemble, z, v0, c0, alpha)[3]
+    attained = np.array_equal(wedge(ensemble, z, v0, c0 * alpha), w_rows)
+    evaluations, best_c, best_f = 1, anchor, anchor_f
+
+    def offer(C, f):
+        nonlocal evaluations, best_c, best_f
         evaluations += len(C)
         j = int(np.argmin(f))
         if f[j] < best_f:
-            best_v, best_f = V[j].copy(), float(f[j])
+            best_c, best_f = C[j], float(f[j])
         return C, f
 
-    anchor = np.eye(2 * n - 1)[:1]
-    anchor_f = float(offer(anchor)[1][0])
-    attained = np.array_equal(wedge(ensemble, z, best_v, params.c0 * params.alpha), w_rows)
     rng = np.random.default_rng(int(params.seed))
     for done in range(0, params.net_or_samples, _DIR_CHUNK):
-        offer(rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1)))
-    _coordinate_refine(offer, anchor[0], anchor_f)
+        C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+        offer(C, rows(C))
+    _coordinate_refine(lambda c, step: offer(*moves(c, step)), anchor, anchor_f)
 
-    t1, t2, t3 = terms(best_v[np.newaxis, :])
-    term1, term2, term3 = float(t1[0]), float(t2[0]), float(t3[0])
-    flag = 2.0 * params.c0 * params.alpha
+    best_v = direction(best_c)
+    term1, term2, term3, bracket = regularity_terms(ensemble, z, best_v, c0, alpha)
+    flag = 2.0 * c0 * alpha
     return RegularityReport(
-        L_estimate=(n / m) * (term1 - term2 - term3),
+        L_estimate=(n / m) * bracket,
         L_lower=(n / m) * float(lam[0]),
         lower_is_exact=attained,
         argmin_direction=best_v,

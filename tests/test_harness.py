@@ -70,6 +70,18 @@ class TestRunExperiment:
         parallel = render_csv(run_experiment(cfg, workers=3))
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(n=256, m=10240, max_iters=40 * 256), dict(n=16, m=50000)],
+        ids=["n256", "m50000"],
+    )
+    def test_parallel_matches_serial_at_large_shapes(self, shape):
+        # at n = 256 the covariance product's last bits depend on the BLAS
+        # thread count, so the bytes match only while every process that
+        # computes trials uses the same count
+        cfg = ExperimentConfig(model="sphere", num_trials=2, master_seed=11, **shape)
+        assert render_csv(run_experiment(cfg, workers=1)) == render_csv(run_experiment(cfg, workers=2))
+
     def test_worker_count_from_environment(self, monkeypatch):
         cfg = ExperimentConfig(n=6, model="sphere", m=60, num_trials=2, master_seed=8)
         monkeypatch.setenv("PR_KACZMARZ_THREADS", "2")

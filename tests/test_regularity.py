@@ -18,6 +18,7 @@ from kaczmarz_pr import (
 )
 from kaczmarz_pr import regularity
 from kaczmarz_pr.regularity import RegularityParams, regularity_terms
+from kaczmarz_pr.seeding import derive_seed
 from kaczmarz_pr.verify import (
     CHECKS,
     MIN_TRIALS,
@@ -249,12 +250,13 @@ class TestEstimateL:
         starts = []
         refine = regularity._coordinate_refine
 
-        def spy(offer, start, f0):
+        def spy(sweep, start, f0):
             sweeps = []
 
-            def counted(C):
+            def counted(c, step):
+                C, f = sweep(c, step)
                 sweeps.append(len(C))
-                return offer(C)
+                return C, f
 
             refine(counted, start, f0)
             starts.append((start, f0, sweeps))
@@ -270,30 +272,80 @@ class TestEstimateL:
         assert rep.evaluations == 1 + 300 + 2 * (2 * n - 1) * len(sweeps)
 
     def test_reports_the_lowest_candidate_evaluated(self, monkeypatch):
-        # the anchor, the random chunks and the descent all go through one
-        # evaluator, and the report is recomputed on the lowest of them
+        # the anchor is evaluated by regularity_terms, the random chunks and
+        # the descent's sweeps by the search's scorer; every candidate is
+        # counted once, and the report is recomputed once, on the lowest
         ens = sample_sphere(5, 120, 61)
         z = sample_unit_vector(5, 62)
-        values = []
-        make = regularity._terms_evaluator
+        scores, brackets = [], []
+        make, terms = regularity._search_scorer, regularity.regularity_terms
 
-        def recording(*args):
-            terms = make(*args)
+        def recording_scorer(*args):
+            rows, moves = make(*args)
 
-            def evaluate(V):
-                t1, t2, t3 = terms(V)
-                values.append(t1 - t2 - t3)
-                return t1, t2, t3
+            def scored_rows(C):
+                scores.append(rows(C))
+                return scores[-1]
 
-            return evaluate
+            def scored_moves(c, step):
+                C, f = moves(c, step)
+                scores.append(f)
+                return C, f
 
-        monkeypatch.setattr(regularity, "_terms_evaluator", recording)
+            return scored_rows, scored_moves
+
+        def recording_terms(*args):
+            out = terms(*args)
+            brackets.append(out[3])
+            return out
+
+        monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
+        monkeypatch.setattr(regularity, "regularity_terms", recording_terms)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=63))
-        *searched, reported = values
-        assert len(reported) == 1
-        assert sum(map(len, searched)) == rep.evaluations
-        assert reported[0] == pytest.approx(min(f.min() for f in searched if len(f)), rel=1e-12)
-        assert rep.L_estimate == (5 / 120) * reported[0]
+        anchor, reported = brackets
+        assert 1 + sum(map(len, scores)) == rep.evaluations
+        lowest = min(anchor, min(f.min() for f in scores))
+        assert reported == pytest.approx(lowest, rel=1e-12)
+        assert rep.L_estimate == (5 / 120) * reported
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 50])
+    @pytest.mark.parametrize("c0, w_case", [(1e-6, "empty"), (1 / 80, "partial"), (0.1, "all")])
+    def test_descent_scores_equal_random_stage_scores(self, n, c0, w_case):
+        # a sweep scores c +- step e_j from the products of c and of the
+        # frame axes, the random stage the same normalized coordinates by one
+        # product each: the two agree, and both are the bracket of
+        # regularity_terms; W is empty, partial (empty at n = 1, where
+        # |a_i^* z| = ||a_i||) or every row (c0 alpha >= 1)
+        m, alpha = 4 * n + 100, 20.0
+        ens = sample_sphere(n, m, 70 + n)
+        z = sample_unit_vector(n, 71 + n)
+        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
+        if w_case == "partial" and n > 1:
+            assert 0 < len(w_rows) < m
+        else:
+            assert len(w_rows) == (m if w_case == "all" else 0)
+        rows, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
+        k = 2 * n - 1
+        c = np.random.default_rng(n).standard_normal(k)
+        for start in (np.eye(k)[0], c / np.linalg.norm(c)):
+            for step in (0.25, 0.01, 1e-3):
+                C, f = moves(start, step)
+                R = start + step * np.kron(np.eye(k), [[1.0], [-1.0]])
+                assert np.array_equal(C, R / np.linalg.norm(R, axis=1, keepdims=True))
+                np.testing.assert_allclose(f, rows(C), rtol=1e-12, atol=0)
+                V = C @ frame.T
+                brackets = [regularity_terms(ens, z, v, c0, alpha)[3] for v in V[:, :n] + 1j * V[:, n:]]
+                np.testing.assert_allclose(f, brackets, rtol=1e-10, atol=0)
+
+    def test_bench_shaped_search_is_pinned(self):
+        # the benchmark's estimate_l instance at master seed 3000, with a
+        # smaller budget: n = 50 puts most rows in W, where the descent's
+        # sweeps do nearly all the work
+        ens = sample_sphere(50, 2000, derive_seed(3000, 1))
+        z = sample_unit_vector(50, derive_seed(3000, 2))
+        rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=256, seed=3000))
+        assert rep.evaluations == 27779
+        assert rep.L_estimate == pytest.approx(-22.44770756246052, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_exact_where_the_wedge_is_empty(self, n):
