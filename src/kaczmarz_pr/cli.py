@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 failed verification or a failed trial in ``run``,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,6 +20,7 @@ from .harness import (
     ConfigError,
     apply_settings,
     parse_config_file,
+    render_json,
     run_experiment,
     write_csv,
     write_summary_json,
@@ -129,12 +129,12 @@ def _cmd_estimate_l(args) -> int:
         report = estimate_L(ensemble, z, params)
     except ValueError as exc:  # an alpha whose terms overflow at this m
         raise ConfigError(str(exc)) from exc
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    text = render_json(report.to_dict())
     if cfg.output_path:
-        write_text(cfg.output_path, text + "\n")
+        write_text(cfg.output_path, text)
         print(f"wrote {cfg.output_path}")
     else:
-        print(text)
+        print(text, end="")
     return 0
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "fit_rate",
     "write_csv",
     "render_csv",
+    "render_json",
     "summary_dict",
     "write_summary_json",
     "write_text",
@@ -358,9 +359,14 @@ def summary_dict(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
     }
 
 
+def render_json(payload) -> str:
+    """The package's one JSON layout: indent 2, sorted keys, no NaN or
+    infinity, and a trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_summary_json(cfg: ExperimentConfig, records: list[TrialRecord], path) -> None:
-    text = json.dumps(summary_dict(cfg, records), indent=2, sort_keys=True, allow_nan=False)
-    write_text(path, text + "\n")
+    write_text(path, render_json(summary_dict(cfg, records)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ _EVAL_BYTES = 512 * 1024  # bytes held by each temporary of the search's scores
 # _EVAL_BYTES
 _FORM_BYTES = _EVAL_BYTES
 _DIR_CHUNK = 256
-_STEP0, _MIN_STEP, _MAX_SWEEPS = 0.25, 1e-3, 200  # _coordinate_refine's schedule
+_STEP0, _MIN_STEP, _MAX_SWEEPS = 0.25, 1e-3, 200  # estimate_L's descent schedule
 
 
 def dir_deriv_f(ensemble, y, x, v) -> float:
@@ -161,11 +161,11 @@ class RegularityReport:
     a unit vector with Im(z^* v) = 0.  The search visits finitely many
     directions of the phase-aligned unit sphere {v : ||v|| = 1,
     Im(z^* v) = 0}, so L_estimate is an UPPER bound on the true minimum
-    over that set (``upper_bound_on_sphere_min`` is always True).
-    L_lower = (n/m) lam[0] of ``_bracket_form`` is a LOWER bound on that
-    minimum, so L_lower <= L_estimate up to rounding; ``lower_is_exact``:
-    it is attained at the form's eigenvector (always so where the wedge is
-    empty), and the two agree up to rounding, either one the larger.
+    over that set.  L_lower = (n/m) lam[0] of ``_bracket_form`` is a LOWER
+    bound on that minimum, so L_lower <= L_estimate up to rounding;
+    ``lower_is_exact``: it is attained at the form's eigenvector (always so
+    where the wedge is empty), and the two agree up to rounding, either one
+    the larger.
     ``evaluations`` counts the directions evaluated, 1 + budget +
     2 (2n-1) per descent sweep; ``search_mode`` is always "random_refine".
     Both orientations of the 2 c0 alpha vs 1 constraint are recorded
@@ -186,7 +186,6 @@ class RegularityReport:
     evaluations: int
     constraint_2c0alpha_lt_1: bool
     constraint_2c0alpha_gt_1: bool
-    upper_bound_on_sphere_min: bool = True
 
     def to_dict(self) -> dict:
         """Every field, with ``params`` flattened into its four values and
@@ -345,24 +344,6 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     return rows, moves
 
 
-def _coordinate_refine(sweep, c: np.ndarray, f: float) -> None:
-    """Deterministic descent from unit frame coordinates c (value f): each
-    sweep scores the moves +-step along each frame axis through ``sweep``
-    ((c, step) -> (unit moves, values)) and moves to the lowest if it beats
-    f, else halves the step (``_STEP0`` down to ``_MIN_STEP``, at most
-    ``_MAX_SWEEPS`` sweeps); ``sweep`` keeps the best direction."""
-    step = _STEP0
-    for _ in range(_MAX_SWEEPS):
-        if step <= _MIN_STEP:
-            break
-        C, fc = sweep(c, step)
-        j = int(np.argmin(fc))
-        if fc[j] < f:
-            c, f = C[j], float(fc[j])
-        else:
-            step *= 0.5
-
-
 def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     """Search the phase-aligned unit sphere {v : ||v|| = 1, Im(z^* v) = 0}
     for the minimum of
@@ -377,52 +358,61 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     flat direction i z (where term1 vanishes and term2 does not) is left
     out.  A candidate is a nonzero c in R^{2n-1}; normalized, it gives
     v_R = frame c in ``_bracket_form``'s eigenframe, and every unit v of
-    the set is some such c.  Candidate 0 is e_0, the form's minimizer,
-    evaluated by ``regularity_terms``; seeded standard normal coordinates
-    follow, uniform on the set once normalized, then ``_coordinate_refine``
-    descends from e_0 along the frame axes, both scored by
-    ``_search_scorer``.  ``offer`` counts every candidate and keeps the
+    the set is some such c.  Candidate 0 is e_0, the form's minimizer;
+    seeded standard normal coordinates follow, uniform on the set once
+    normalized; then a deterministic descent from e_0 scores the moves
+    c +- step e_j along every frame axis, moves to the lowest where it is
+    strictly below c's value and else halves the step (``_STEP0`` down to
+    ``_MIN_STEP``, at most ``_MAX_SWEEPS`` sweeps).  ``_search_scorer``
+    scores every candidate, and ``offer`` counts each one and keeps the
     first lowest, so ``evaluations`` is exactly 1 + budget + 2 (2n-1) times
-    the sweeps run, and the report is ``regularity_terms`` at the lowest.
-    The stream draws only the rows the budget asks for, in order, so it is
-    prefix-stable in the budget; the anchor and its descent do not depend
-    on it, so a larger budget only adds directions and, up to rounding,
-    never raises the minimum found.  Where the eigenvector's wedge is all of W, always so
-    where the wedge is empty for every unit v (c0 alpha ||a_i|| <
-    |a_i^* z| for every row), the eigenvector is the minimizer and both
-    values are the constant.
+    the sweeps run; the report is ``regularity_terms`` at the lowest, its
+    only call.  The stream draws only the rows the budget asks for, in
+    order, so it is prefix-stable in the budget; the anchor and its
+    descent do not depend on it, so a larger budget only adds directions
+    and, up to rounding, never raises the minimum found.  Where the
+    wedge is empty for every unit v (c0 alpha ||a_i|| < |a_i^* z| for
+    every row), e_0 and its moves +-e_0 all score lam_0, so the descent
+    makes no move and only halves its step, 8 sweeps.  Where the
+    eigenvector's wedge is all of W, always so where the wedge is empty,
+    the eigenvector is the minimizer and both values are the constant.
     """
     n, m = ensemble.n, ensemble.m
     c0, alpha = params.c0, params.alpha
     lam, frame, w_rows = _bracket_form(ensemble, z, c0, alpha)
     rows, moves = _search_scorer(ensemble, z, lam, frame, w_rows, c0, alpha)
-
-    def direction(c):
-        v = frame @ c
-        return v[:n] + 1j * v[n:]
-
-    anchor = np.eye(2 * n - 1)[0]
-    v0 = direction(anchor)
-    anchor_f = regularity_terms(ensemble, z, v0, c0, alpha)[3]
+    v0 = frame[:n, 0] + 1j * frame[n:, 0]
     attained = np.array_equal(wedge(ensemble, z, v0, c0 * alpha), w_rows)
-    evaluations, best_c, best_f = 1, anchor, anchor_f
+    evaluations, best_c, best_f = 0, None, math.inf
 
     def offer(C, f):
+        """Count C, keep the first lowest so far; return C's lowest (c, f)."""
         nonlocal evaluations, best_c, best_f
         evaluations += len(C)
         j = int(np.argmin(f))
         if f[j] < best_f:
             best_c, best_f = C[j], float(f[j])
-        return C, f
+        return C[j], float(f[j])
 
+    anchor = np.eye(1, 2 * n - 1)
+    c, f = offer(anchor, rows(anchor))
     rng = np.random.default_rng(int(params.seed))
     for done in range(0, params.net_or_samples, _DIR_CHUNK):
         C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
         offer(C, rows(C))
-    _coordinate_refine(lambda c, step: offer(*moves(c, step)), anchor, anchor_f)
+    step = _STEP0
+    for _ in range(_MAX_SWEEPS):
+        if step <= _MIN_STEP:
+            break
+        c_move, f_move = offer(*moves(c, step))
+        if f_move < f:
+            c, f = c_move, f_move
+        else:
+            step *= 0.5
 
-    best_v = direction(best_c)
+    best_v = frame @ best_c
+    best_v = best_v[:n] + 1j * best_v[n:]
     term1, term2, term3, bracket = regularity_terms(ensemble, z, best_v, c0, alpha)
     flag = 2.0 * c0 * alpha
     return RegularityReport(

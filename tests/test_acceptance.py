@@ -148,7 +148,7 @@ def test_criterion_10_regularity_positivity():
             c0=c0, alpha=alpha, net_or_samples=2000, seed=derive_seed(MASTER, 1000, s)
         )
         rep = estimate_L(ens, z, params)
-        assert rep.upper_bound_on_sphere_min and rep.lower_is_exact
+        assert rep.lower_is_exact
         assert rep.term3 == 0.0
         # the search, anchored at the minimizer, agrees with it
         assert abs(rep.L_estimate - rep.L_lower) <= 1e-10 * max(1.0, abs(rep.L_lower))

@@ -125,15 +125,17 @@ def test_estimate_l_search_is_pinned(capsys):
 
 def test_estimate_l_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main([
+    flags = [
         "estimate-l", "--n", "8", "--m", "160", "--alpha", "600",
-        "--c0", "1e-6", "--budget", "256", "--seed", "2", "--out", str(out),
-    ])
-    assert code == 0
+        "--c0", "1e-6", "--budget", "256", "--seed", "2",
+    ]
+    assert main(flags + ["--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["search_mode"] == "random_refine"
-    assert payload["upper_bound_on_sphere_min"] is True
     capsys.readouterr()
+    # stdout carries the same bytes as the file
+    assert main(flags) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def _must_not_run(*args, **kwargs):

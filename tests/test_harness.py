@@ -72,8 +72,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "shape",
-        [dict(n=256, m=10240, max_iters=40 * 256), dict(n=16, m=50000)],
-        ids=["n256", "m50000"],
+        [dict(n=256, m=10240, max_iters=40 * 256), dict(n=16, m=50000), dict(n=50, m=2000)],
+        ids=["n256", "m50000", "m2000"],
     )
     def test_parallel_matches_serial_at_large_shapes(self, shape):
         # at n = 256 the covariance product's last bits depend on the BLAS

@@ -168,7 +168,6 @@ class TestEstimateL:
         assert abs(rep.L_estimate - recomputed) <= 1e-12 * max(1.0, abs(rep.L_estimate))
         t1, t2, t3, br = regularity_terms(ens, z, rep.argmin_direction, 1 / 80, 20.0)
         assert abs(br - (rep.term1 - rep.term2 - rep.term3)) <= 1e-9
-        assert rep.upper_bound_on_sphere_min
         assert rep.constraint_2c0alpha_lt_1 and not rep.constraint_2c0alpha_gt_1
 
     def test_degenerate_repeated_row_is_nonpositive(self):
@@ -238,43 +237,49 @@ class TestEstimateL:
             assert np.array_equal(np.concatenate(drawn), whole[:budget])
 
     def test_search_is_anchored_at_the_eigenvector(self, monkeypatch):
-        # candidate 0 and the descent's start are e_0 of the bracket form's
-        # eigenframe, whose direction is frame column 0, and every
-        # evaluated direction is counted once; here random candidates beat
+        # candidate 0, scored like every other, and the descent's start are
+        # e_0 of the bracket form's eigenframe, whose direction is frame
+        # column 0; each sweep scores 2 (2n-1) moves, and every evaluated
+        # direction is counted once; here random candidates beat
         # the eigenvector, so the best candidate is not where the descent
         # starts
         n = 5
         ens = sample_sphere(n, 120, 57)
         z = sample_unit_vector(n, 58)
         _, frame, _ = regularity._bracket_form(ens, z, 1 / 80, 20.0)
-        starts = []
-        refine = regularity._coordinate_refine
+        scored, sweeps = [], []
+        make = regularity._search_scorer
 
-        def spy(sweep, start, f0):
-            sweeps = []
+        def recording_scorer(*args):
+            rows, moves = make(*args)
 
-            def counted(c, step):
-                C, f = sweep(c, step)
-                sweeps.append(len(C))
+            def scored_rows(C):
+                scored.append((C.copy(), rows(C)))
+                return scored[-1][1]
+
+            def scored_moves(c, step):
+                C, f = moves(c, step)
+                sweeps.append((c.copy(), len(C)))
                 return C, f
 
-            refine(counted, start, f0)
-            starts.append((start, f0, sweeps))
+            return scored_rows, scored_moves
 
-        monkeypatch.setattr(regularity, "_coordinate_refine", spy)
+        monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=57))
-        (start, f0, sweeps), = starts
-        assert start.tolist() == np.eye(2 * n - 1)[0].tolist()
+        (anchor, (f0,)), *_ = scored
+        e0 = np.eye(2 * n - 1)[0]
+        assert anchor.tolist() == [e0.tolist()]
+        assert sweeps[0][0].tolist() == e0.tolist()
+        assert {size for _, size in sweeps} == {2 * (2 * n - 1)}
         v0 = frame[:n, 0] + 1j * frame[n:, 0]
-        assert f0 == regularity_terms(ens, z, v0, 1 / 80, 20.0)[3]
+        assert f0 == pytest.approx(regularity_terms(ens, z, v0, 1 / 80, 20.0)[3], rel=1e-12)
         assert rep.L_estimate < (n / 120) * f0
-        assert set(sweeps) == {2 * (2 * n - 1)}
         assert rep.evaluations == 1 + 300 + 2 * (2 * n - 1) * len(sweeps)
 
     def test_reports_the_lowest_candidate_evaluated(self, monkeypatch):
-        # the anchor is evaluated by regularity_terms, the random chunks and
-        # the descent's sweeps by the search's scorer; every candidate is
-        # counted once, and the report is recomputed once, on the lowest
+        # the anchor, the random chunks and the descent's sweeps are all
+        # scored by the search's scorer; every candidate is counted once,
+        # and regularity_terms runs once, on the lowest
         ens = sample_sphere(5, 120, 61)
         z = sample_unit_vector(5, 62)
         scores, brackets = [], []
@@ -302,9 +307,9 @@ class TestEstimateL:
         monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
         monkeypatch.setattr(regularity, "regularity_terms", recording_terms)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=63))
-        anchor, reported = brackets
-        assert 1 + sum(map(len, scores)) == rep.evaluations
-        lowest = min(anchor, min(f.min() for f in scores))
+        reported, = brackets
+        assert sum(map(len, scores)) == rep.evaluations
+        lowest = min(f.min() for f in scores)
         assert reported == pytest.approx(lowest, rel=1e-12)
         assert rep.L_estimate == (5 / 120) * reported
 
@@ -361,6 +366,20 @@ class TestEstimateL:
         assert rep.term3 == 0.0
         assert_lower_bound(rep)
         assert_phase_aligned(rep, z)
+        # e_0 and its moves +-e_0 all score lam_0, so the descent never
+        # moves and runs the schedule's 8 halvings
+        assert rep.evaluations == 1 + 512 + 16 * (2 * n - 1)
+
+    def test_descent_does_not_move_onto_the_anchor(self):
+        # with W empty the anchor and its moves +-e_0 are scored alike, so
+        # no sweep is spent moving from e_0 onto e_0
+        n = 8
+        ens = sample_sphere(n, 320, derive_seed(702, 1))
+        z = sample_unit_vector(n, derive_seed(702, 2))
+        c0, alpha = 1e-6, 20.0
+        assert c0 * alpha < np.min(np.abs(ens.vectors.conj() @ z))
+        rep = estimate_L(ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=64, seed=2))
+        assert rep.evaluations == 1 + 64 + 16 * (2 * n - 1) == 305
 
     @pytest.mark.parametrize("c0", [1e-6, 1 / 80])
     def test_bracket_form_does_not_depend_on_row_blocks(self, monkeypatch, c0):
