@@ -40,6 +40,7 @@ from .sensing import (
     SensingEnsemble,
     measure,
     objective_f,
+    objective_rows,
     sample_block_unitary,
     sample_sphere,
     sample_unit_vector,
@@ -75,6 +76,7 @@ __all__ = [
     "spectral_init",
     "truncated_covariance",
     "objective_f",
+    "objective_rows",
     "dir_deriv_f",
     "second_dir_deriv_fi",
     "second_dir_deriv_at_signal",

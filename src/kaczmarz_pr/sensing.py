@@ -29,17 +29,24 @@ __all__ = [
     "row_magnitudes",
     "measure",
     "objective_f",
+    "objective_rows",
 ]
 
 MODEL_SPHERE = "sphere"
 MODEL_UNITARY = "unitary"
 
+# bytes of iterates or of (rows, iterates) products that one block of work
+# holds: ``objective_rows``' chunks and ``solver.solve``'s blocks
+_BLOCK_BYTES = 256 * 1024
+
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    # real block first, then imaginary block: fixed draw order for replay
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return re + 1j * im
+    # real block first, then imaginary block: fixed draw order for replay;
+    # written into one complex array, with the bits of re + 1j * im
+    g = np.empty(shape, dtype=complex)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    return g
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -92,7 +99,9 @@ def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(int(seed))
     g = _complex_normal(rng, (m, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    # numpy divides a complex by a real as a product with its reciprocal,
+    # so this scaling has the bits of g / ||g||
+    g *= 1.0 / np.linalg.norm(g, axis=1, keepdims=True)
     return SensingEnsemble(vectors=_freeze(g))
 
 
@@ -147,10 +156,36 @@ def measure(ensemble: SensingEnsemble, z) -> MeasurementSet:
 
 
 def objective_f(ensemble: SensingEnsemble, y: MeasurementSet, x) -> float:
-    """Mean squared magnitude residual (1/m) sum_i (|a_i^* x| - y_i)^2."""
+    """Mean squared magnitude residual (1/m) sum_i (|a_i^* x| - y_i)^2:
+    ``objective_rows`` on the one row x, whose bits are those of
+    ``np.mean`` of (|A conj(x)| - y)^2."""
+    return float(objective_rows(ensemble, y, np.asarray(x, dtype=complex)[None, :])[0])
+
+
+def objective_rows(ensemble: SensingEnsemble, y: MeasurementSet, X) -> np.ndarray:
+    """``objective_f`` for every row x of the (h, n) array X, as an (h,) array.
+
+    The ensemble is streamed in chunks of rows, each one (chunk, h) product
+    |A_chunk conj(X)^T| holding at most max(``_BLOCK_BYTES``, 16 m) bytes,
+    so h = 1 is one chunk: one GEMV and one pairwise sum, the bits of
+    ``np.mean``.  For h >= 2 the product is a GEMM and each column is summed
+    row by row, so a row's value depends on h in its last bits: the GEMM
+    rounds |a_i^* x| apart from the GEMV by about eps y_i near the signal,
+    which moves f by about 2 eps sqrt(f) rms(y) (Cauchy-Schwarz).  That
+    term stays in the result where |a_i^* x| - y_i cancels.
+    """
     values = y.of(ensemble)
-    r = row_magnitudes(ensemble, x)
-    r -= values
-    r *= r
-    return float(np.mean(r))
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2 or X.shape[1] != ensemble.n:
+        raise ValueError(f"X shape {X.shape} is not (rows, n={ensemble.n})")
+    m, h = ensemble.m, X.shape[0]
+    Xc = np.conj(X).T
+    chunk = max(1, max(_BLOCK_BYTES, 16 * m) // (16 * max(h, 1)))
+    total = np.zeros(h)
+    for start in range(0, m, chunk):
+        r = np.abs(ensemble.vectors[start : start + chunk] @ Xc)
+        r -= values[start : start + chunk, None]
+        r *= r
+        total += r.sum(axis=0)
+    return total / m
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import aligned2_rows, dist_phase_aligned
-from .sensing import objective_f
+from .sensing import _BLOCK_BYTES, objective_f, objective_rows
 
 __all__ = [
     "SolverConfig",
@@ -23,10 +23,6 @@ __all__ = [
     "step",
     "solve",
 ]
-
-# solve's blocks hold at most this many bytes of iterates, so a large
-# history_stride does not allocate stride * n
-_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -138,20 +134,31 @@ def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
 def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     """Iterate ``step`` until ``cfg.converged`` holds or max_iters is reached.
 
-    The residual is evaluated at history samples (O(mn)): every stride and
-    at the last iteration, so the final state is the last history entry.
-    Rows are drawn a block at a time, which gives the same indices as one
-    ``rng.integers(m)`` per step, so the iterates are those of ``step``.  A
-    block never crosses a stride boundary and holds at most ``_BLOCK_BYTES``
-    of iterates.  ||a_i||^2 is computed at a row's first draw and cached.
+    History samples are taken every stride and at the last iteration, so
+    the final state is the last history entry.  Rows are drawn a block at a
+    time, which gives the same indices as one ``rng.integers(m)`` per step,
+    so the iterates are those of ``step``.  A block never crosses a stride
+    boundary and holds at most ``_BLOCK_BYTES`` of iterates.  ||a_i||^2 is
+    computed at a row's first draw and cached.
 
     The step loop writes each iterate into the block's (block, n) buffer.
     In aligned-error mode ``aligned2_rows`` then gives the aligned error of
     every row at once, in O(n) per step, and the first row that passes
     ``cfg.converged`` is the stop.  Each row's value has the bits
     ``dist_phase_aligned`` gives for that iterate alone, so the stopping k
-    is the one an exact test on every iteration gives.  Measurements of
-    another ensemble raise ``ValueError`` (``MeasurementSet.of``).
+    is the one an exact test on every iteration gives, and a sample takes
+    its aligned error from its block (only the k = 0 sample calls
+    ``dist_phase_aligned``).  Nothing reads the residual f before the run
+    ends, so a sample copies its iterate into a pending buffer of
+    ``_BLOCK_BYTES`` // 16n rows, and one ``objective_rows`` call computes
+    the residuals of the buffer when it is full and at the end: for h
+    samples, ceil(h 16n / ``_BLOCK_BYTES``) passes over the ensemble, and
+    ``history`` is complete when ``solve`` returns.  A residual's last bits
+    depend on how many samples share its call (see ``objective_rows``).  In
+    residual mode f decides the stop, so each sample computes it with
+    ``objective_f`` (and the errors with ``dist_phase_aligned`` when z is
+    given).  Measurements of another ensemble raise ``ValueError``
+    (``MeasurementSet.of``).
     """
     values = y.of(ensemble)
     x0 = np.asarray(x0, dtype=complex)
@@ -167,19 +174,36 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
         rng=np.random.default_rng(int(cfg.seed)),
     )
     nz = float(np.linalg.norm(z)) if z is not None else math.nan
-
-    def sample():
-        raw, aligned = dist_phase_aligned(state.x, z) if z is not None else (math.nan, math.nan)
-        res = objective_f(ensemble, y, state.x)
-        state.history.append((state.k, raw, aligned, res))
-        return aligned, res
-
     rows, tau, n = ensemble.vectors, cfg.zero_threshold, ensemble.n
+    cap = max(1, _BLOCK_BYTES // (16 * n))  # rows of a block, and of the pending buffer
+    pending = np.empty((cap, n), dtype=complex) if experiment else None
+    marks = []  # (k, raw, aligned) of pending's rows
+
+    def flush():
+        res = objective_rows(ensemble, y, pending[: len(marks)])
+        state.history.extend((*mark, float(r)) for mark, r in zip(marks, res))
+        marks.clear()
+
+    def sample(aligned):
+        """Record the history entry at state.k, given its aligned error in
+        aligned-error mode; returns (aligned, residual), the residual NaN
+        while it waits in ``pending``."""
+        if not experiment:
+            raw, aligned = dist_phase_aligned(state.x, z) if z is not None else (math.nan, math.nan)
+            res = objective_f(ensemble, y, state.x)
+            state.history.append((state.k, raw, aligned, res))
+            return aligned, res
+        pending[len(marks)] = state.x
+        marks.append((state.k, float(np.linalg.norm(state.x - z)), aligned))
+        if len(marks) == cap:
+            flush()
+        return aligned, math.nan
+
     norms = {}  # row index -> ||a_i||^2, computed at the row's first draw
     x, k = state.x, 0
-    aligned, res = sample()
+    aligned, res = sample(dist_phase_aligned(x, z).aligned if experiment else math.nan)
     while not cfg.converged(aligned, res, nz) and k < cfg.max_iters:
-        size = min(stride - k % stride, max(1, _BLOCK_BYTES // (16 * n)), cfg.max_iters - k)
+        size = min(stride - k % stride, cap, cfg.max_iters - k)
         block = state.rng.integers(ensemble.m, size=size)
         X = np.empty((size, n), dtype=complex)
         for i, yi, out in zip(block.tolist(), values[block].tolist(), X):
@@ -192,12 +216,13 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
         if experiment:
             errors = np.sqrt(aligned2_rows(X, z))
             stops = np.flatnonzero(cfg.converged(errors, res, nz))
-            if stops.size:
-                j = int(stops[0])
-                x, k, aligned = X[j], k0 + j + 1, errors[j]
+            j = int(stops[0]) if stops.size else size - 1
+            x, k, aligned = X[j], k0 + j + 1, float(errors[j])
         state.x, state.k = x, k
         if k % stride == 0:
-            aligned, res = sample()
-    if state.history[-1][0] != state.k:
-        sample()
+            aligned, res = sample(aligned)
+    if state.k % stride:
+        sample(aligned)
+    if marks:
+        flush()
     return state

@@ -7,7 +7,7 @@ from kaczmarz_pr import (
     sample_sphere,
     sample_unit_vector,
 )
-from kaczmarz_pr.sensing import objective_f, row_products
+from kaczmarz_pr.sensing import _BLOCK_BYTES, objective_f, objective_rows, row_products
 
 
 class TestSphereSampler:
@@ -34,6 +34,18 @@ class TestSphereSampler:
         w = sample_unit_vector(n, 14)
         mean_sq = float(np.mean(np.abs(ens.vectors.conj() @ w) ** 2))
         assert abs(mean_sq - 1.0 / n) <= 0.05 / n
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 50])
+    def test_bytes_of_the_two_block_formula(self, n):
+        # the normal blocks go straight into one complex array and are
+        # scaled by the reciprocal norm; the bytes are those of re + 1j*im
+        # divided by its row norms
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            re, im = rng.standard_normal((500, n)), rng.standard_normal((500, n))
+            g = re + 1j * im
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            assert sample_sphere(n, 500, seed).vectors.tobytes() == g.tobytes()
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -137,3 +149,56 @@ class TestRowMagnitudes:
         np.testing.assert_array_equal(y.values, np.abs(row_products(ens, z)))
         r = np.abs(row_products(ens, x)) - y.values
         assert objective_f(ens, y, x) == float(np.mean(r * r))
+
+
+def assert_within_rounding(rows, f, values):
+    """|row value - f| <= 4 eps sqrt(f) rms(y), the rounding a GEMM owes
+    near the signal (see ``objective_rows``); the largest ratio to
+    eps sqrt(f) rms(y) measured was 0.82."""
+    bound = 4 * np.finfo(float).eps * np.sqrt(f) * np.sqrt(np.mean(values**2))
+    assert np.all(np.abs(rows - f) <= bound)
+
+
+class TestObjectiveRows:
+    @pytest.mark.parametrize("m", [2000, 50_000])
+    def test_one_row_is_objective_f(self, m):
+        # 16 m bytes below and above _BLOCK_BYTES: one row is one chunk
+        # either way, so objective_f's bits are those of this one row
+        assert 16 * 2000 < _BLOCK_BYTES < 16 * 50_000
+        ens = sample_sphere(16, m, 31)
+        z = sample_unit_vector(16, 32)
+        y = measure(ens, z)
+        for t in range(4):
+            x = z + 10.0 ** (-5 * t) * sample_unit_vector(16, 33 + t)
+            assert objective_f(ens, y, x) == objective_rows(ens, y, x[None])[0]
+
+    @pytest.mark.parametrize(
+        "shape", [("sphere", 12, 150), ("unitary", 12, 144), ("sphere", 16, 50_000)]
+    )
+    @pytest.mark.parametrize("h", [1, 7, 200])
+    def test_rows_match_objective_f(self, shape, h):
+        # iterates at distances 1e-16 to 0.5 from the signal's phase orbit;
+        # at h = 200 and m = 50,000 the ensemble is streamed in 250-row chunks
+        model, n, m = shape
+        ens = sample_sphere(n, m, 41) if model == "sphere" else sample_block_unitary(n, m // n, 41)
+        z = sample_unit_vector(n, 42)
+        y = measure(ens, z)
+        rng = np.random.default_rng(43)
+        X = np.array([
+            z * np.exp(1j * rng.uniform(0, 2 * np.pi)) + d * sample_unit_vector(n, rng)
+            for d in 10.0 ** rng.uniform(-16, np.log10(0.5), h)
+        ])
+        f = np.array([objective_f(ens, y, x) for x in X])
+        rows = objective_rows(ens, y, X)
+        assert rows.shape == (h,)
+        assert_within_rounding(rows, f, y.values)
+        if h == 1:
+            assert rows[0] == f[0]
+
+    def test_shape_must_match_ensemble(self):
+        ens = sample_sphere(3, 10, 0)
+        y = measure(ens, sample_unit_vector(3, 1))
+        assert objective_rows(ens, y, np.zeros((0, 3))).shape == (0,)
+        for X in (np.zeros(3), np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="not \\(rows, n=3\\)"):
+                objective_rows(ens, y, X)

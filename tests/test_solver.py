@@ -23,7 +23,7 @@ from kaczmarz_pr import solver
 from kaczmarz_pr.core import aligned2_rows
 from kaczmarz_pr.harness import ExperimentConfig, run_experiment
 from kaczmarz_pr.regularity import dir_deriv_f
-from kaczmarz_pr.sensing import objective_f
+from kaczmarz_pr.sensing import objective_f, objective_rows
 from kaczmarz_pr.solver import project_magnitude
 from kaczmarz_pr.verify import check_contraction_identity
 
@@ -297,28 +297,62 @@ class TestStoppingRule:
 def exact_replay(ens, y, x0, cfg, z=None):
     """solve as a plain loop: ``step`` and, in aligned-error mode, the exact
     stopping test on every iteration; a history sample every stride and at
-    the last iteration."""
+    the last iteration.  A residual-mode sample computes its residual with
+    ``objective_f``.  In aligned-error mode the residual column is
+    ``objective_rows`` over the sampled iterates, in groups of the rows that
+    ``solver._BLOCK_BYTES`` holds, as solve's pending buffer groups them: a
+    residual's last bits depend on how many rows share its product."""
     stride = cfg.history_stride if cfg.history_stride is not None else ens.n
     state = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(cfg.seed))
     nz = float(np.linalg.norm(z)) if z is not None else math.nan
+    experiment = cfg.tol_aligned_rel is not None
+    sampled = []
 
     def sample():
         d = dist_phase_aligned(state.x, z) if z is not None else None
         raw, aligned = (d.raw, d.aligned) if d is not None else (math.nan, math.nan)
-        res = objective_f(ens, y, state.x)
+        res = math.nan if experiment else objective_f(ens, y, state.x)
         state.history.append((state.k, raw, aligned, res))
+        sampled.append(state.x)
         return aligned, res
 
     aligned, res = sample()
     while not cfg.converged(aligned, res, nz) and state.k < cfg.max_iters:
         step(state, ens, y, cfg)
-        if cfg.tol_aligned_rel is not None:
+        if experiment:
             aligned = dist_phase_aligned(state.x, z).aligned
         if state.k % stride == 0:
             aligned, res = sample()
     if state.history[-1][0] != state.k:
         sample()
+    if experiment:
+        group = max(1, solver._BLOCK_BYTES // (16 * ens.n))
+        res = np.concatenate(
+            [objective_rows(ens, y, sampled[i : i + group]) for i in range(0, len(sampled), group)]
+        )
+        state.history = [(*h[:3], float(r)) for h, r in zip(state.history, res)]
     return state
+
+
+def iterates_at(ens, y, x0, cfg, ks):
+    """The ``step`` iterates at the increasing iteration counts ks."""
+    state = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(cfg.seed))
+    iterates = []
+    for k in ks:
+        while state.k < k:
+            step(state, ens, y, cfg)
+        iterates.append(state.x)
+    return iterates
+
+
+def assert_within_rounding(residuals, f, values):
+    """|residual - f| <= 4 eps sqrt(f) rms(y).  A GEMM rounds |a_i^* x|
+    apart from a GEMV by about eps y_i near the signal, which moves f by
+    about 2 eps sqrt(f) rms(y) (Cauchy-Schwarz); the sum's rounding is
+    smaller there.  The largest ratio to eps sqrt(f) rms(y) measured was
+    0.82, on iterates within 0.5 ||z|| of the signal's phase orbit."""
+    bound = 4 * np.finfo(float).eps * np.sqrt(f) * np.sqrt(np.mean(values**2))
+    assert np.all(np.abs(np.asarray(residuals) - f) <= bound)
 
 
 class TestScreenedStoppingTest:
@@ -437,22 +471,67 @@ class TestScreenedStoppingTest:
     def test_non_finite_error_never_stops_a_run(self, monkeypatch, value):
         # a NaN entry gives its row a NaN error, and neither NaN nor inf is
         # within a tolerance: with every block's errors replaced by one of
-        # them, only the history samples, every 7 steps, can stop the run
+        # them, and the samples taking their errors from the blocks, the run
+        # ends at max_iters, past the step where the exact test stops it
         ens, y, x0, z = self.instance("sphere", 250)
         X = np.ones((3, 12), dtype=complex)
         X[1, 4] = math.nan
         assert np.isnan(aligned2_rows(X, z)).tolist() == [False, True, False]
         cfg = SolverConfig(max_iters=20_000, tol_aligned_rel=1e-8, seed=5, history_stride=7)
         assert not cfg.converged(np.array([math.nan, math.inf]), math.nan, 1.0).any()
-        sampled = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(cfg.seed))
-        while dist_phase_aligned(sampled.x, z).aligned > 1e-8 * float(np.linalg.norm(z)):
-            for _ in range(7):
-                step(sampled, ens, y, cfg)
+        stepped = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(cfg.seed))
+        for _ in range(cfg.max_iters):
+            step(stepped, ens, y, cfg)
         monkeypatch.setattr(solver, "aligned2_rows", lambda X, z: np.full(len(X), value))
         state = solve(ens, y, x0, cfg, z=z)
-        assert exact_replay(ens, y, x0, cfg, z).k < state.k == sampled.k < cfg.max_iters
-        assert np.array_equal(state.x, sampled.x)
-        assert [h[0] for h in state.history] == list(range(0, state.k + 1, 7))
+        assert exact_replay(ens, y, x0, cfg, z).k < state.k == cfg.max_iters
+        assert np.array_equal(state.x, stepped.x)
+        ks = [h[0] for h in state.history]
+        assert ks == list(range(0, cfg.max_iters, 7)) + [cfg.max_iters]
+        aligned = np.array([h[2] for h in state.history])
+        assert aligned[0] == dist_phase_aligned(x0, z).aligned
+        np.testing.assert_array_equal(aligned[1:], value)
+
+    @pytest.mark.parametrize("model", ["sphere", "unitary"])
+    @pytest.mark.parametrize("stride", [1, 7, None])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-15])
+    def test_aligned_mode_residuals_match_objective_f(self, model, stride, tol):
+        # an aligned-mode residual comes from one objective_rows call over a
+        # group of samples; it must be objective_f of its own iterate up to
+        # the GEMM's rounding, also at converged samples, where
+        # |a_i^* x| - y_i cancels
+        for seed in range(0, 50, 10):
+            ens, y, x0, z = self.instance(model, 200 + seed)
+            cfg = SolverConfig(
+                max_iters=20_000, tol_aligned_rel=tol, seed=seed, history_stride=stride
+            )
+            state = solve(ens, y, x0, cfg, z=z)
+            assert state.k < cfg.max_iters
+            ks = [h[0] for h in state.history]
+            f = np.array([objective_f(ens, y, x) for x in iterates_at(ens, y, x0, cfg, ks)])
+            assert_within_rounding([h[3] for h in state.history], f, y.values)
+
+    @pytest.mark.parametrize("rows_held", [1, 3, 100])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_split_flushes_match_one_flush(self, monkeypatch, rows_held, stride):
+        # a byte budget of 1, 3 or 100 iterates at n = 12 computes the
+        # residuals in groups of that many samples (1 is objective_f's own
+        # GEMV); that moves their last bits, not what else is recorded
+        runs = [self.instance("sphere", 600 + seed) for seed in range(3)]
+        cfgs = [
+            SolverConfig(max_iters=1200, tol_aligned_rel=1e-13, seed=seed, history_stride=stride)
+            for seed in range(3)
+        ]
+        whole = [solve(ens, y, x0, cfg, z=z) for (ens, y, x0, z), cfg in zip(runs, cfgs)]
+        held = solver._BLOCK_BYTES // (16 * 12)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", rows_held * 16 * 12)
+        for (ens, y, x0, z), cfg, one in zip(runs, cfgs, whole):
+            split = solve(ens, y, x0, cfg, z=z)
+            assert len(one.history) <= held  # one flush
+            assert split.k == one.k and np.array_equal(split.x, one.x)
+            H, W = np.array(split.history), np.array(one.history)
+            np.testing.assert_array_equal(H[:, :3], W[:, :3])
+            assert_within_rounding(H[:, 3], W[:, 3], y.values)
 
     def test_block_row_draws_equal_scalar_draws(self):
         # solve's rows are rng.integers(m, size=...) blocks; step draws
@@ -464,24 +543,34 @@ class TestScreenedStoppingTest:
             assert drawn == [int(scalars.integers(m)) for _ in drawn]
             assert blocks.bit_generator.state == scalars.bit_generator.state
 
-    def test_exact_distance_runs_once_per_history_sample(self, monkeypatch):
+    def test_exact_distance_runs_once_per_solve(self, monkeypatch):
         ens = sample_sphere(50, 2000, 500)
         z = sample_unit_vector(50, 501)
         y = measure(ens, z)
         x0 = spectral_init(ens, y, SpectralConfig(seed=502))
-        cfg = SolverConfig(max_iters=200 * 50, tol_aligned_rel=1e-8, seed=503)
+        cfg = SolverConfig(max_iters=200 * 50, tol_aligned_rel=1e-8, seed=503, history_stride=1)
         replay = exact_replay(ens, y, x0, cfg, z)
-        calls = []
+        calls, products = [], []
 
         def counted(x, signal):
             calls.append(1)
             return dist_phase_aligned(x, signal)
 
+        def counted_rows(ensemble, y, X):
+            products.append(len(X))
+            return objective_rows(ensemble, y, X)
+
         monkeypatch.setattr(solver, "dist_phase_aligned", counted)
+        monkeypatch.setattr(solver, "objective_rows", counted_rows)
+        monkeypatch.setattr(solver, "objective_f", None)
         state = solve(ens, y, x0, cfg, z=z)
         assert state.k == replay.k < cfg.max_iters
-        # the block's own errors decide every stop; only samples call it
-        assert len(calls) == len(state.history)
+        # the block's own errors decide every stop and give every later
+        # sample its aligned error; only the k = 0 sample calls it, and the
+        # residuals take ceil(h 16n / _BLOCK_BYTES) products
+        h, held = len(state.history), solver._BLOCK_BYTES // (16 * 50)
+        assert len(calls) == 1
+        assert h > held and products == [held] * (h // held) + [h % held] * (h % held > 0)
 
 
 class TestContractionIdentity:
