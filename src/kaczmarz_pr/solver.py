@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import aligned2_rows, dist_phase_aligned
-from .sensing import _BLOCK_BYTES, objective_f, objective_rows
+from .core import aligned2_rows
+from .sensing import _BLOCK_BYTES, objective_rows
 
 __all__ = [
     "SolverConfig",
@@ -141,23 +141,19 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     boundary and holds at most ``_BLOCK_BYTES`` of iterates.  ||a_i||^2 is
     computed at a row's first draw and cached.
 
-    The step loop writes each iterate into the block's (block, n) buffer.
-    In aligned-error mode ``aligned2_rows`` then gives the aligned error of
-    every row at once, in O(n) per step, and the first row that passes
-    ``cfg.converged`` is the stop.  Each row's value has the bits
-    ``dist_phase_aligned`` gives for that iterate alone, so the stopping k
-    is the one an exact test on every iteration gives, and a sample takes
-    its aligned error from its block (only the k = 0 sample calls
-    ``dist_phase_aligned``).  Nothing reads the residual f before the run
-    ends, so a sample copies its iterate into a pending buffer of
-    ``_BLOCK_BYTES`` // 16n rows, and one ``objective_rows`` call computes
-    the residuals of the buffer when it is full and at the end: for h
-    samples, ceil(h 16n / ``_BLOCK_BYTES``) passes over the ensemble, and
-    ``history`` is complete when ``solve`` returns.  A residual's last bits
-    depend on how many samples share its call (see ``objective_rows``).  In
-    residual mode f decides the stop, so each sample computes it with
-    ``objective_f`` (and the errors with ``dist_phase_aligned`` when z is
-    given).  Measurements of another ensemble raise ``ValueError``
+    The step loop writes each iterate into the block's (block, n) buffer,
+    and ``aligned2_rows`` gives the aligned errors of its rows at once (NaN
+    without z), each with the bits ``dist_phase_aligned`` gives for that
+    iterate alone.  In aligned-error mode every row is tested and the
+    first that passes ``cfg.converged`` is the stop, the exact k; in
+    residual mode a run stops only at a sample, which ends its block, so
+    only the last row is computed.  A sample takes its aligned error from
+    its block (at k = 0, from x0) and copies its iterate into a pending
+    buffer, whose residuals one ``objective_rows`` call computes when it
+    is full and at the end.  It holds ``_BLOCK_BYTES`` // 16n rows, or one
+    when f decides the stop, which gives ``objective_f``'s bits; a shared
+    call moves a residual's last bits (see ``objective_rows``).
+    Measurements of another ensemble raise ``ValueError``
     (``MeasurementSet.of``).
     """
     values = y.of(ensemble)
@@ -167,6 +163,8 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     experiment = cfg.tol_aligned_rel is not None
     if experiment and z is None:
         raise ValueError("aligned-error stopping requires the true signal z")
+    if z is not None and np.shape(z) != x0.shape:
+        raise ValueError(f"z dimension {np.shape(z)} does not match n={ensemble.n}")
 
     stride = cfg.history_stride if cfg.history_stride is not None else ensemble.n
     state = SolverState(
@@ -176,32 +174,32 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     nz = float(np.linalg.norm(z)) if z is not None else math.nan
     rows, tau, n = ensemble.vectors, cfg.zero_threshold, ensemble.n
     cap = max(1, _BLOCK_BYTES // (16 * n))  # rows of a block, and of the pending buffer
-    pending = np.empty((cap, n), dtype=complex) if experiment else None
+    # when f decides the stop, each sample's f is needed at once
+    pending = np.empty((cap if experiment else 1, n), dtype=complex)
     marks = []  # (k, raw, aligned) of pending's rows
+
+    def errors(X):
+        """The aligned errors of X's rows; NaN without a signal."""
+        return np.sqrt(aligned2_rows(X, z)) if z is not None else np.full(len(X), math.nan)
 
     def flush():
         res = objective_rows(ensemble, y, pending[: len(marks)])
         state.history.extend((*mark, float(r)) for mark, r in zip(marks, res))
         marks.clear()
+        return float(res[-1])
 
     def sample(aligned):
-        """Record the history entry at state.k, given its aligned error in
-        aligned-error mode; returns (aligned, residual), the residual NaN
-        while it waits in ``pending``."""
-        if not experiment:
-            raw, aligned = dist_phase_aligned(state.x, z) if z is not None else (math.nan, math.nan)
-            res = objective_f(ensemble, y, state.x)
-            state.history.append((state.k, raw, aligned, res))
-            return aligned, res
+        """Record the history entry at state.k, given its aligned error;
+        returns its residual, NaN while it waits in ``pending``."""
+        raw = float(np.linalg.norm(state.x - z)) if z is not None else math.nan
         pending[len(marks)] = state.x
-        marks.append((state.k, float(np.linalg.norm(state.x - z)), aligned))
-        if len(marks) == cap:
-            flush()
-        return aligned, math.nan
+        marks.append((state.k, raw, aligned))
+        return flush() if len(marks) == len(pending) else math.nan
 
     norms = {}  # row index -> ||a_i||^2, computed at the row's first draw
     x, k = state.x, 0
-    aligned, res = sample(dist_phase_aligned(x, z).aligned if experiment else math.nan)
+    aligned = float(errors(x[None])[0])
+    res = sample(aligned)
     while not cfg.converged(aligned, res, nz) and k < cfg.max_iters:
         size = min(stride - k % stride, cap, cfg.max_iters - k)
         block = state.rng.integers(ensemble.m, size=size)
@@ -212,15 +210,16 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
             if na2 is None:
                 na2 = norms[i] = _norm2(a)
             x = np.subtract(x, _coefficient(np.vdot(a, x), na2, yi, tau) * a, out)
-        k0, k = k, k + size
-        if experiment:
-            errors = np.sqrt(aligned2_rows(X, z))
-            stops = np.flatnonzero(cfg.converged(errors, res, nz))
-            j = int(stops[0]) if stops.size else size - 1
-            x, k, aligned = X[j], k0 + j + 1, float(errors[j])
+        # in residual mode only the last row is tested, against the last
+        # sample's f, which failed the test, so the block runs to its end
+        first = 0 if experiment else size - 1
+        tested = errors(X[first:])
+        stops = np.flatnonzero(cfg.converged(tested, res, nz))
+        j = first + (int(stops[0]) if stops.size else len(tested) - 1)
+        x, k, aligned = X[j], k + j + 1, float(tested[j - first])
         state.x, state.k = x, k
         if k % stride == 0:
-            aligned, res = sample(aligned)
+            res = sample(aligned)
     if state.k % stride:
         sample(aligned)
     if marks:

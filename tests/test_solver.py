@@ -19,7 +19,7 @@ from kaczmarz_pr import (
     step,
     truncated_covariance,
 )
-from kaczmarz_pr import solver
+from kaczmarz_pr import core, sensing, solver
 from kaczmarz_pr.core import aligned2_rows
 from kaczmarz_pr.harness import ExperimentConfig, run_experiment
 from kaczmarz_pr.regularity import dir_deriv_f
@@ -202,6 +202,11 @@ class TestSolve:
             MeasurementSet(values=y.values[:-1], ensemble=ens)
         with pytest.raises(ValueError, match="x0 dimension"):
             solve(ens, y, sample_unit_vector(4, 86), cfg)
+        # in either mode; a one-entry z would broadcast against a block's rows
+        for run_cfg in (cfg, SolverConfig(max_iters=10, tol_aligned_rel=1e-8)):
+            for z in (sample_unit_vector(1, 86), sample_unit_vector(4, 86)):
+                with pytest.raises(ValueError, match="z dimension"):
+                    solve(ens, y, sample_unit_vector(3, 87), run_cfg, z=z)
 
     def test_measurements_must_match_ensemble(self):
         ens = sample_sphere(3, 9, 80)
@@ -445,14 +450,18 @@ class TestScreenedStoppingTest:
 
     @pytest.mark.parametrize("stride", [1, 7, None])
     def test_max_iters_cut_off_matches_exact_replay(self, stride):
+        # 45 steps ends a stride of 7 or 12 early, in aligned-error mode and
+        # in residual mode with and without a signal
+        modes = [({"tol_aligned_rel": 1e-13}, True), ({"tol_residual": 1e-24}, True),
+                 ({"tol_residual": 1e-24}, False)]
         for seed in range(5):
             ens, y, x0, z = self.instance("sphere", 300 + seed)
-            cfg = SolverConfig(
-                max_iters=45, tol_aligned_rel=1e-13, seed=seed, history_stride=stride
-            )
-            state = solve(ens, y, x0, cfg, z=z)
-            assert state.k == 45
-            self.assert_same_run(state, exact_replay(ens, y, x0, cfg, z))
+            for tol, with_signal in modes:
+                signal = z if with_signal else None
+                cfg = SolverConfig(max_iters=45, seed=seed, history_stride=stride, **tol)
+                state = solve(ens, y, x0, cfg, z=signal)
+                assert state.k == 45
+                self.assert_same_run(state, exact_replay(ens, y, x0, cfg, signal))
 
     @pytest.mark.parametrize("model", ["sphere", "unitary"])
     @pytest.mark.parametrize("stride", [1, 7, None])
@@ -471,8 +480,9 @@ class TestScreenedStoppingTest:
     def test_non_finite_error_never_stops_a_run(self, monkeypatch, value):
         # a NaN entry gives its row a NaN error, and neither NaN nor inf is
         # within a tolerance: with every block's errors replaced by one of
-        # them, and the samples taking their errors from the blocks, the run
-        # ends at max_iters, past the step where the exact test stops it
+        # them, and every sample, k = 0 too, taking its error from
+        # aligned2_rows, the run ends at max_iters, past the step where the
+        # exact test stops it
         ens, y, x0, z = self.instance("sphere", 250)
         X = np.ones((3, 12), dtype=complex)
         X[1, 4] = math.nan
@@ -488,9 +498,7 @@ class TestScreenedStoppingTest:
         assert np.array_equal(state.x, stepped.x)
         ks = [h[0] for h in state.history]
         assert ks == list(range(0, cfg.max_iters, 7)) + [cfg.max_iters]
-        aligned = np.array([h[2] for h in state.history])
-        assert aligned[0] == dist_phase_aligned(x0, z).aligned
-        np.testing.assert_array_equal(aligned[1:], value)
+        np.testing.assert_array_equal([h[2] for h in state.history], value)
 
     @pytest.mark.parametrize("model", ["sphere", "unitary"])
     @pytest.mark.parametrize("stride", [1, 7, None])
@@ -543,34 +551,40 @@ class TestScreenedStoppingTest:
             assert drawn == [int(scalars.integers(m)) for _ in drawn]
             assert blocks.bit_generator.state == scalars.bit_generator.state
 
-    def test_exact_distance_runs_once_per_solve(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["aligned", "residual", "blind"])
+    def test_no_dist_phase_aligned_or_objective_f_calls(self, monkeypatch, mode):
         ens = sample_sphere(50, 2000, 500)
         z = sample_unit_vector(50, 501)
         y = measure(ens, z)
         x0 = spectral_init(ens, y, SpectralConfig(seed=502))
-        cfg = SolverConfig(max_iters=200 * 50, tol_aligned_rel=1e-8, seed=503, history_stride=1)
-        replay = exact_replay(ens, y, x0, cfg, z)
-        calls, products = [], []
-
-        def counted(x, signal):
-            calls.append(1)
-            return dist_phase_aligned(x, signal)
+        tol = {"tol_aligned_rel": 1e-8} if mode == "aligned" else {"tol_residual": 1e-20}
+        cfg = SolverConfig(max_iters=200 * 50, seed=503, history_stride=1, **tol)
+        signal = None if mode == "blind" else z
+        replay = exact_replay(ens, y, x0, cfg, signal)
+        products = []
 
         def counted_rows(ensemble, y, X):
             products.append(len(X))
             return objective_rows(ensemble, y, X)
 
-        monkeypatch.setattr(solver, "dist_phase_aligned", counted)
+        # a call of either one-row helper, by any import, raises TypeError
+        for module, name in ((core, "dist_phase_aligned"), (sensing, "objective_f")):
+            monkeypatch.setattr(module, name, None)
+            monkeypatch.setattr(solver, name, None, raising=False)
         monkeypatch.setattr(solver, "objective_rows", counted_rows)
-        monkeypatch.setattr(solver, "objective_f", None)
-        state = solve(ens, y, x0, cfg, z=z)
+        state = solve(ens, y, x0, cfg, z=signal)
         assert state.k == replay.k < cfg.max_iters
-        # the block's own errors decide every stop and give every later
-        # sample its aligned error; only the k = 0 sample calls it, and the
-        # residuals take ceil(h 16n / _BLOCK_BYTES) products
+        # every sample takes its aligned error from aligned2_rows and its
+        # residual from objective_rows: aligned-error mode computes them in
+        # ceil(h 16n / _BLOCK_BYTES) products, residual mode in one one-row
+        # product per sample, which has objective_f's bits
         h, held = len(state.history), solver._BLOCK_BYTES // (16 * 50)
-        assert len(calls) == 1
-        assert h > held and products == [held] * (h // held) + [h % held] * (h % held > 0)
+        if mode == "aligned":
+            assert h > held
+            assert products == [held] * (h // held) + [h % held] * (h % held > 0)
+        else:
+            assert products == [1] * h
+        self.assert_same_run(state, replay)
 
 
 class TestContractionIdentity:
