@@ -160,10 +160,13 @@ def test_bracket_form_bounds_the_bracket(case):
         assert abs(bracket - form) <= slack
 
 
-# parts of magnitude 0 or 1e-50 to 10: no product in a projection
-# underflows, so its rounding is relative to the vectors' norms
+# parts of magnitude 0 or 1e-50 to 10, and magnitudes y of 0 or 1e-50 to
+# 100: no product or quotient in a projection underflows, so its rounding
+# is relative to the vectors' norms (a y near the smallest normal double
+# puts y / ||a||^2 among the subnormals, whose rounding is absolute)
 parts = st.one_of(st.just(0.0), st.floats(1e-50, 10.0), st.floats(-10.0, -1e-50))
 no_underflow_entries = st.builds(complex, parts, parts)
+no_underflow_magnitudes = st.one_of(st.just(0.0), st.floats(1e-50, 100.0))
 
 
 @st.composite
@@ -173,7 +176,7 @@ def projections(draw, max_n=8):
     x = draw(arrays(complex, n, elements=no_underflow_entries))
     a = draw(arrays(complex, n, elements=no_underflow_entries))
     assume(np.linalg.norm(a) >= 1e-3)
-    return x, a, draw(st.floats(0.0, 100.0))
+    return x, a, draw(no_underflow_magnitudes)
 
 
 def projection_slack(x, a, y, *points):
