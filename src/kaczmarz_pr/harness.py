@@ -165,9 +165,6 @@ class TrialRecord:
     init_aligned_error_normalized: float = math.nan
     iterations_run: int = 0
     converged: bool = False
-    final_aligned_error: float = math.nan
-    final_raw_error: float = math.nan
-    final_residual: float = math.nan
     epochs: list = field(default_factory=list)
     aligned_errors: list = field(default_factory=list)
     raw_errors: list = field(default_factory=list)
@@ -242,11 +239,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
             rec.aligned_errors.append(aligned)
             rec.residuals.append(res)
         rec.iterations_run = state.k
-        _, raw, aligned, res = state.history[-1]
-        rec.final_raw_error = raw
-        rec.final_aligned_error = aligned
-        rec.final_residual = res
-        rec.converged = sol_cfg.converged(aligned, res, nz)
+        rec.converged = sol_cfg.converged(rec.aligned_errors[-1], rec.residuals[-1], nz)
         rec.rho_hat = fit_rate(rec)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         rec.failed = True
@@ -309,19 +302,19 @@ def _fmt(value) -> str:
 
 def render_csv(records: list[TrialRecord]) -> str:
     """Fixed-schema CSV: one row per (trial, epoch sample), then one summary
-    row per trial repeating the final state (always the last row of the
-    trial's block).  Deterministic byte-for-byte given the records."""
+    row per trial that repeats its last sample row, the final state; a
+    trial without samples (a failed one) gets iterations_run / n and NaN
+    errors.  Deterministic byte-for-byte given the records."""
     lines = [",".join(_CSV_COLUMNS)]
     for rec in records:
         prefix = f"{rec.trial_id},{rec.seed},{rec.n},{rec.m},{rec.model}"
-        for ep, al, raw, res in zip(
-            rec.epochs, rec.aligned_errors, rec.raw_errors, rec.residuals
-        ):
-            lines.append(f"{prefix},{_fmt(ep)},{_fmt(al)},{_fmt(raw)},{_fmt(res)}")
-        lines.append(
-            f"{prefix},{_fmt(rec.iterations_run / rec.n)},{_fmt(rec.final_aligned_error)},"
-            f"{_fmt(rec.final_raw_error)},{_fmt(rec.final_residual)}"
-        )
+        rows = [
+            f"{prefix},{_fmt(ep)},{_fmt(al)},{_fmt(raw)},{_fmt(res)}"
+            for ep, al, raw, res in zip(
+                rec.epochs, rec.aligned_errors, rec.raw_errors, rec.residuals
+            )
+        ]
+        lines += rows + (rows[-1:] or [f"{prefix},{_fmt(rec.iterations_run / rec.n)},nan,nan,nan"])
     return "\n".join(lines) + "\n"
 
 

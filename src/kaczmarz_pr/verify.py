@@ -75,18 +75,19 @@ def check_inner_product_identities(seed):
 
 def check_aligned_distance(seed):
     rng = np.random.default_rng(derive_seed(*seed))
-    thetas = np.linspace(0.0, 2.0 * np.pi, 1_000_000, endpoint=False)
-    rot = np.exp(1j * thetas)
+    rot = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1_000_000, endpoint=False))
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 8))
         x = 1.3 * sensing.sample_unit_vector(n, rng)
         z = sensing.sample_unit_vector(n, rng)
         d = dist_phase_aligned(x, z)
-        # independent oracle: explicit minimization over the phase grid
-        grid = np.sqrt(
-            np.abs(x[None, :] - rot[:, None] * z[None, :]) ** 2 @ np.ones(n)
-        ).min()
+        # independent oracle: explicit minimization over the phase grid,
+        # summed one entry at a time so no (grid, n) array is built
+        d2 = np.zeros(len(rot))
+        for xj, zj in zip(x, z):
+            d2 += np.abs(xj - rot * zj) ** 2
+        grid = np.sqrt(d2.min())
         worst = max(worst, abs(d.aligned - grid))
         phase_inv = abs(
             dist_phase_aligned(np.exp(1j * rng.uniform(0, 2 * np.pi)) * x, z).aligned
@@ -99,11 +100,12 @@ def check_aligned_distance(seed):
 
 
 def check_phase_diff_bound(seed, trials):
+    """The phase-difference bound at ``trials`` (x, z) pairs, the two
+    columns of each block of complex normal draws."""
     rng = np.random.default_rng(derive_seed(*seed))
-    x = rng.standard_normal(trials) + 1j * rng.standard_normal(trials)
-    z = rng.standard_normal(trials) + 1j * rng.standard_normal(trials)
-    ok = phase_diff_bound_check(x, z)
-    bad = int(trials - np.count_nonzero(ok))
+    bad = 0
+    for XZ in _normal_blocks(rng, trials, 2):
+        bad += int(len(XZ) - np.count_nonzero(phase_diff_bound_check(XZ[:, 0], XZ[:, 1])))
     return CheckResult("phase_diff_bound", bad == 0, f"{bad} violations in {trials}")
 
 

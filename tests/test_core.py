@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kaczmarz_pr import dist_phase_aligned, inner, phase_diff_bound_check, sample_unit_vector
 from kaczmarz_pr.core import aligned2_rows
+from kaczmarz_pr.verify import check_aligned_distance, check_phase_diff_bound
 
 
 def e(k, n):
@@ -122,3 +125,26 @@ class TestPhaseDiffBound:
             phase_diff_bound_check(0.0 + 0j, 1.0 + 0j)
         with pytest.raises(ValueError):
             phase_diff_bound_check(1.0 + 0j, 0.0 + 0j)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestVerifyOracleMemory:
+    def test_phase_diff_bound_streams_its_draws(self):
+        # whole x and z arrays would take about 76 B per trial, 229 MB here
+        result, peak = _traced_peak(lambda: check_phase_diff_bound((7, 103), 3_000_000))
+        assert result.passed and result.detail == "0 violations in 3000000"
+        assert peak < 32e6
+
+    def test_aligned_distance_grid_is_summed_by_entry(self):
+        # a (1e6, n) complex grid would take 16n MB for each of its temporaries
+        result, peak = _traced_peak(lambda: check_aligned_distance((7, 102)))
+        assert result.passed and result.detail == "worst dev 1.86e-12"
+        assert peak < 100e6

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +148,29 @@ class TestCsvOutput:
         # last row of each trial block repeats the final state
         last = lines[-1].split(",")
         assert last[0] == "1"
-        assert float(last[6]) == recs[1].final_aligned_error
+        assert float(last[6]) == recs[1].aligned_errors[-1]
+
+    @pytest.mark.parametrize(
+        "settings, converged",
+        [
+            ({}, True),  # aligned stop
+            ({"max_iters": 999, "tol_aligned_rel": 0.0}, False),  # max_iters cut
+            ({"tol_aligned_rel": None, "tol_residual": 1e-20}, True),  # residual mode
+            ({"history_stride": 7}, True),
+            ({"model": "unitary", "m": None, "K": 20, "n": 12, "history_stride": 7}, True),
+        ],
+        ids=["aligned", "max_iters", "residual", "stride", "unitary"],
+    )
+    def test_summary_row_repeats_the_last_sample_row(self, settings, converged):
+        base = ExperimentConfig(n=6, model="sphere", m=90, num_trials=3, master_seed=9)
+        recs = run_experiment(replace(base, **settings), workers=1)
+        lines = render_csv(recs).splitlines()[1:]
+        for rec in recs:
+            block, lines = lines[: len(rec.epochs) + 1], lines[len(rec.epochs) + 1 :]
+            assert not rec.failed and rec.converged == converged
+            assert block[-1] == block[-2]  # byte for byte
+            assert rec.epochs[-1] == rec.iterations_run / rec.n
+        assert lines == []
 
     def test_epochs_do_not_depend_on_history_stride(self):
         for seed in (3, 4, 5):
@@ -213,7 +235,6 @@ class TestSummaryJson:
             raise ValueError(f"invalid JSON constant {name}")
 
         trial = json.loads(path.read_text(), parse_constant=reject)["trials"][0]
-        assert trial["final_aligned_error"] is None
         assert trial["init_aligned_error"] is None
         assert trial["failed"] is True
 
@@ -334,6 +355,11 @@ class TestConfigFile:
         out = apply_settings(Extended(n=4, m=16), {"sweep_width": "0.25", "m": "20"})
         assert (out.sweep_width, out.m) == (0.25, 20)
         assert apply_settings(out, {"sweep_width": "none"}).sweep_width is None
+
+    def test_readme_lists_exactly_the_trial_keys(self):
+        section = README.read_text().split("### JSON summary", 1)[1]
+        listed = re.search(r"Each trial has the\s+keys ([^.]*)\.", section).group(1)
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(TrialRecord)]
 
     def test_readme_lists_exactly_the_config_keys(self):
         section = README.read_text().split("### Config file format", 1)[1]
