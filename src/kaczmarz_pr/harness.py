@@ -19,7 +19,6 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import sensing
-from .core import dist_phase_aligned
 from .seeding import (
     ENSEMBLE_STREAM,
     SIGNAL_STREAM,
@@ -161,8 +160,6 @@ class TrialRecord:
     model: str
     failed: bool = False
     error: str = ""
-    init_aligned_error: float = math.nan
-    init_aligned_error_normalized: float = math.nan
     iterations_run: int = 0
     converged: bool = False
     epochs: list = field(default_factory=list)
@@ -172,8 +169,8 @@ class TrialRecord:
     rho_hat: float | None = None
 
     def to_dict(self) -> dict:
-        """Every field; non-finite floats (the unset errors of a failed
-        trial) become None, since JSON has no NaN."""
+        """Every field; a non-finite float becomes None, since JSON has no
+        NaN."""
         return {key: _json_value(value) for key, value in asdict(self).items()}
 
 
@@ -211,25 +208,13 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     RuntimeError, ArithmeticError) is captured in the record, never
     dropped; any other exception is a bug and propagates."""
     seed = derive_seed(cfg.master_seed, trial_id)
-    rec = TrialRecord(
-        trial_id=trial_id,
-        seed=seed,
-        n=cfg.n,
-        m=cfg.effective_m,
-        model=cfg.model,
-    )
+    rec = TrialRecord(trial_id=trial_id, seed=seed, n=cfg.n, m=cfg.effective_m, model=cfg.model)
     try:
         z = _signal_for_trial(cfg, trial_id)
         ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, trial_id, ENSEMBLE_STREAM))
         y = sensing.measure(ensemble, z)
         spec_cfg = cfg.spectral_config(derive_seed(cfg.master_seed, trial_id, SPECTRAL_STREAM))
         x0 = spectral_init(ensemble, y, spec_cfg)
-
-        nz = float(np.linalg.norm(z))
-        rec.init_aligned_error = dist_phase_aligned(x0, z).aligned
-        x0_normalized = x0 * (nz / float(np.linalg.norm(x0)))
-        rec.init_aligned_error_normalized = dist_phase_aligned(x0_normalized, z).aligned
-
         sol_cfg = cfg.solver_config(derive_seed(cfg.master_seed, trial_id, SOLVER_STREAM))
         state = solve(ensemble, y, x0, sol_cfg, z=z)
 
@@ -239,6 +224,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
             rec.aligned_errors.append(aligned)
             rec.residuals.append(res)
         rec.iterations_run = state.k
+        nz = float(np.linalg.norm(z))
         rec.converged = sol_cfg.converged(rec.aligned_errors[-1], rec.residuals[-1], nz)
         rec.rho_hat = fit_rate(rec)
     except (ValueError, RuntimeError, ArithmeticError) as exc:

@@ -49,6 +49,18 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return g
 
 
+def _normalize_rows(g: np.ndarray) -> np.ndarray:
+    """Scale the rows of the complex (rows, n) array g to unit norm in
+    place, ``_BLOCK_BYTES`` of rows at a time; returns g.  A row's bits are
+    those of row / ||row||: numpy divides a complex by a real as a product
+    with its reciprocal."""
+    rows = max(1, _BLOCK_BYTES // (16 * g.shape[1]))
+    for start in range(0, len(g), rows):
+        block = g[start : start + rows]
+        block *= 1.0 / np.linalg.norm(block, axis=1, keepdims=True)
+    return g
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -98,11 +110,7 @@ def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(int(seed))
-    g = _complex_normal(rng, (m, n))
-    # numpy divides a complex by a real as a product with its reciprocal,
-    # so this scaling has the bits of g / ||g||
-    g *= 1.0 / np.linalg.norm(g, axis=1, keepdims=True)
-    return SensingEnsemble(vectors=_freeze(g))
+    return SensingEnsemble(vectors=_freeze(_normalize_rows(_complex_normal(rng, (m, n)))))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -47,8 +47,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.zero_threshold <= 0.0:
-            raise ValueError("zero_threshold must be positive")
+        if not (math.isfinite(self.zero_threshold) and self.zero_threshold > 0.0):
+            raise ValueError("zero_threshold must be positive and finite")
         if self.row_rule != "uniform":
             raise ValueError(f"unknown row rule {self.row_rule!r}; only 'uniform' is supported")
         if (self.tol_aligned_rel is None) == (self.tol_residual is None):

@@ -2,14 +2,15 @@
 
 Builds the weighted covariance of the sensing vectors, with weights y_i^2
 and rows truncated at 3x the root-mean-square measurement level, and
-returns that level times the leading eigenvector.  Isotropic sensing
-models concentrate this matrix around a rank-one spike along the signal,
-so the leading eigenvector lands inside the solver's contraction basin
-once m/n is moderately large.
+returns its leading eigenvector scaled to sqrt(n) times that level, an
+estimate of ||z||.  Isotropic sensing models concentrate this matrix
+around a rank-one spike along the signal, so the start lands inside the
+solver's contraction basin once m/n is moderately large.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,10 @@ class SpectralConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.truncation_multiplier <= 0.0:
-            raise ValueError("truncation_multiplier must be positive")
-        if self.power_tol <= 0.0:
-            raise ValueError("power_tol must be positive")
+        if not (math.isfinite(self.truncation_multiplier) and self.truncation_multiplier > 0.0):
+            raise ValueError("truncation_multiplier must be positive and finite")
+        if not (math.isfinite(self.power_tol) and self.power_tol > 0.0):
+            raise ValueError("power_tol must be positive and finite")
         if self.power_iters_max < 1:
             raise ValueError("power_iters_max must be >= 1")
 
@@ -58,8 +59,9 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
 
 
 def spectral_init(ensemble, y, cfg: SpectralConfig) -> np.ndarray:
-    """Estimate of the signal: lam0 times the unit leading eigenvector of
-    the truncated covariance Y.
+    """Estimate of the signal z: sqrt(n) lam0 times the unit leading
+    eigenvector of the truncated covariance Y.  With unit-norm rows
+    E y^2 = ||z||^2 / n, and n mean y^2 = ||z||^2 for the unitary model.
 
     Power iteration from a seeded random start; terminates when the
     residual ||Y v - mu v|| drops below power_tol * mu and raises if the
@@ -87,4 +89,4 @@ def spectral_init(ensemble, y, cfg: SpectralConfig) -> np.ndarray:
 
     j = int(np.argmax(np.abs(v)))
     v = v * (np.conj(v[j]) / abs(v[j]))
-    return lam0 * v
+    return (math.sqrt(ensemble.n) * lam0) * v

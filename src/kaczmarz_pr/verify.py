@@ -286,7 +286,7 @@ def check_spectral_init(seed):
     Y, lam0 = truncated_covariance(ens, y, cfg.truncation_multiplier)
     herm = float(np.abs(Y - Y.conj().T).max())
     x0 = spectral_init(ens, y, cfg)
-    norm_dev = abs(float(np.linalg.norm(x0)) - lam0)
+    norm_dev = abs(float(np.linalg.norm(x0)) - np.sqrt(ens.n) * lam0)
     y2 = sensing.measure(ens, np.exp(0.7j) * z)
     x0b = spectral_init(ens, y2, cfg)
     equiv = float(np.linalg.norm(x0 - x0b))
@@ -384,7 +384,7 @@ def check_plane_curvature(seed, trials):
         rng = np.random.default_rng(derive_seed(*seed, k))
         total = 0.0
         for B in _normal_blocks(rng, trials, 2):
-            B /= np.linalg.norm(B, axis=1, keepdims=True)
+            sensing._normalize_rows(B)
             b1, b2 = B[:, 0], B[:, 1]
             x = np.conj(b1) * (ct * b1 + st * b2)
             total += float(np.sum(x.real**2 / np.abs(b1) ** 2))
@@ -408,7 +408,7 @@ def check_projection_mass(seed, trials):
         zc, vc = _orthonormal_pair(n, rng)
         hits = 0
         for A in _normal_blocks(rng, trials, n):
-            A /= np.linalg.norm(A, axis=1, keepdims=True)
+            sensing._normalize_rows(A)
             mass = np.abs(A @ zc) ** 2 + np.abs(A @ vc) ** 2
             hits += int(np.count_nonzero(mass >= 0.8 / n))
         worst = min(worst, hits / trials)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import golden
 from kaczmarz_pr import cli
 from kaczmarz_pr.cli import main
 from kaczmarz_pr.verify import CHECKS
@@ -257,3 +258,5 @@ def test_verify_small_budget_passes(capsys):
         "[PASS] projection_mass: min estimate 0.8126",
     ):
         assert line in out.splitlines()
+    # every line's bytes, against the golden manifest (see golden.py)
+    assert golden.digest(out) == golden.expected()[golden.VERIFY], "verify stdout changed"

@@ -5,7 +5,7 @@ import pytest
 
 from kaczmarz_pr import dist_phase_aligned, inner, phase_diff_bound_check, sample_unit_vector
 from kaczmarz_pr.core import aligned2_rows
-from kaczmarz_pr.verify import check_aligned_distance, check_phase_diff_bound
+from kaczmarz_pr.verify import check_aligned_distance, check_phase_diff_bound, check_projection_mass
 
 
 def e(k, n):
@@ -148,3 +148,10 @@ class TestVerifyOracleMemory:
         result, peak = _traced_peak(lambda: check_aligned_distance((7, 102)))
         assert result.passed and result.detail == "worst dev 1.86e-12"
         assert peak < 100e6
+
+    def test_projection_mass_normalizes_rows_in_blocks(self):
+        # the n=64 draw holds 20.5 MB of rows and a real block of half that;
+        # norms of the whole array added two more such blocks (42 MB peak)
+        result, peak = _traced_peak(lambda: check_projection_mass((7, 115), 20_000))
+        assert result.passed and result.detail == "min estimate 0.8158"
+        assert peak < 39e6

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaczmarz_pr import harness
+from kaczmarz_pr import dist_phase_aligned, harness, measure, spectral_init
 from kaczmarz_pr.harness import (
     ConfigError,
     ExperimentConfig,
@@ -22,7 +23,7 @@ from kaczmarz_pr.harness import (
     write_csv,
     write_summary_json,
 )
-from kaczmarz_pr.seeding import derive_seed
+from kaczmarz_pr.seeding import ENSEMBLE_STREAM, SPECTRAL_STREAM, derive_seed
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -128,11 +129,15 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="bug"):
             run_trial(cfg, 0)
 
-    def test_records_both_init_error_variants(self):
+    def test_first_sample_is_the_spectral_start(self):
         cfg = ExperimentConfig(n=12, model="sphere", m=600, num_trials=1, master_seed=3)
         rec = run_experiment(cfg, workers=1)[0]
-        assert rec.init_aligned_error > rec.init_aligned_error_normalized
-        assert 0.0 < rec.init_aligned_error_normalized < 1.0
+        z = harness._signal_for_trial(cfg, 0)
+        ens = cfg.sample_ensemble(derive_seed(3, 0, ENSEMBLE_STREAM))
+        x0 = spectral_init(ens, measure(ens, z), cfg.spectral_config(derive_seed(3, 0, SPECTRAL_STREAM)))
+        assert rec.epochs[0] == 0.0
+        assert rec.aligned_errors[0] == dist_phase_aligned(x0, z).aligned  # bit for bit
+        assert 0.0 < rec.aligned_errors[0] < 1.0
 
 
 class TestCsvOutput:
@@ -235,8 +240,9 @@ class TestSummaryJson:
             raise ValueError(f"invalid JSON constant {name}")
 
         trial = json.loads(path.read_text(), parse_constant=reject)["trials"][0]
-        assert trial["init_aligned_error"] is None
+        assert trial["rho_hat"] is None and trial["aligned_errors"] == []
         assert trial["failed"] is True
+        assert replace(rec, residuals=[math.nan]).to_dict()["residuals"] == [None]
 
     def test_config_block_reproduces_the_run(self, tmp_path):
         sig = tmp_path / "z.json"
@@ -338,6 +344,14 @@ class TestConfigFile:
         assert cfg.num_trials == 1  # applied to a copy
         with pytest.raises(ConfigError):
             apply_settings(cfg, {"trials": "0"})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["zero_threshold", "truncation_multiplier", "power_tol"])
+    def test_non_finite_setting_built_in_code_rejected(self, name, value):
+        # config files refuse these when read; a config built in code
+        # reaches the solver and initializer settings' own checks
+        with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+            ExperimentConfig(n=4, model="sphere", m=16, **{name: value}).validate()
 
     def test_none_unsets_optional_keys(self):
         cfg = ExperimentConfig(n=4, model="sphere", m=16, max_iters=50, history_stride=2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,14 +40,26 @@ class TestSphereSampler:
     @pytest.mark.parametrize("n", [1, 2, 16, 50])
     def test_bytes_of_the_two_block_formula(self, n):
         # the normal blocks go straight into one complex array and are
-        # scaled by the reciprocal norm; the bytes are those of re + 1j*im
-        # divided by its row norms
+        # scaled by the reciprocal norm, a block of rows at a time (3000
+        # rows span 3 blocks at n=16 and 10 at n=50); the bytes are those of
+        # re + 1j*im divided by its row norms
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            re, im = rng.standard_normal((500, n)), rng.standard_normal((500, n))
+            re, im = rng.standard_normal((3000, n)), rng.standard_normal((3000, n))
             g = re + 1j * im
             g /= np.linalg.norm(g, axis=1, keepdims=True)
-            assert sample_sphere(n, 500, seed).vectors.tobytes() == g.tobytes()
+            assert sample_sphere(n, 3000, seed).vectors.tobytes() == g.tobytes()
+
+    def test_norm_temporaries_stay_in_blocks(self):
+        # the draw holds the rows and one real block of normals, 1.5 times
+        # the rows' bytes; norms of the whole array added two (m, n) more
+        tracemalloc.start()
+        try:
+            ens = sample_sphere(16, 50_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * ens.vectors.nbytes
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from kaczmarz_pr import (
     SpectralConfig,
     dist_phase_aligned,
     measure,
+    sample_block_unitary,
     sample_sphere,
     sample_unit_vector,
     spectral_init,
@@ -66,7 +67,14 @@ class TestSpectralInit:
         y = measure(ens, sample_unit_vector(8, 8))
         x0 = spectral_init(ens, y, SpectralConfig(seed=9))
         lam0 = float(np.sqrt(np.mean(y.values**2)))
-        assert abs(np.linalg.norm(x0) - lam0) <= 1e-10
+        assert abs(np.linalg.norm(x0) - np.sqrt(8) * lam0) <= 1e-10
+
+    def test_unitary_output_norm_is_signal_norm(self):
+        # Parseval in each block makes n mean y^2 = ||z||^2 exactly
+        ens = sample_block_unitary(6, 8, 26)
+        z = 2.5 * sample_unit_vector(6, 27)
+        x0 = spectral_init(ens, measure(ens, z), SpectralConfig(seed=28))
+        assert abs(np.linalg.norm(x0) / 2.5 - 1.0) <= 1e-12
 
     def test_leading_eigenpair_residual(self):
         ens = sample_sphere(8, 400, 10)
@@ -97,17 +105,16 @@ class TestSpectralInit:
         assert np.linalg.norm(a - b) <= 1e-10
 
     def test_scale_estimate_concentrates(self):
-        # unit-sphere rows give E y^2 = ||z||^2 / n, so lam0 ~ 1/sqrt(n)
+        # unit-sphere rows give E y^2 = ||z||^2 / n, so ||x0|| ~ ||z||
         n = 8
         ens = sample_sphere(n, 100_000, 19)
-        y = measure(ens, sample_unit_vector(n, 20))
-        lam0 = float(np.sqrt(np.mean(y.values**2)))
-        assert abs(lam0 * np.sqrt(n) - 1.0) <= 0.02
+        z = sample_unit_vector(n, 20)
+        x0 = spectral_init(ens, measure(ens, z), SpectralConfig(seed=21))
+        assert abs(np.linalg.norm(x0) / np.linalg.norm(z) - 1.0) <= 0.02
 
     def test_initialization_quality(self):
-        # The scaled output has norm lam0 ~ 1/sqrt(n) under unit-norm rows,
-        # which keeps its aligned distance near 1 - 1/sqrt(n); the basin
-        # check therefore uses the unit-normalized direction estimate.
+        # the output estimates z itself, scale included, so the basin check
+        # is on x0 as the solver receives it
         n, m = 16, 3200
         good = 0
         for s in range(20):
@@ -115,11 +122,8 @@ class TestSpectralInit:
             z = sample_unit_vector(n, derive_seed(101, n, s))
             y = measure(ens, z)
             x0 = spectral_init(ens, y, SpectralConfig(seed=derive_seed(102, n, s)))
-            scaled = dist_phase_aligned(x0, z).aligned
-            expected_scaled = 1.0 - np.linalg.norm(x0)
-            assert abs(scaled - expected_scaled) <= 0.1
-            direction = x0 / np.linalg.norm(x0)
-            good += dist_phase_aligned(direction, z).aligned <= 0.4
+            assert abs(np.linalg.norm(x0) - 1.0) <= 0.05
+            good += dist_phase_aligned(x0, z).aligned <= 0.4
         assert good >= 19
 
     def test_zero_truncated_covariance_rejected_at_once(self):
