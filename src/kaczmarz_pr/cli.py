@@ -104,6 +104,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be >= 0")
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
     results, ok = run_verification(args.trials, args.seed)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")

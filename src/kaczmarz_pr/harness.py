@@ -58,11 +58,12 @@ class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment batch.  Each field is a config-file key (see
-    ``apply_settings``); the solver and initializer settings default to
-    those of ``SolverConfig`` and ``SpectralConfig``."""
+    """One experiment batch, checked at construction (``ConfigError``).
+    Each field is a config-file key (see ``apply_settings``); the solver
+    and initializer settings default to those of ``SolverConfig`` and
+    ``SpectralConfig``."""
 
     n: int
     model: str = sensing.MODEL_SPHERE
@@ -83,12 +84,12 @@ class ExperimentConfig:
     output_path: str | None = None
     output_format: str = "csv"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # numpy scalars built in code become Python ones, which JSON accepts
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.generic):
-                setattr(self, f.name, value.item())
+                object.__setattr__(self, f.name, value.item())
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.num_trials < 1:
@@ -184,11 +185,14 @@ def _json_value(value):
 
 def fit_rate(record: TrialRecord) -> float | None:
     """Per-epoch contraction ratio: exp of the least-squares slope of
-    log(aligned error) against epoch index, using samples above 1e-14.
-    None (and rho_hat stays unset) when fewer than 3 samples qualify."""
+    log(aligned error) against epoch index, using the samples above 1e-14
+    times the record's largest finite aligned error, so that the fit does
+    not depend on the scale of the signal.  None (and rho_hat stays unset)
+    when fewer than 3 samples qualify."""
     epochs = np.asarray(record.epochs, dtype=float)
     errs = np.asarray(record.aligned_errors, dtype=float)
-    usable = np.isfinite(errs) & (errs > _RATE_FLOOR)
+    finite = np.isfinite(errs)
+    usable = finite & (errs > _RATE_FLOOR * np.max(errs, where=finite, initial=0.0))
     if int(np.count_nonzero(usable)) < 3:
         return None
     slope = np.polyfit(epochs[usable], np.log(errs[usable]), 1)[0]
@@ -252,7 +256,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Tr
     environment variable (unset -> serial, 0 -> all cores, negative ->
     ConfigError).  Both maps return the records in trial order, and their
     content is independent of the worker count."""
-    cfg.validate()
     nworkers = _worker_count(workers)
     ids = range(cfg.num_trials)
     if nworkers == 1 or cfg.num_trials == 1:
@@ -400,8 +403,8 @@ def setting_fields(cls=ExperimentConfig) -> dict[str, tuple[str, type, bool]]:
 
 
 def apply_settings(cfg: ExperimentConfig | None, settings: dict[str, str]) -> ExperimentConfig:
-    """A validated copy of ``cfg`` with each {config key: text} setting
-    applied; ``cfg=None`` starts from the field defaults.
+    """A copy of ``cfg`` with each {config key: text} setting applied,
+    checked as it is built; ``cfg=None`` starts from the field defaults.
 
     Each text is read as its field's type, and ``none`` unsets an optional
     field.  Setting tol_residual without tol_aligned_rel switches the stop
@@ -423,15 +426,12 @@ def apply_settings(cfg: ExperimentConfig | None, settings: dict[str, str]) -> Ex
     if "tol_residual" in updates and "tol_aligned_rel" not in updates:
         updates["tol_aligned_rel"] = None
     if cfg is not None:
-        out = replace(cfg, **updates)
-    else:
-        required = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
-        missing = [name for name in required if name not in updates]
-        if missing:
-            raise ConfigError(f"config must set {', '.join(missing)}")
-        out = ExperimentConfig(**updates)
-    out.validate()
-    return out
+        return replace(cfg, **updates)
+    required = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+    missing = [name for name in required if name not in updates]
+    if missing:
+        raise ConfigError(f"config must set {', '.join(missing)}")
+    return ExperimentConfig(**updates)
 
 
 def parse_config_file(path) -> ExperimentConfig:

@@ -35,9 +35,16 @@ __all__ = [
 MODEL_SPHERE = "sphere"
 MODEL_UNITARY = "unitary"
 
-# bytes of iterates or of (rows, iterates) products that one block of work
-# holds: ``objective_rows``' chunks and ``solver.solve``'s blocks
+# bytes of rows, iterates or (rows, iterates) products that one block of
+# work holds: ``objective_rows``' chunks, and the blocks of ``_block_rows``
 _BLOCK_BYTES = 256 * 1024
+
+
+def _block_rows(n: int) -> int:
+    """Rows of length n in a complex block of ``_BLOCK_BYTES``: the blocks
+    of ``_normalize_rows``, of ``solver.solve`` and of the verify checks'
+    draws."""
+    return max(1, _BLOCK_BYTES // (16 * n))
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -54,7 +61,7 @@ def _normalize_rows(g: np.ndarray) -> np.ndarray:
     place, ``_BLOCK_BYTES`` of rows at a time; returns g.  A row's bits are
     those of row / ||row||: numpy divides a complex by a real as a product
     with its reciprocal."""
-    rows = max(1, _BLOCK_BYTES // (16 * g.shape[1]))
+    rows = _block_rows(g.shape[1])
     for start in range(0, len(g), rows):
         block = g[start : start + rows]
         block *= 1.0 / np.linalg.norm(block, axis=1, keepdims=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import aligned2_rows
-from .sensing import _BLOCK_BYTES, objective_rows
+from .sensing import _block_rows, objective_rows
 
 __all__ = [
     "SolverConfig",
@@ -33,7 +33,9 @@ class SolverConfig:
     phase-aligned error relative to ||z|| (needs the true signal; experiment
     mode), ``tol_residual`` stops on the objective value (blind mode,
     checked at history samples).  ``history_stride`` defaults to one epoch
-    (n iterations) when None.
+    (n iterations) when None.  ``zero_threshold`` is relative to y_i: a
+    step takes the phase-pinned branch of ``project_magnitude`` when
+    |a_i^* x| <= zero_threshold * y_i.
     """
 
     max_iters: int
@@ -91,9 +93,11 @@ def project_magnitude(x, a, y: float, tau: float = SolverConfig.zero_threshold) 
 
         w = x - (1 - y / |s|) * s * a / ||a||^2
 
-    and satisfies |a^* w| = y.  When |s| < tau the phase of s is
-    meaningless; the offset phase is then pinned to 1, so that
-    w = x + (y - s) * a / ||a||^2 and a^* w = y.  This is a deterministic
+    and satisfies |a^* w| = y.  When |s| <= tau y the phase of s is
+    meaningless at the scale of y; the offset phase is then pinned to 1,
+    so that w = x + (y - s) * a / ||a||^2 and a^* w = y.  The threshold is
+    relative to y, so the projection commutes with scaling x and y
+    together, and s = 0 with y = 0 gives w = x.  This is a deterministic
     choice (the event has probability zero under the sampling models used
     here, and determinism beats a random tie-break for replay).
     """
@@ -116,7 +120,7 @@ def _coefficient(s, na2, y, tau):
     """The c with x - c a = ``project_magnitude(x, a, y, tau)``, given
     s = a^* x and na2 = ||a||^2: both branches of the projection."""
     sa = abs(s)
-    if sa >= tau:
+    if sa > tau * y:
         return (1.0 - y / sa) * s / na2
     return (s - y) / na2
 
@@ -138,7 +142,7 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     the final state is the last history entry.  Rows are drawn a block at a
     time, which gives the same indices as one ``rng.integers(m)`` per step,
     so the iterates are those of ``step``.  A block never crosses a stride
-    boundary and holds at most ``_BLOCK_BYTES`` of iterates.  ||a_i||^2 is
+    boundary and holds at most ``_block_rows(n)`` iterates.  ||a_i||^2 is
     computed at a row's first draw and cached.
 
     The step loop writes each iterate into the block's (block, n) buffer,
@@ -150,7 +154,7 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     only the last row is computed.  A sample takes its aligned error from
     its block (at k = 0, from x0) and copies its iterate into a pending
     buffer, whose residuals one ``objective_rows`` call computes when it
-    is full and at the end.  It holds ``_BLOCK_BYTES`` // 16n rows, or one
+    is full and at the end.  It holds ``_block_rows(n)`` rows, or one
     when f decides the stop, which gives ``objective_f``'s bits; a shared
     call moves a residual's last bits (see ``objective_rows``).
     Measurements of another ensemble raise ``ValueError``
@@ -173,7 +177,7 @@ def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     )
     nz = float(np.linalg.norm(z)) if z is not None else math.nan
     rows, tau, n = ensemble.vectors, cfg.zero_threshold, ensemble.n
-    cap = max(1, _BLOCK_BYTES // (16 * n))  # rows of a block, and of the pending buffer
+    cap = _block_rows(n)  # rows of a block, and of the pending buffer
     # when f decides the stop, each sample's f is needed at once
     pending = np.empty((cap if experiment else 1, n), dtype=complex)
     marks = []  # (k, raw, aligned) of pending's rows

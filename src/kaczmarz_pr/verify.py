@@ -3,8 +3,8 @@
 A check is a function of its seed parts and sample sizes that returns a
 ``CheckResult``; a check that draws from several streams takes one tuple
 of seed parts per stream.  The acceptance suite calls these functions at
-its own seeds and budgets, and ``CHECKS`` is the suite that the ``verify``
-CLI subcommand runs at smaller sizes.
+its own seeds and budgets, and ``run_verification`` is the suite that the
+``verify`` CLI subcommand runs at smaller sizes.
 
 Sampled checks never run below ``MIN_TRIALS`` samples.  At that budget the
 wedge-fraction and sphere-sampler tolerances widen to 4.5 standard errors,
@@ -14,8 +14,7 @@ so a correct build passes deterministically at any budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from .spectral import SpectralConfig, spectral_init, truncated_covariance
 __all__ = [
     "MIN_TRIALS",
     "CheckResult",
-    "Check",
-    "CHECKS",
     "run_verification",
     "check_inner_product_identities",
     "check_aligned_distance",
@@ -49,7 +46,6 @@ __all__ = [
 ]
 
 MIN_TRIALS = 100_000
-_MC_CHUNK = 100_000  # rows per block of a Monte-Carlo check's draws
 
 
 @dataclass(frozen=True)
@@ -331,9 +327,10 @@ def check_solver_determinism_and_constraint(seed):
 
 def _normal_blocks(rng: np.random.Generator, trials: int, n: int):
     """``trials`` standard complex normal rows of length n, drawn in blocks
-    of at most ``_MC_CHUNK`` rows."""
-    for done in range(0, trials, _MC_CHUNK):
-        yield sensing._complex_normal(rng, (min(_MC_CHUNK, trials - done), n))
+    of at most ``sensing._block_rows(n)`` rows."""
+    rows = sensing._block_rows(n)
+    for done in range(0, trials, rows):
+        yield sensing._complex_normal(rng, (min(rows, trials - done), n))
 
 
 def _orthonormal_pair(n: int, rng: np.random.Generator):
@@ -415,47 +412,25 @@ def check_projection_mass(seed, trials):
     return CheckResult("projection_mass", worst >= 0.74, f"min estimate {worst:.4f}")
 
 
-@dataclass(frozen=True)
-class Check:
-    """One entry of the verify suite.  ``fn`` gets the seed parts
-    (seed, stream) for each of ``streams``, the fixed ``sizes`` and, when
-    ``sampled``, the sample budget raised to at least MIN_TRIALS."""
-
-    fn: Callable[..., CheckResult]
-    streams: tuple[int, ...]
-    sizes: dict = field(default_factory=dict)
-    sampled: bool = False
-
-    @property
-    def name(self) -> str:
-        return self.fn.__name__.removeprefix("check_")
-
-    def run(self, seed: int, trials: int) -> CheckResult:
-        sizes = dict(self.sizes)
-        if self.sampled:
-            sizes["trials"] = max(int(trials), MIN_TRIALS)
-        return self.fn(*((seed, stream) for stream in self.streams), **sizes)
-
-
-CHECKS = (
-    Check(check_inner_product_identities, (101,)),
-    Check(check_aligned_distance, (102,)),
-    Check(check_phase_diff_bound, (103,), sampled=True),
-    Check(check_sphere_sampler, (104,), sampled=True),
-    Check(check_unitary_sampler, (105,), {"n": 8, "K": 16, "ensembles": 1}),
-    Check(check_projection_vs_phase_grid, (106,), {"draws": 33}),
-    Check(check_contraction_identity, (107,), {"reps": 100}),
-    Check(check_directional_derivatives, (108, 109), {"reps": 50, "bound_reps": 200}),
-    Check(check_wedge_monotonicity, (110,)),
-    Check(check_spectral_init, (111,)),
-    Check(check_solver_determinism_and_constraint, (112,)),
-    Check(check_wedge_fraction, (113,), {"tol": 0.002, "sigmas": 4.5}, sampled=True),
-    Check(check_plane_curvature, (114,), sampled=True),
-    Check(check_projection_mass, (115,), sampled=True),
-)
-
-
 def run_verification(trials: int, seed: int) -> tuple[list[CheckResult], bool]:
-    """Run every check in CHECKS; returns (results, all_passed)."""
-    results = [check.run(seed, trials) for check in CHECKS]
+    """The verify suite: every check once, each on its own seed stream
+    (seed, 101...115), with the sampled checks at ``max(trials,
+    MIN_TRIALS)`` samples; returns (results, all_passed)."""
+    samples = max(int(trials), MIN_TRIALS)
+    results = [
+        check_inner_product_identities((seed, 101)),
+        check_aligned_distance((seed, 102)),
+        check_phase_diff_bound((seed, 103), samples),
+        check_sphere_sampler((seed, 104), samples),
+        check_unitary_sampler((seed, 105), n=8, K=16, ensembles=1),
+        check_projection_vs_phase_grid((seed, 106), draws=33),
+        check_contraction_identity((seed, 107), reps=100),
+        check_directional_derivatives((seed, 108), (seed, 109), reps=50, bound_reps=200),
+        check_wedge_monotonicity((seed, 110)),
+        check_spectral_init((seed, 111)),
+        check_solver_determinism_and_constraint((seed, 112)),
+        check_wedge_fraction((seed, 113), samples, tol=0.002, sigmas=4.5),
+        check_plane_curvature((seed, 114), samples),
+        check_projection_mass((seed, 115), samples),
+    ]
     return results, all(r.passed for r in results)

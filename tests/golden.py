@@ -2,10 +2,11 @@
 contract covers, at small fixed shapes.
 
 ``test_golden.py`` recomputes the run and estimate-l digests, and
-``test_cli.py::test_verify_small_budget_passes`` the verify digest, against
-``golden_manifest.json``.  Output bytes depend on the numpy and BLAS builds,
+``test_cli.py`` the verify digest, against ``golden_manifest.json``.  Output bytes depend on the numpy and BLAS builds,
 so the manifest records both and the tests fail on another build.  A change
-that moves output bytes regenerates the manifest and records its diff once:
+that moves output bytes regenerates the manifest and records its diff once;
+the tool prints one ``name: old → new`` line (8 hex digits each) for every
+digest it changes:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -103,6 +104,10 @@ def compute() -> dict:
 
 
 if __name__ == "__main__":
-    manifest = {"versions": versions(), "sha256": compute()}
-    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    old = json.loads(MANIFEST.read_text())["sha256"] if MANIFEST.exists() else {}
+    new = compute()
+    MANIFEST.write_text(json.dumps({"versions": versions(), "sha256": new}, indent=2, sort_keys=True) + "\n")
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            print(f"{name}: {(old.get(name) or 'none')[:8]} → {(new.get(name) or 'none')[:8]}")
     print(f"wrote {MANIFEST}")

@@ -150,8 +150,15 @@ class TestVerifyOracleMemory:
         assert peak < 100e6
 
     def test_projection_mass_normalizes_rows_in_blocks(self):
-        # the n=64 draw holds 20.5 MB of rows and a real block of half that;
-        # norms of the whole array added two more such blocks (42 MB peak)
+        # norms of the whole n=64 draw added two real blocks of half its
+        # 20.5 MB (42 MB peak)
         result, peak = _traced_peak(lambda: check_projection_mass((7, 115), 20_000))
-        assert result.passed and result.detail == "min estimate 0.8158"
+        assert result.passed and result.detail == "min estimate 0.8141"
         assert peak < 39e6
+
+    def test_projection_mass_draws_in_blocks_of_bytes(self):
+        # blocks of 100000 rows held 102 MB of n=64 draws (181 MB peak);
+        # blocks of sensing._block_rows(64) rows hold 256 KiB
+        result, peak = _traced_peak(lambda: check_projection_mass((7, 115), 100_000))
+        assert result.passed and result.detail == "min estimate 0.8156"
+        assert peak < 8e6

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,12 @@ class TestFitRate:
     def test_too_few_usable_samples(self):
         assert fit_rate(make_record([0.5, 0.25])) is None
         assert fit_rate(make_record([0.5, 1e-15, 1e-16, 1e-17])) is None
+        assert fit_rate(make_record([math.nan] * 4)) is None
+
+    def test_floor_is_relative_to_the_largest_error(self):
+        # every sample lies below 1e-14, and none below 1e-14 of the first
+        rec = make_record([2.0**-60 * 0.5**k for k in range(12)])
+        assert abs(fit_rate(rec) - 0.5) <= 1e-6
 
 
 class TestSeeding:
@@ -70,6 +76,23 @@ class TestRunExperiment:
         serial = render_csv(run_experiment(cfg, workers=1))
         parallel = render_csv(run_experiment(cfg, workers=3))
         assert serial == parallel
+
+    @pytest.mark.parametrize("k", [-200, -43, 100, 200])
+    @pytest.mark.parametrize(
+        "shape", [dict(m=160), dict(model="unitary", K=20)], ids=["sphere", "unitary"]
+    )
+    def test_runs_are_scale_equivariant(self, shape, k):
+        # scaling z by 2^k scales y and every iterate by 2^k exactly, so a
+        # run's errors scale exactly, its stops do not move, and its rate
+        # moves only by the rounding of log(2^k e)
+        z = np.linspace(0.1, 0.8, 8) + 0.3j
+        cfg = ExperimentConfig(n=8, num_trials=4, master_seed=5, signal=z, **shape)
+        scaled = run_experiment(replace(cfg, signal=2.0**k * z), workers=1)
+        for ref, rec in zip(run_experiment(cfg, workers=1), scaled):
+            assert ref.converged and not rec.failed, rec.error
+            assert rec.aligned_errors == [2.0**k * e for e in ref.aligned_errors]
+            assert (rec.iterations_run, rec.converged) == (ref.iterations_run, ref.converged)
+            assert abs(rec.rho_hat - ref.rho_hat) <= 1e-14 * ref.rho_hat
 
     @pytest.mark.parametrize(
         "shape",
@@ -213,10 +236,11 @@ class TestSummaryJson:
         json.loads(p1.read_text())  # well-formed
 
     def test_failed_render_leaves_no_file(self, tmp_path):
-        cfg = ExperimentConfig(n=np.int64(3), m=30)  # numpy ints are not JSON
+        cfg = ExperimentConfig(n=3, m=30)
+        rec = TrialRecord(trial_id=np.int64(0), seed=0, n=3, m=30, model="sphere")
         path = tmp_path / "summary.json"
-        with pytest.raises(TypeError):
-            write_summary_json(cfg, [], path)
+        with pytest.raises(TypeError):  # numpy ints are not JSON
+            write_summary_json(cfg, [rec], path)
         assert not path.exists()
 
     def test_numpy_scalar_settings_are_written_as_python_scalars(self, tmp_path):
@@ -345,13 +369,22 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             apply_settings(cfg, {"trials": "0"})
 
+    def test_config_is_checked_when_built_and_is_frozen(self):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            ExperimentConfig(n=4, model="sphere", m=16, num_trials=0)
+        cfg = ExperimentConfig(n=4, model="sphere", m=16)
+        with pytest.raises(FrozenInstanceError):
+            cfg.num_trials = 0
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            replace(cfg, num_trials=0)
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     @pytest.mark.parametrize("name", ["zero_threshold", "truncation_multiplier", "power_tol"])
     def test_non_finite_setting_built_in_code_rejected(self, name, value):
         # config files refuse these when read; a config built in code
         # reaches the solver and initializer settings' own checks
         with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
-            ExperimentConfig(n=4, model="sphere", m=16, **{name: value}).validate()
+            ExperimentConfig(n=4, model="sphere", m=16, **{name: value})
 
     def test_none_unsets_optional_keys(self):
         cfg = ExperimentConfig(n=4, model="sphere", m=16, max_iters=50, history_stride=2)
@@ -361,7 +394,7 @@ class TestConfigFile:
             apply_settings(cfg, {"n": "none"})
 
     def test_new_field_is_a_config_key(self):
-        @dataclass
+        @dataclass(frozen=True)
         class Extended(ExperimentConfig):
             sweep_width: float | None = 0.5
 

@@ -203,7 +203,7 @@ def test_projection_is_the_nearest_point(case):
     # half a grid step of it
     x, a, y = case
     s, na = np.vdot(a, x), np.linalg.norm(a)
-    assume(abs(s) >= SolverConfig.zero_threshold)
+    assume(abs(s) > SolverConfig.zero_threshold * y)
     w = project_magnitude(x, a, y)
     moved = np.linalg.norm(w - x)
     grid = np.exp(2j * np.pi * np.arange(720) / 720)
@@ -219,7 +219,7 @@ def test_projection_is_phase_equivariant(case, t):
     # P(e^{it} x) = e^{it} P(x) where the phase of a^* x is defined; twice
     # the threshold keeps the rotated product on the same side of it
     x, a, y = case
-    assume(abs(np.vdot(a, x)) >= 2.0 * SolverConfig.zero_threshold)
+    assume(abs(np.vdot(a, x)) > 2.0 * SolverConfig.zero_threshold * y)
     rot = np.exp(1j * t)
     w = project_magnitude(x, a, y)
     diff = np.linalg.norm(project_magnitude(rot * x, a, y) - rot * w)

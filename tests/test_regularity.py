@@ -20,8 +20,6 @@ from kaczmarz_pr import regularity
 from kaczmarz_pr.regularity import RegularityParams, regularity_terms
 from kaczmarz_pr.seeding import derive_seed
 from kaczmarz_pr.verify import (
-    CHECKS,
-    MIN_TRIALS,
     check_directional_derivatives,
     check_plane_curvature,
     check_projection_mass,
@@ -473,22 +471,15 @@ class TestLemmaValidators:
         result = check_plane_curvature((39,), 150_000)
         assert result.passed, result.detail
 
-    LEMMAS = ("wedge_fraction", "plane_curvature", "projection_mass")
-
-    def lemma_checks(self):
-        checks = {c.name: c for c in CHECKS}
-        return [checks[name] for name in self.LEMMAS]
-
     def test_full_report(self):
-        results = {c.name: c.run(40, 100_000) for c in self.lemma_checks()}
-        assert all(r.passed for r in results.values()), results
+        # the three lemma checks at the verify CLI's streams and sizes
+        results = [
+            check_wedge_fraction((40, 113), 100_000, tol=0.002, sigmas=4.5),
+            check_plane_curvature((40, 114), 100_000),
+            check_projection_mass((40, 115), 100_000),
+        ]
+        assert all(r.passed for r in results), results
         # the literal doubled form is reported alongside, one value per angle
-        detail = results["plane_curvature"].detail
+        detail = results[1].detail
         doubled = detail.split("literal doubled form [")[1].rstrip("]").split()
         assert len(doubled) == 3
-
-    def test_minimum_trials_enforced(self):
-        for check in self.lemma_checks():
-            assert check.sampled
-        check = self.lemma_checks()[-1]
-        assert check.run(0, 10_000) == check.run(0, MIN_TRIALS)

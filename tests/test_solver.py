@@ -85,13 +85,23 @@ class TestProjectMagnitude:
         assert w[1] == 2.0 + 0.0j
 
     def test_degenerate_branch_meets_constraint(self):
-        # |a^* x| = 5e-15 is below tau but not zero: the step must remove
+        # |a^* x| = 5e-15 is below tau y but not zero: the step must remove
         # it, so that |a^* w| = y rather than |a^* x| + y
         a = np.array([1.0, 0.0], dtype=complex)
         x = np.array([5e-15, 2.0], dtype=complex)
-        w = project_magnitude(x, a, 1e-14)
-        assert abs(abs(np.vdot(a, w)) - 1e-14) <= 1e-12 * 1e-14
+        w = project_magnitude(x, a, 1.0)
+        assert abs(abs(np.vdot(a, w)) - 1.0) <= 1e-12 * 1.0
         assert w[1] == 2.0 + 0.0j
+
+    def test_threshold_is_relative_to_y(self):
+        # the same point and row, scaled together with y: the branch and the
+        # projection scale with them, down to y = 0 and s = 0
+        a = np.array([1.0, 0.0], dtype=complex)
+        x = np.array([5e-15 + 1e-15j, 2.0], dtype=complex)
+        w = project_magnitude(x, a, 1.0)
+        for scale in (2.0**-900, 2.0**-60, 2.0**60):
+            assert np.array_equal(project_magnitude(scale * x, a, scale * 1.0), scale * w)
+        assert np.array_equal(project_magnitude(np.zeros(2, complex), a, 0.0), np.zeros(2))
 
     def test_zero_sensing_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -304,8 +314,8 @@ def exact_replay(ens, y, x0, cfg, z=None):
     stopping test on every iteration; a history sample every stride and at
     the last iteration.  A residual-mode sample computes its residual with
     ``objective_f``.  In aligned-error mode the residual column is
-    ``objective_rows`` over the sampled iterates, in groups of the rows that
-    ``solver._BLOCK_BYTES`` holds, as solve's pending buffer groups them: a
+    ``objective_rows`` over the sampled iterates, in groups of
+    ``solver._block_rows(n)`` rows, as solve's pending buffer groups them: a
     residual's last bits depend on how many rows share its product."""
     stride = cfg.history_stride if cfg.history_stride is not None else ens.n
     state = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(cfg.seed))
@@ -331,7 +341,7 @@ def exact_replay(ens, y, x0, cfg, z=None):
     if state.history[-1][0] != state.k:
         sample()
     if experiment:
-        group = max(1, solver._BLOCK_BYTES // (16 * ens.n))
+        group = solver._block_rows(ens.n)
         res = np.concatenate(
             [objective_rows(ens, y, sampled[i : i + group]) for i in range(0, len(sampled), group)]
         )
@@ -418,10 +428,10 @@ class TestScreenedStoppingTest:
     @pytest.mark.parametrize("stride", [7, None])
     @pytest.mark.parametrize("tol", [1e-8, 1e-13, 0.0])
     def test_split_blocks_match_exact_replay(self, monkeypatch, rows_held, stride, tol):
-        # a byte budget of 1 or 3 iterates at n = 12 ends blocks inside a
-        # stride of 7 or 12, where no sample follows and the block's own
-        # values also test its last step
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", rows_held * 16 * 12)
+        # blocks of 1 or 3 iterates at n = 12 end inside a stride of 7 or
+        # 12, where no sample follows and the block's own values also test
+        # its last step
+        monkeypatch.setattr(solver, "_block_rows", lambda n: rows_held)
         for seed in range(3):
             ens, y, x0, z = self.instance("sphere", 500 + seed)
             cfg = SolverConfig(
@@ -522,7 +532,7 @@ class TestScreenedStoppingTest:
     @pytest.mark.parametrize("rows_held", [1, 3, 100])
     @pytest.mark.parametrize("stride", [1, 7])
     def test_split_flushes_match_one_flush(self, monkeypatch, rows_held, stride):
-        # a byte budget of 1, 3 or 100 iterates at n = 12 computes the
+        # a pending buffer of 1, 3 or 100 iterates at n = 12 computes the
         # residuals in groups of that many samples (1 is objective_f's own
         # GEMV); that moves their last bits, not what else is recorded
         runs = [self.instance("sphere", 600 + seed) for seed in range(3)]
@@ -531,8 +541,8 @@ class TestScreenedStoppingTest:
             for seed in range(3)
         ]
         whole = [solve(ens, y, x0, cfg, z=z) for (ens, y, x0, z), cfg in zip(runs, cfgs)]
-        held = solver._BLOCK_BYTES // (16 * 12)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", rows_held * 16 * 12)
+        held = solver._block_rows(12)
+        monkeypatch.setattr(solver, "_block_rows", lambda n: rows_held)
         for (ens, y, x0, z), cfg, one in zip(runs, cfgs, whole):
             split = solve(ens, y, x0, cfg, z=z)
             assert len(one.history) <= held  # one flush
@@ -576,9 +586,9 @@ class TestScreenedStoppingTest:
         assert state.k == replay.k < cfg.max_iters
         # every sample takes its aligned error from aligned2_rows and its
         # residual from objective_rows: aligned-error mode computes them in
-        # ceil(h 16n / _BLOCK_BYTES) products, residual mode in one one-row
+        # ceil(h / _block_rows(n)) products, residual mode in one one-row
         # product per sample, which has objective_f's bits
-        h, held = len(state.history), solver._BLOCK_BYTES // (16 * 50)
+        h, held = len(state.history), solver._block_rows(50)
         if mode == "aligned":
             assert h > held
             assert products == [held] * (h // held) + [h % held] * (h % held > 0)
