@@ -20,10 +20,10 @@ from .harness import (
     ConfigError,
     apply_settings,
     parse_config_file,
+    render_csv,
     render_json,
     run_experiment,
-    write_csv,
-    write_summary_json,
+    summary_dict,
     write_text,
 )
 from .regularity import RegularityParams, estimate_L
@@ -89,9 +89,10 @@ def _cmd_run(args) -> int:
     _check_output_path(cfg.output_path)
     records = run_experiment(cfg)
     if cfg.output_format == "json":
-        write_summary_json(cfg, records, cfg.output_path)
+        text = render_json(summary_dict(cfg, records))
     else:
-        write_csv(records, cfg.output_path)
+        text = render_csv(records)
+    write_text(cfg.output_path, text)
     converged = sum(1 for r in records if r.converged)
     failed = sum(1 for r in records if r.failed)
     print(
@@ -117,6 +118,8 @@ def _cmd_estimate_l(args) -> int:
     cfg = apply_settings(None, _settings(args, _ESTIMATE_FLAG_KEYS))
     if cfg.output_path:
         _check_output_path(cfg.output_path)
+    if args.budget < 1:  # RegularityParams would name it net_or_samples
+        raise ConfigError("--budget must be >= 1")
     # c0 defaults to 1/(4 alpha); RegularityParams rejects an alpha <= 1 first
     c0 = args.c0 if args.c0 is not None else 1.0 / (4.0 * max(args.alpha, 1.0))
     try:
@@ -131,7 +134,7 @@ def _cmd_estimate_l(args) -> int:
         report = estimate_L(ensemble, z, params)
     except ValueError as exc:  # an alpha whose terms overflow at this m
         raise ConfigError(str(exc)) from exc
-    text = render_json(report.to_dict())
+    text = render_json(report)
     if cfg.output_path:
         write_text(cfg.output_path, text)
         print(f"wrote {cfg.output_path}")

@@ -3,7 +3,7 @@
 Every trial is a pure function of (master_seed, trial_id), so batches can
 run serially or on a process pool and produce byte-identical output either
 way.  CSV carries the per-epoch error curves; the JSON summary mirrors the
-full trial records.
+full trial records.  ``render_json`` is the package's one JSON encoder.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from typing import get_args, get_type_hints
 
@@ -36,11 +36,9 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "fit_rate",
-    "write_csv",
     "render_csv",
     "render_json",
     "summary_dict",
-    "write_summary_json",
     "write_text",
     "setting_fields",
     "apply_settings",
@@ -85,11 +83,6 @@ class ExperimentConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        # numpy scalars built in code become Python ones, which JSON accepts
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.generic):
-                object.__setattr__(self, f.name, value.item())
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.num_trials < 1:
@@ -104,10 +97,13 @@ class ExperimentConfig:
                 raise ConfigError("unitary model needs K >= 1")
         else:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.signal is not None and np.asarray(self.signal).shape != (self.n,):
-            raise ConfigError("provided signal has wrong dimension")
-        if self.signal is not None and not np.all(np.isfinite(self.signal)):
-            raise ConfigError("provided signal must be finite")
+        if self.signal is not None:  # a read-only copy, which the caller's array cannot change
+            object.__setattr__(self, "signal", np.array(self.signal, dtype=complex))
+            self.signal.setflags(write=False)
+            if self.signal.shape != (self.n,):
+                raise ConfigError("provided signal has wrong dimension")
+            if not np.all(np.isfinite(self.signal)):
+                raise ConfigError("provided signal must be finite")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.output_format!r}")
         try:
@@ -169,19 +165,6 @@ class TrialRecord:
     residuals: list = field(default_factory=list)
     rho_hat: float | None = None
 
-    def to_dict(self) -> dict:
-        """Every field; a non-finite float becomes None, since JSON has no
-        NaN."""
-        return {key: _json_value(value) for key, value in asdict(self).items()}
-
-
-def _json_value(value):
-    if isinstance(value, list):
-        return [_json_value(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
 
 def fit_rate(record: TrialRecord) -> float | None:
     """Per-epoch contraction ratio: exp of the least-squares slope of
@@ -201,7 +184,7 @@ def fit_rate(record: TrialRecord) -> float | None:
 
 def _signal_for_trial(cfg: ExperimentConfig, trial_id: int) -> np.ndarray:
     if cfg.signal is not None:
-        return np.asarray(cfg.signal, dtype=complex)
+        return cfg.signal
     rng = np.random.default_rng(derive_seed(cfg.master_seed, trial_id, SIGNAL_STREAM))
     return sensing.sample_unit_vector(cfg.n, rng)
 
@@ -314,41 +297,50 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(records: list[TrialRecord], path) -> None:
-    write_text(path, render_csv(records))
-
-
 def summary_dict(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
+    """The run summary in the form ``render_json`` writes: the config
+    block, the unitary side condition and every trial record."""
     side_condition = None
     if cfg.model == sensing.MODEL_UNITARY:
-        m = cfg.effective_m
-        side_condition = bool(math.sqrt(cfg.n) > math.log(m) ** 2)
-    # every field but where the output goes, so the block reproduces the run;
-    # a signal is written the way load_signal reads it
-    config = asdict(cfg)
+        side_condition = math.sqrt(cfg.n) > math.log(cfg.effective_m) ** 2
+    # every field but where the output goes, so the block reproduces the run
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     del config["output_path"], config["output_format"]
-    if cfg.signal is not None:
-        config["signal"] = {"re": np.real(cfg.signal).tolist(), "im": np.imag(cfg.signal).tolist()}
     config.update(
         m=cfg.effective_m,
         max_iters=cfg.effective_max_iters,
         signal_mode="random" if cfg.signal is None else "provided",
     )
-    return {
-        "config": config,
-        "unitary_side_condition_sqrt_n_gt_log_sq_m": side_condition,
-        "trials": [r.to_dict() for r in records],
-    }
+    payload = {"config": config, "trials": records}
+    payload["unitary_side_condition_sqrt_n_gt_log_sq_m"] = side_condition
+    return _plain(payload)
+
+
+def _plain(value):
+    """``value`` as JSON types: a dataclass becomes its fields, a numpy
+    scalar a Python one, an array the signal-file object {"re", "im"} that
+    ``load_signal`` reads, and a non-finite float None, since JSON has no
+    NaN."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return {"re": _plain(value.real.tolist()), "im": _plain(value.imag.tolist())}
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def render_json(payload) -> str:
-    """The package's one JSON layout: indent 2, sorted keys, no NaN or
-    infinity, and a trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def write_summary_json(cfg: ExperimentConfig, records: list[TrialRecord], path) -> None:
-    write_text(path, render_json(summary_dict(cfg, records)))
+    """The package's one JSON encoder: ``payload`` walked into JSON
+    types (see ``_plain``), written with indent 2, sorted keys and a
+    trailing newline."""
+    return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ eigenframe gives an upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,16 +186,6 @@ class RegularityReport:
     evaluations: int
     constraint_2c0alpha_lt_1: bool
     constraint_2c0alpha_gt_1: bool
-
-    def to_dict(self) -> dict:
-        """Every field, with ``params`` flattened into its four values and
-        the direction split into real and imaginary lists."""
-        out = asdict(self)
-        v = out.pop("argmin_direction")
-        out.update(out.pop("params"))
-        out["argmin_direction_re"] = v.real.tolist()
-        out["argmin_direction_im"] = v.imag.tolist()
-        return out
 
 
 def _term_coefficients(alpha: float, m: int):

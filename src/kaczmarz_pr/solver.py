@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Iteration budget and stopping rule; ``row_rule`` must be "uniform".
 

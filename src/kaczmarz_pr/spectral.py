@@ -74,6 +74,10 @@ def spectral_init(ensemble, y, cfg: SpectralConfig) -> np.ndarray:
     if not Y.any():
         raise ValueError(f"truncated covariance is zero: every row kept at truncation_multiplier "
                          f"{cfg.truncation_multiplier} has a zero measurement")
+    # Y scales as lam0^2: an exact power-of-two rescaling to order one keeps
+    # the iterates' squared norms clear of overflow and underflow at every
+    # ||z|| whose measurements are normal floats
+    Y *= 2.0 ** (-2 * math.frexp(lam0)[1])
     v = sample_unit_vector(ensemble.n, np.random.default_rng(int(cfg.seed)))
     for _ in range(cfg.power_iters_max):
         w = Y @ v

@@ -138,6 +138,23 @@ def test_estimate_l_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
+def test_estimate_l_argmin_runs_as_a_signal(tmp_path, capsys):
+    # the report writes its direction as a signal file, which a run reads
+    report = tmp_path / "report.json"
+    argv = ["estimate-l", "--n", "4", "--m", "60", "--alpha", "20", "--budget", "32"]
+    assert main(argv + ["--out", str(report)]) == 0
+    signal = tmp_path / "argmin.json"
+    signal.write_text(json.dumps(json.loads(report.read_text())["argmin_direction"]))
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"n = 4\nm = 60\nsignal_path = {signal}\n")
+    out = tmp_path / "summary.json"
+    assert main(["run", "--config", str(path), "--out", str(out), "--format", "json"]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["signal_mode"] == "provided"
+    assert config["signal"] == json.loads(report.read_text())["argmin_direction"]
+    capsys.readouterr()
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("work ran before the output path was checked")
 
@@ -188,7 +205,7 @@ def test_estimate_l_missing_m_exits_2(capsys):
         # 2 + 4 alpha overflows: the terms would be infinite
         (["--m", "4", "--alpha", "1e308", "--c0", "0.1"], "alpha"),
         (["--n", "5", "--m", "40", "--alpha", "1e308", "--c0", "1e-300"], "alpha"),
-        (["--alpha", "20", "--budget", "0"], "net_or_samples must be >= 1"),
+        (["--alpha", "20", "--budget", "0"], "--budget must be >= 1"),
     ],
 )
 def test_estimate_l_bad_numbers_exit_2(tmp_path, capsys, flags, message):

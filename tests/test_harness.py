@@ -16,12 +16,12 @@ from kaczmarz_pr.harness import (
     fit_rate,
     parse_config_file,
     render_csv,
+    render_json,
     run_experiment,
     run_trial,
     setting_fields,
     summary_dict,
-    write_csv,
-    write_summary_json,
+    write_text,
 )
 from kaczmarz_pr.seeding import ENSEMBLE_STREAM, SPECTRAL_STREAM, derive_seed
 
@@ -77,7 +77,7 @@ class TestRunExperiment:
         parallel = render_csv(run_experiment(cfg, workers=3))
         assert serial == parallel
 
-    @pytest.mark.parametrize("k", [-200, -43, 100, 200])
+    @pytest.mark.parametrize("k", [-480, -200, -43, 100, 200, 260, 480])
     @pytest.mark.parametrize(
         "shape", [dict(m=160), dict(model="unitary", K=20)], ids=["sphere", "unitary"]
     )
@@ -168,7 +168,7 @@ class TestCsvOutput:
         cfg = ExperimentConfig(n=6, model="sphere", m=90, num_trials=2, master_seed=9)
         recs = run_experiment(cfg, workers=1)
         path = tmp_path / "out.csv"
-        write_csv(recs, path)
+        write_text(path, render_csv(recs))
         lines = path.read_text().splitlines()
         assert lines[0] == "trial_id,seed,n,m,model,epoch,aligned_error,raw_error,residual"
         expected_rows = sum(len(r.epochs) + 1 for r in recs)
@@ -230,17 +230,17 @@ class TestSummaryJson:
         assert payload["trials"][0]["rho_hat"] == recs[0].rho_hat
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        write_summary_json(cfg, recs, p1)
-        write_summary_json(cfg, recs, p2)
+        write_text(p1, render_json(summary_dict(cfg, recs)))
+        write_text(p2, render_json(summary_dict(cfg, recs)))
         assert p1.read_bytes() == p2.read_bytes()
         json.loads(p1.read_text())  # well-formed
 
     def test_failed_render_leaves_no_file(self, tmp_path):
         cfg = ExperimentConfig(n=3, m=30)
-        rec = TrialRecord(trial_id=np.int64(0), seed=0, n=3, m=30, model="sphere")
+        rec = TrialRecord(trial_id=object(), seed=0, n=3, m=30, model="sphere")
         path = tmp_path / "summary.json"
-        with pytest.raises(TypeError):  # numpy ints are not JSON
-            write_summary_json(cfg, [rec], path)
+        with pytest.raises(TypeError):  # an object has no JSON form
+            write_text(path, render_json(summary_dict(cfg, [rec])))
         assert not path.exists()
 
     def test_numpy_scalar_settings_are_written_as_python_scalars(self, tmp_path):
@@ -249,7 +249,7 @@ class TestSummaryJson:
         )
         records = run_experiment(cfg, workers=1)
         path = tmp_path / "summary.json"
-        write_summary_json(cfg, records, path)
+        write_text(path, render_json(summary_dict(cfg, records)))
         summary = json.loads(path.read_text())
         assert summary["config"]["n"] == 3 and summary["config"]["m"] == 30
         assert summary["trials"][0]["n"] == 3
@@ -258,7 +258,7 @@ class TestSummaryJson:
         cfg = ExperimentConfig(n=2, model="sphere", m=4, num_trials=1, master_seed=0)
         rec = TrialRecord(trial_id=0, seed=0, n=2, m=4, model="sphere", failed=True, error="x")
         path = tmp_path / "failed.json"
-        write_summary_json(cfg, [rec], path)
+        write_text(path, render_json(summary_dict(cfg, [rec])))
 
         def reject(name):
             raise ValueError(f"invalid JSON constant {name}")
@@ -266,7 +266,9 @@ class TestSummaryJson:
         trial = json.loads(path.read_text(), parse_constant=reject)["trials"][0]
         assert trial["rho_hat"] is None and trial["aligned_errors"] == []
         assert trial["failed"] is True
-        assert replace(rec, residuals=[math.nan]).to_dict()["residuals"] == [None]
+        nan_rec = replace(rec, residuals=[math.nan], rho_hat=math.inf)
+        trial = json.loads(render_json(nan_rec), parse_constant=reject)
+        assert trial["residuals"] == [None] and trial["rho_hat"] is None
 
     def test_config_block_reproduces_the_run(self, tmp_path):
         sig = tmp_path / "z.json"
@@ -377,6 +379,15 @@ class TestConfigFile:
             cfg.num_trials = 0
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             replace(cfg, num_trials=0)
+
+    def test_config_keeps_a_read_only_copy_of_the_signal(self):
+        # the caller's array cannot change the signal the config checked
+        z = np.array([0.6, -0.3, 0.2])
+        cfg = ExperimentConfig(n=3, m=30, signal=z)
+        z[0] = np.nan
+        assert np.array_equal(cfg.signal, [0.6, -0.3, 0.2]) and cfg.signal.dtype == complex
+        with pytest.raises(ValueError):
+            cfg.signal[0] = 1.0
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     @pytest.mark.parametrize("name", ["zero_threshold", "truncation_multiplier", "power_tol"])

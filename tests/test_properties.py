@@ -34,9 +34,10 @@ from kaczmarz_pr.cli import main  # noqa: E402
 from kaczmarz_pr.core import aligned2_rows  # noqa: E402
 from kaczmarz_pr.harness import (  # noqa: E402
     render_csv,
+    render_json,
     setting_fields,
     summary_dict,
-    write_summary_json,
+    write_text,
 )
 from kaczmarz_pr.regularity import _bracket_form, regularity_terms  # noqa: E402
 from kaczmarz_pr.solver import SolverConfig, project_magnitude  # noqa: E402
@@ -355,7 +356,7 @@ def test_csv_and_json_round_trip(cfg):
     assert next(rows, None) is None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "summary.json")
-        write_summary_json(cfg, records, path)
+        write_text(path, render_json(summary_dict(cfg, records)))
         with open(path) as fh:
             loaded = json.load(fh)
     # non-finite values are written as null, so the two compare equal

@@ -1,4 +1,8 @@
 import json
+import math
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from kaczmarz_pr import (
     wedge,
 )
 from kaczmarz_pr import regularity
-from kaczmarz_pr.regularity import RegularityParams, regularity_terms
+from kaczmarz_pr.harness import render_json
+from kaczmarz_pr.regularity import RegularityParams, RegularityReport, regularity_terms
 from kaczmarz_pr.seeding import derive_seed
 from kaczmarz_pr.verify import (
     check_directional_derivatives,
@@ -436,7 +441,7 @@ class TestEstimateL:
         for eval_bytes in (regularity._EVAL_BYTES, 1, 16 * m * 4096):
             monkeypatch.setattr(regularity, "_EVAL_BYTES", eval_bytes)
             rep = estimate_L(ens, z, params)
-            reports.append(json.dumps(rep.to_dict(), sort_keys=True, allow_nan=False))
+            reports.append(render_json(rep))
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_rejects_alpha_whose_terms_overflow(self):
@@ -460,6 +465,30 @@ class TestEstimateL:
             RegularityParams(c0=0.0, alpha=5.0)
         with pytest.raises(ValueError):
             RegularityParams(c0=0.1, alpha=1.0)
+
+    def test_report_json_layout(self):
+        # the direction is one signal-file object, params one nested object,
+        # and a non-finite value is written as null
+        ens = sample_sphere(3, 40, 43)
+        z = sample_unit_vector(3, 44)
+        params = RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=16, seed=45)
+        rep = replace(estimate_L(ens, z, params), term1=math.nan, L_lower=-math.inf)
+
+        def reject(name):
+            raise ValueError(f"invalid JSON constant {name}")
+
+        payload = json.loads(render_json(rep), parse_constant=reject)
+        assert sorted(payload) == sorted(f.name for f in fields(RegularityReport))
+        assert payload["term1"] is None and payload["L_lower"] is None
+        assert payload["params"] == {"c0": 1 / 80, "alpha": 20.0, "net_or_samples": 16, "seed": 45}
+        v = rep.argmin_direction
+        assert payload["argmin_direction"] == {"re": v.real.tolist(), "im": v.imag.tolist()}
+
+    def test_readme_lists_exactly_the_report_keys(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("`estimate-l`'s `--n`", 1)[1]
+        listed = re.search(r"The report has the\s+keys ([^.]*)\.", section).group(1)
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(RegularityReport)]
 
 
 class TestLemmaValidators:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -249,6 +250,12 @@ class TestSolve:
             SolverConfig(max_iters=10)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=10, tol_aligned_rel=1e-8, tol_residual=1e-8)
+
+    def test_config_is_frozen(self):
+        # an assignment would get past the checks made when it was built
+        cfg = SolverConfig(max_iters=10, tol_aligned_rel=1e-8)
+        with pytest.raises(FrozenInstanceError):
+            cfg.tol_residual = 1e-8
 
     def test_history_strictly_increasing(self):
         ens = sample_sphere(5, 50, 90)
