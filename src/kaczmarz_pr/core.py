@@ -43,7 +43,9 @@ class PhaseAlignedDistance(NamedTuple):
 
 
 def aligned2_rows(X, z) -> np.ndarray:
-    """min_t ||x - e^{it} z||^2 for each row x of the (rows, n) array X.
+    """min_t ||x - e^{it} z||^2 for each row x of the (..., n) array X,
+    against signals z of a shape that broadcasts against X: one signal
+    (n,), or one per row.
 
     Magnitudes determine a signal only up to a global phase, so this
     aligned distance is the natural error metric.  It is summed as
@@ -53,15 +55,15 @@ def aligned2_rows(X, z) -> np.ndarray:
     cancellation once the distance drops below ~1e-8 * ||x||.
 
     Every product is an ``einsum`` without ``optimize``, so a row's bits do
-    not depend on the other rows of X; a BLAS product, or numpy's
-    vectorized complex multiply at n = 1, would change them with the row
-    count.
+    not depend on the other rows of X, nor on how z is broadcast; a BLAS
+    product, or numpy's vectorized complex multiply at n = 1, would change
+    them with the row count.
     """
-    w = np.einsum("ij,j->i", X, np.conj(z))
+    w = np.einsum("...j,...j->...", X, np.conj(z))
     aw = np.abs(w)
     g = np.divide(w, aw, out=np.ones_like(w), where=aw > 0.0)
-    d = (X - np.einsum("i,j->ij", g, z)).view(float)
-    return np.einsum("ij,ij->i", d, d)
+    d = (X - np.einsum("...,...j->...j", g, z)).view(float)
+    return np.einsum("...j,...j->...", d, d)
 
 
 def dist_phase_aligned(x, z) -> PhaseAlignedDistance:

@@ -1,9 +1,10 @@
 """Experiment driver: seeded trial batches, rate fitting, CSV/JSON output.
 
 Every trial is a pure function of (master_seed, trial_id), so batches can
-run serially or on a process pool and produce byte-identical output either
-way.  CSV carries the per-epoch error curves; the JSON summary mirrors the
-full trial records.  ``render_json`` is the package's one JSON encoder.
+run serially or on a process pool, in groups of any size, and produce
+byte-identical output either way.  CSV carries the per-epoch error
+curves; the JSON summary mirrors the full trial records.  ``render_json``
+is the package's one JSON encoder.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .seeding import (
     SPECTRAL_STREAM,
     derive_seed,
 )
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, solve_group
 from .spectral import SpectralConfig, spectral_init
 
 __all__ = [
@@ -193,31 +194,67 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
     """One seeded trial: sample signal and ensemble, measure, initialize
     spectrally, solve, fit the rate.  A numerical failure (ValueError,
     RuntimeError, ArithmeticError) is captured in the record, never
-    dropped; any other exception is a bug and propagates."""
-    seed = derive_seed(cfg.master_seed, trial_id)
-    rec = TrialRecord(trial_id=trial_id, seed=seed, n=cfg.n, m=cfg.effective_m, model=cfg.model)
-    try:
-        z = _signal_for_trial(cfg, trial_id)
-        ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, trial_id, ENSEMBLE_STREAM))
-        y = sensing.measure(ensemble, z)
-        spec_cfg = cfg.spectral_config(derive_seed(cfg.master_seed, trial_id, SPECTRAL_STREAM))
-        x0 = spectral_init(ensemble, y, spec_cfg)
-        sol_cfg = cfg.solver_config(derive_seed(cfg.master_seed, trial_id, SOLVER_STREAM))
-        state = solve(ensemble, y, x0, sol_cfg, z=z)
+    dropped; any other exception is a bug and propagates.  The group of
+    one: ``run_experiment`` gives the same record in any group."""
+    return _run_group(cfg, [trial_id])[0]
 
+
+_FAILURES = (ValueError, RuntimeError, ArithmeticError)
+
+
+def _run_group(cfg: ExperimentConfig, trial_ids) -> list[TrialRecord]:
+    """``run_trial`` for each id, with the solves in lockstep
+    (``solve_group``); a trial that fails leaves the others' records
+    unchanged."""
+    records, problems, started = [], [], []
+    for trial_id in trial_ids:
+        seed = derive_seed(cfg.master_seed, trial_id)
+        rec = TrialRecord(trial_id=trial_id, seed=seed, n=cfg.n, m=cfg.effective_m, model=cfg.model)
+        records.append(rec)
+        try:
+            z = _signal_for_trial(cfg, trial_id)
+            ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, trial_id, ENSEMBLE_STREAM))
+            y = sensing.measure(ensemble, z)
+            spec_cfg = cfg.spectral_config(derive_seed(cfg.master_seed, trial_id, SPECTRAL_STREAM))
+            x0 = spectral_init(ensemble, y, spec_cfg)
+            sol_cfg = cfg.solver_config(derive_seed(cfg.master_seed, trial_id, SOLVER_STREAM))
+        except _FAILURES as exc:
+            _fail(rec, exc)
+            continue
+        problems.append((ensemble, y, x0, sol_cfg, z))
+        started.append(rec)
+    for rec, (_, _, _, sol_cfg, z), state in zip(started, problems, solve_group(problems)):
+        if isinstance(state, ValueError):
+            _fail(rec, state)
+            continue
         for k, raw, aligned, res in state.history:
-            rec.epochs.append(k / ensemble.n)
+            rec.epochs.append(k / cfg.n)
             rec.raw_errors.append(raw)
             rec.aligned_errors.append(aligned)
             rec.residuals.append(res)
         rec.iterations_run = state.k
         nz = float(np.linalg.norm(z))
         rec.converged = sol_cfg.converged(rec.aligned_errors[-1], rec.residuals[-1], nz)
-        rec.rho_hat = fit_rate(rec)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        rec.failed = True
-        rec.error = f"{type(exc).__name__}: {exc}"
-    return rec
+        try:
+            rec.rho_hat = fit_rate(rec)
+        except _FAILURES as exc:
+            _fail(rec, exc)
+    return records
+
+
+def _fail(rec: TrialRecord, exc: Exception) -> None:
+    rec.failed = True
+    rec.error = f"{type(exc).__name__}: {exc}"
+
+
+def _trial_groups(cfg: ExperimentConfig) -> list[range]:
+    """The batch's trial ids in consecutive groups of balanced sizes, as
+    many trials in each as have ensembles of ``sensing._GROUP_BYTES`` in
+    all, and at least one."""
+    per_group = max(1, sensing._GROUP_BYTES // (16 * cfg.effective_m * cfg.n))
+    count = -(-cfg.num_trials // per_group)
+    cuts = [cfg.num_trials * g // count for g in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _worker_count(workers: int | None) -> int:
@@ -235,16 +272,18 @@ def _worker_count(workers: int | None) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRecord]:
-    """Run all trials; ``workers`` falls back to the PR_KACZMARZ_THREADS
+    """Run all trials, one group of ``_trial_groups`` at a time, each
+    solved in lockstep; ``workers`` falls back to the PR_KACZMARZ_THREADS
     environment variable (unset -> serial, 0 -> all cores, negative ->
-    ConfigError).  Both maps return the records in trial order, and their
-    content is independent of the worker count."""
+    ConfigError), and a pool maps the same groups.  Both maps return the
+    records in trial order, each equal to ``run_trial``'s, so their content
+    is independent of the grouping and of the worker count."""
     nworkers = _worker_count(workers)
-    ids = range(cfg.num_trials)
-    if nworkers == 1 or cfg.num_trials == 1:
-        return list(map(run_trial, repeat(cfg), ids))
-    with ProcessPoolExecutor(max_workers=min(nworkers, cfg.num_trials)) as pool:
-        return list(pool.map(run_trial, repeat(cfg), ids))
+    groups = _trial_groups(cfg)
+    if nworkers == 1 or len(groups) == 1:
+        return [rec for group in map(_run_group, repeat(cfg), groups) for rec in group]
+    with ProcessPoolExecutor(max_workers=min(nworkers, len(groups))) as pool:
+        return [rec for group in pool.map(_run_group, repeat(cfg), groups) for rec in group]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ MODEL_UNITARY = "unitary"
 # bytes of rows, iterates or (rows, iterates) products that one block of
 # work holds: ``objective_rows``' chunks, and the blocks of ``_block_rows``
 _BLOCK_BYTES = 256 * 1024
+# bytes of ensembles that one group of trials holds at once: the groups
+# that ``harness.run_experiment`` solves in lockstep
+_GROUP_BYTES = 16 * 1024 * 1024
 
 
 def _block_rows(n: int) -> int:

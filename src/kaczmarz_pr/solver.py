@@ -9,7 +9,7 @@ with stochastic gradient descent on the mean squared magnitude residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "project_magnitude",
     "step",
     "solve",
+    "solve_group",
 ]
 
 
@@ -100,29 +101,21 @@ def project_magnitude(x, a, y: float, tau: float = SolverConfig.zero_threshold) 
     together, and s = 0 with y = 0 gives w = x.  This is a deterministic
     choice (the event has probability zero under the sampling models used
     here, and determinism beats a random tie-break for replay).
+
+    This is the oracle of the step rule, ``_steps`` on one row: every step
+    of ``solve`` and ``solve_group`` gives its bits.
     """
     x = np.asarray(x, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    if x.shape != a.shape:
+    if x.ndim != 1 or x.shape != a.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {a.shape}")
-    return x - _coefficient(np.vdot(a, x), _norm2(a), y, tau) * a
-
-
-def _norm2(a):
-    """||a||^2 as ``np.vdot`` gives it; a zero row has no projection."""
-    na2 = np.vdot(a, a).real
-    if na2 == 0.0:
-        raise ValueError("sensing vector must be nonzero")
-    return na2
-
-
-def _coefficient(s, na2, y, tau):
-    """The c with x - c a = ``project_magnitude(x, a, y, tau)``, given
-    s = a^* x and na2 = ||a||^2: both branches of the projection."""
-    sa = abs(s)
-    if sa > tau * y:
-        return (1.0 - y / sa) * s / na2
-    return (s - y) / na2
+    rows = a[None]
+    conj, na2 = _prepared(rows)
+    if not na2.all():
+        raise ValueError(_ZERO_ROW)
+    out = np.empty_like(rows)
+    _steps(x, rows, conj, na2, np.array([y], dtype=float), tau, out)
+    return out[0]
 
 
 def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
@@ -135,97 +128,223 @@ def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
     return state
 
 
-def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
-    """Iterate ``step`` until ``cfg.converged`` holds or max_iters is reached.
+# np.einsum without optimize, minus the 1.3 us its dispatch layer adds to
+# each call; the same function, so the same bits
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
 
-    History samples are taken every stride and at the last iteration, so
-    the final state is the last history entry.  Rows are drawn a block at a
-    time, which gives the same indices as one ``rng.integers(m)`` per step,
-    so the iterates are those of ``step``.  A block never crosses a stride
-    boundary and holds at most ``_block_rows(n)`` iterates.  ||a_i||^2 is
-    computed at a row's first draw and cached.
 
-    The step loop writes each iterate into the block's (block, n) buffer,
-    and ``aligned2_rows`` gives the aligned errors of its rows at once (NaN
-    without z), each with the bits ``dist_phase_aligned`` gives for that
-    iterate alone.  In aligned-error mode every row is tested and the
-    first that passes ``cfg.converged`` is the stop, the exact k; in
-    residual mode a run stops only at a sample, which ends its block, so
-    only the last row is computed.  A sample takes its aligned error from
-    its block (at k = 0, from x0) and copies its iterate into a pending
-    buffer, whose residuals one ``objective_rows`` call computes when it
-    is full and at the end.  It holds ``_block_rows(n)`` rows, or one
-    when f decides the stop, which gives ``objective_f``'s bits; a shared
-    call moves a residual's last bits (see ``objective_rows``).
-    Measurements of another ensemble raise ``ValueError``
-    (``MeasurementSet.of``).
+_ZERO_ROW = "sensing vector must be nonzero"  # a zero row has no projection
+
+
+def _prepared(rows):
+    """(conjugates, ||a||^2) of the (..., n) rows, as the step rule takes
+    them: each ||a||^2 an einsum row reduction, with the bits it has
+    alone."""
+    conj = np.conj(rows)
+    return conj, _einsum("...j,...j->...", conj, rows).real
+
+
+def _steps(x, rows, conj, na2, y, tau, X):
+    """The step rule, one row at a time: step j projects x onto
+    {w : |a^* w| = y[j]}, a = rows[j], and writes the iterate to X[j].
+
+    With s = a^* x, the iterate is x - c a, where c = ((1 - y / |s|) /
+    ||a||^2) s, or c = (1 / ||a||^2)(s - y) where |s| <= tau y.  s is the
+    einsum row reduction, which gives a row the bits it has in any stack of
+    rows (``np.vdot``'s differ); |s| is the C library's hypot, which
+    builtin ``abs`` and ``np.hypot`` call (the ``np.abs`` ufunc rounds
+    differently); and c is a real times s, since numpy's scalar and array
+    forms of complex / real round differently.  ``_steps_stacked`` is the
+    same rule on a stack of iterates.
     """
-    values = y.of(ensemble)
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (ensemble.n,):
-        raise ValueError(f"x0 dimension {x0.shape} does not match n={ensemble.n}")
-    experiment = cfg.tol_aligned_rel is not None
-    if experiment and z is None:
-        raise ValueError("aligned-error stopping requires the true signal z")
-    if z is not None and np.shape(z) != x0.shape:
-        raise ValueError(f"z dimension {np.shape(z)} does not match n={ensemble.n}")
+    for a, ca, n2, yj, out in zip(rows, conj, na2.tolist(), y.tolist(), X):
+        s = complex(_einsum("j,j->", ca, x))
+        sa = abs(s)
+        c = ((1.0 - yj / sa) / n2) * s if sa > tau * yj else (1.0 / n2) * (s - yj)
+        x = np.subtract(x, c * a, out)
 
-    stride = cfg.history_stride if cfg.history_stride is not None else ensemble.n
-    state = SolverState(
-        x=np.array(x0, dtype=complex),
-        rng=np.random.default_rng(int(cfg.seed)),
-    )
-    nz = float(np.linalg.norm(z)) if z is not None else math.nan
-    rows, tau, n = ensemble.vectors, cfg.zero_threshold, ensemble.n
-    cap = _block_rows(n)  # rows of a block, and of the pending buffer
-    # when f decides the stop, each sample's f is needed at once
-    pending = np.empty((cap if experiment else 1, n), dtype=complex)
-    marks = []  # (k, raw, aligned) of pending's rows
 
-    def errors(X):
-        """The aligned errors of X's rows; NaN without a signal."""
-        return np.sqrt(aligned2_rows(X, z)) if z is not None else np.full(len(X), math.nan)
+def _steps_stacked(x, rows, conj, na2, y, tau, X):
+    """``_steps`` on each row t of the (T, n) x at once: step j projects
+    it onto its own constraint (rows[j, t], y[j, t]) and writes the
+    iterates to X[j].  The rule is written in ufuncs over the stack, so
+    each row gets the bits ``_steps`` gives it alone."""
+    for a, ca, n2, yj, ty, out in zip(rows, conj, na2, y, tau * y, X):
+        s = _einsum("ij,ij->i", ca, x)
+        sa = np.hypot(s.real, s.imag)
+        keep = sa > ty
+        if np.count_nonzero(keep) == len(keep):
+            c = ((1.0 - yj / sa) / n2) * s
+        else:  # a pinned row divides by |s| <= tau y, maybe 0, in the branch it drops
+            with np.errstate(all="ignore"):
+                c = np.where(keep, ((1.0 - yj / sa) / n2) * s, (1.0 / n2) * (s - yj))
+        np.multiply(c[:, None], a, out=out)
+        x = np.subtract(x, out, out=out)
 
-    def flush():
-        res = objective_rows(ensemble, y, pending[: len(marks)])
-        state.history.extend((*mark, float(r)) for mark, r in zip(marks, res))
-        marks.clear()
+
+# a block of at least this many problems steps them as one (T, n) stack;
+# below it, the one-row body is faster, each problem on its own
+_STACK_MIN = 4
+
+
+class _Run:
+    """One problem of ``solve_group``: its ``SolverState``, rows, signal
+    and the history samples that wait for their residual."""
+
+    def __init__(self, ensemble, y, x0, cfg: SolverConfig, z):
+        self.values = y.of(ensemble)
+        x0 = np.asarray(x0, dtype=complex)
+        if x0.shape != (ensemble.n,):
+            raise ValueError(f"x0 dimension {x0.shape} does not match n={ensemble.n}")
+        if cfg.tol_aligned_rel is not None and z is None:
+            raise ValueError("aligned-error stopping requires the true signal z")
+        if z is not None and np.shape(z) != x0.shape:
+            raise ValueError(f"z dimension {np.shape(z)} does not match n={ensemble.n}")
+        self.ensemble, self.y, self.cfg = ensemble, y, cfg
+        self.z = None if z is None else np.asarray(z, dtype=complex)
+        self.nz = float(np.linalg.norm(z)) if z is not None else math.nan
+        self.state = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(int(cfg.seed)))
+        # when f decides the stop, each sample's f is needed at once
+        held = _block_rows(ensemble.n) if cfg.tol_aligned_rel is not None else 1
+        self.pending = np.empty((held, ensemble.n), dtype=complex)
+        self.marks = []  # (k, raw, aligned) of pending's rows
+        self.aligned = self.res = math.nan  # of the current iterate; res NaN while pending
+        self.error = None
+
+    def flush(self):
+        res = objective_rows(self.ensemble, self.y, self.pending[: len(self.marks)])
+        self.state.history.extend((*mark, float(r)) for mark, r in zip(self.marks, res))
+        self.marks.clear()
         return float(res[-1])
 
-    def sample(aligned):
-        """Record the history entry at state.k, given its aligned error;
-        returns its residual, NaN while it waits in ``pending``."""
-        raw = float(np.linalg.norm(state.x - z)) if z is not None else math.nan
-        pending[len(marks)] = state.x
-        marks.append((state.k, raw, aligned))
-        return flush() if len(marks) == len(pending) else math.nan
+    def sample(self):
+        """Record the history entry at state.k; its residual is NaN while
+        it waits in ``pending``."""
+        x, z = self.state.x, self.z
+        raw = float(np.linalg.norm(x - z)) if z is not None else math.nan
+        self.pending[len(self.marks)] = x
+        self.marks.append((self.state.k, raw, self.aligned))
+        self.res = self.flush() if len(self.marks) == len(self.pending) else math.nan
 
-    norms = {}  # row index -> ||a_i||^2, computed at the row's first draw
-    x, k = state.x, 0
-    aligned = float(errors(x[None])[0])
-    res = sample(aligned)
-    while not cfg.converged(aligned, res, nz) and k < cfg.max_iters:
-        size = min(stride - k % stride, cap, cfg.max_iters - k)
-        block = state.rng.integers(ensemble.m, size=size)
-        X = np.empty((size, n), dtype=complex)
-        for i, yi, out in zip(block.tolist(), values[block].tolist(), X):
-            a = rows[i]
-            na2 = norms.get(i)
-            if na2 is None:
-                na2 = norms[i] = _norm2(a)
-            x = np.subtract(x, _coefficient(np.vdot(a, x), na2, yi, tau) * a, out)
-        # in residual mode only the last row is tested, against the last
-        # sample's f, which failed the test, so the block runs to its end
-        first = 0 if experiment else size - 1
-        tested = errors(X[first:])
-        stops = np.flatnonzero(cfg.converged(tested, res, nz))
-        j = first + (int(stops[0]) if stops.size else len(tested) - 1)
-        x, k, aligned = X[j], k + j + 1, float(tested[j - first])
-        state.x, state.k = x, k
-        if k % stride == 0:
-            res = sample(aligned)
-    if state.k % stride:
-        sample(aligned)
-    if marks:
-        flush()
+    def running(self) -> bool:
+        """Whether the run goes on past its current iterate."""
+        return self.error is None and not self.cfg.converged(self.aligned, self.res, self.nz)
+
+
+def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
+    """Iterate ``step`` until ``cfg.converged`` holds or max_iters is
+    reached: ``solve_group`` (see there) on this one problem, raising the
+    error it records."""
+    (state,) = solve_group([(ensemble, y, x0, cfg, z)])
+    if isinstance(state, ValueError):
+        raise state
     return state
+
+
+def solve_group(problems) -> list:
+    """``solve`` on each (ensemble, y, x0, cfg, z) of ``problems`` in
+    lockstep.  The problems share n, every ``SolverConfig`` setting but
+    the seed, and whether z is given; each gets the state ``solve`` gives
+    it alone, bit for bit, or the ``ValueError`` it raises alone once a
+    block of its rows holds a zero row, and the others run on.
+
+    History samples are taken every stride and at the last iteration, so
+    the final state is the last history entry.  Each problem draws its
+    rows from its own generator a block at a time, which gives the same
+    indices as one ``rng.integers(m)`` per step, so the iterates are those
+    of ``step``.  A block never crosses a stride boundary and holds at
+    most ``_block_rows(n)`` iterates per problem; every running problem is
+    at the same k at a block's start, so the blocks are the same for all.
+    A block gathers its rows, conjugates and ||a_i||^2 once, and each step
+    of the block follows the step rule of ``_steps``: one (T, n) stacked
+    step for all running problems (``_steps_stacked``), or for fewer than
+    ``_STACK_MIN`` of them the one-row body per problem (``_steps``).
+
+    The steps write each iterate into the block's (block, T, n) buffer,
+    and one ``aligned2_rows`` call gives the aligned errors of its rows,
+    each against its own problem's z (NaN without z), each with the bits
+    ``dist_phase_aligned`` gives for that iterate alone.  In aligned-error
+    mode every row is tested and a problem's first row that passes
+    ``cfg.converged`` is its stop, the exact k, where it leaves the group;
+    in residual mode a run stops only at a sample, which ends its block,
+    so only the last rows are computed.  A sample takes its aligned error
+    from its block (at k = 0, from x0) and copies its iterate into the
+    problem's pending buffer, whose residuals one ``objective_rows`` call
+    computes when it is full and at the end.  It holds ``_block_rows(n)``
+    rows, or one when f decides the stop, which gives ``objective_f``'s
+    bits; a shared call moves a residual's last bits (see
+    ``objective_rows``).  Measurements of another ensemble raise
+    ``ValueError`` (``MeasurementSet.of``).
+    """
+    runs = [_Run(*problem) for problem in problems]
+    if not runs:
+        return []
+    cfg, n, signal = runs[0].cfg, runs[0].ensemble.n, runs[0].z is not None
+    for run in runs:
+        if (replace(run.cfg, seed=cfg.seed), run.ensemble.n, run.z is not None) != (cfg, n, signal):
+            raise ValueError("a group's problems must share n, every setting but the seed, "
+                             "and whether z is given")
+    stride = cfg.history_stride if cfg.history_stride is not None else n
+    experiment = cfg.tol_aligned_rel is not None
+
+    def errors(X, group):
+        """The aligned errors of the (rows, T, n) X's iterates, each
+        against its problem's signal; NaN without a signal."""
+        if not signal:
+            return np.full(X.shape[:2], math.nan)
+        return np.sqrt(aligned2_rows(X, np.stack([run.z for run in group]))).reshape(X.shape[:2])
+
+    for run, aligned in zip(runs, errors(np.stack([run.state.x for run in runs])[None], runs)[0]):
+        run.aligned = float(aligned)
+        run.sample()
+    active, k = [run for run in runs if run.running()], 0
+    while active and k < cfg.max_iters:
+        size = min(stride - k % stride, _block_rows(n), cfg.max_iters - k)
+        blocks = [run.state.rng.integers(run.ensemble.m, size=size) for run in active]
+        rows = np.empty((size, len(active), n), dtype=complex)
+        for t, (run, block) in enumerate(zip(active, blocks)):
+            rows[:, t] = run.ensemble.vectors[block]
+        conj, na2 = _prepared(rows)
+        usable = na2.all(axis=0)
+        if not usable.all():  # a problem whose block holds a zero row fails alone
+            for run, ok in zip(active, usable):
+                if not ok:
+                    run.error = ValueError(_ZERO_ROW)
+            active = [run for run in active if run.error is None]
+            blocks = [block for block, ok in zip(blocks, usable) if ok]
+            rows, conj, na2 = rows[:, usable], conj[:, usable], na2[:, usable]
+            if not active:
+                break
+        y = np.stack([run.values[block] for run, block in zip(active, blocks)], axis=1)
+        X = np.empty_like(rows)
+        if len(active) >= _STACK_MIN:
+            x = np.stack([run.state.x for run in active])
+            _steps_stacked(x, rows, conj, na2, y, cfg.zero_threshold, X)
+        else:
+            for t, run in enumerate(active):
+                column = (rows[:, t], conj[:, t], na2[:, t], y[:, t])
+                _steps(run.state.x, *column, cfg.zero_threshold, X[:, t])
+        # in residual mode only the last rows are tested, against each
+        # run's last sampled f, which failed the test, so blocks run to
+        # their end
+        first = 0 if experiment else size - 1
+        tested = errors(X[first:], active)
+        for t, run in enumerate(active):
+            stops = np.flatnonzero(cfg.converged(tested[:, t], run.res, run.nz))
+            j = first + (int(stops[0]) if stops.size else size - first - 1)
+            # a copy: a problem that stops must not keep the block alive
+            run.state.x, run.state.k = X[j, t].copy(), k + j + 1
+            run.aligned = float(tested[j - first, t])
+            if run.state.k % stride == 0:
+                run.sample()
+        active, k = [run for run in active if run.running()], k + size
+    for run in runs:
+        if run.error is None:
+            if run.state.k % stride:
+                run.sample()
+            if run.marks:
+                run.flush()
+    return [run.state if run.error is None else run.error for run in runs]

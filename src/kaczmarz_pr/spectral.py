@@ -40,21 +40,32 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
     """Hermitian PSD matrix (1/m) sum y_i^2 a_i a_i^* over rows with
     y_i <= multiplier * lam0, where lam0 = sqrt(mean y^2).
 
-    Returns (Y, lam0).  A row is dropped only if y_i^2 exceeds
-    multiplier^2 times the mean, which cannot hold for all rows at once when
-    multiplier >= 1; a smaller multiplier that drops every row raises, as
-    do measurements of another ensemble (``MeasurementSet.of``).
+    Returns (Y, lam0).  Y is (1/m) B^T conj(B) for the rows B_i = y_i a_i,
+    with y_i set to 0 on dropped rows: one real Gram product of B's float
+    view, symmetric by construction, assembled into a Y that is exactly
+    Hermitian.  A row is dropped only if y_i^2 exceeds multiplier^2 times
+    the mean, which cannot hold for all rows at once when multiplier >= 1;
+    a smaller multiplier that drops every row raises, as do all-zero
+    measurements, an RMS level below 2^-511 (lam0^2, the scale of Y, would
+    be subnormal) and measurements of another ensemble
+    (``MeasurementSet.of``).
     """
     vals = y.of(ensemble)
-    lam0 = float(np.sqrt(np.mean(vals * vals)))
-    if lam0 == 0.0:
+    if not vals.any():
         raise ValueError("all measurements are zero; initialization undefined")
+    lam0 = float(np.sqrt(np.mean(vals * vals)))
+    if lam0 < 2.0**-511:  # 0 too, where every y_i^2 underflows
+        raise ValueError(f"measurement RMS level {lam0:.6g} is below 2**-511: its square is subnormal")
     mask = vals <= multiplier * lam0
     if not mask.any():
         raise ValueError(f"no measurement is within truncation_multiplier {multiplier} times the RMS level")
-    aw = ensemble.vectors[mask]
-    w = vals[mask] ** 2
-    Y = (aw.T * w) @ aw.conj() / ensemble.m
+    B = ensemble.vectors * np.where(mask, vals, 0.0)[:, None]
+    Bf = B.view(float)  # columns Re b_1, Im b_1, Re b_2, ...
+    G = Bf.T @ Bf  # a product with its own transpose, exactly symmetric
+    Y = np.empty((ensemble.n, ensemble.n), dtype=complex)
+    Y.real = G[0::2, 0::2] + G[1::2, 1::2]
+    Y.imag = G[1::2, 0::2] - G[0::2, 1::2]
+    Y /= ensemble.m
     return Y, lam0
 
 

@@ -1,13 +1,15 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kaczmarz_pr import dist_phase_aligned, harness, measure, spectral_init
+import golden
+from kaczmarz_pr import dist_phase_aligned, harness, measure, sensing, spectral_init
 from kaczmarz_pr.harness import (
     ConfigError,
     ExperimentConfig,
@@ -23,7 +25,7 @@ from kaczmarz_pr.harness import (
     summary_dict,
     write_text,
 )
-from kaczmarz_pr.seeding import ENSEMBLE_STREAM, SPECTRAL_STREAM, derive_seed
+from kaczmarz_pr.seeding import ENSEMBLE_STREAM, SOLVER_STREAM, SPECTRAL_STREAM, derive_seed
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -94,6 +96,18 @@ class TestRunExperiment:
             assert (rec.iterations_run, rec.converged) == (ref.iterations_run, ref.converged)
             assert abs(rec.rho_hat - ref.rho_hat) <= 1e-14 * ref.rho_hat
 
+    @pytest.mark.parametrize("k", [-520, -530])
+    def test_subnormal_rms_level_fails_every_trial_with_its_cause(self, k):
+        # lam0^2 is subnormal below 2^-511: every trial fails in
+        # truncated_covariance with a message that names the level
+        z = np.linspace(0.1, 0.8, 8) + 0.3j
+        for shape in (dict(m=160), dict(model="unitary", K=20)):
+            cfg = ExperimentConfig(n=8, num_trials=4, master_seed=5, signal=2.0**k * z, **shape)
+            for rec in run_experiment(cfg, workers=1):
+                assert rec.failed
+                assert re.fullmatch(r"ValueError: measurement RMS level \S+ is below 2\*\*-511: "
+                                    r"its square is subnormal", rec.error)
+
     @pytest.mark.parametrize(
         "shape",
         [dict(n=256, m=10240, max_iters=40 * 256), dict(n=16, m=50000), dict(n=50, m=2000)],
@@ -161,6 +175,85 @@ class TestRunExperiment:
         assert rec.epochs[0] == 0.0
         assert rec.aligned_errors[0] == dist_phase_aligned(x0, z).aligned  # bit for bit
         assert 0.0 < rec.aligned_errors[0] < 1.0
+
+
+def texts(cfg, records):
+    """(CSV, JSON) of a run's records."""
+    return render_csv(records), render_json(summary_dict(cfg, records))
+
+
+# the golden batches, and one at n = 1
+GROUPED = {**golden.BATCHES, "n1": replace(golden.BATCHES["sphere_aligned"], n=1, m=10)}
+
+
+class TestGroups:
+    """run_experiment solves a batch in groups of trials; the bytes are
+    those of run_trial on each trial, at any group size and pool size."""
+
+    def group_sizes(self, monkeypatch, cfg, trials_per_group):
+        monkeypatch.setattr(sensing, "_GROUP_BYTES", trials_per_group * 16 * cfg.effective_m * cfg.n)
+        return [len(group) for group in harness._trial_groups(cfg)]
+
+    @pytest.mark.parametrize("name", GROUPED)
+    def test_bytes_do_not_depend_on_grouping(self, monkeypatch, name):
+        cfg = GROUPED[name]
+        want = texts(cfg, [run_trial(cfg, t) for t in range(cfg.num_trials)])
+        for per_group, sizes in ((1, [1, 1, 1]), (2, [1, 2]), (3, [3])):
+            assert self.group_sizes(monkeypatch, cfg, per_group) == sizes
+            assert texts(cfg, run_experiment(cfg, workers=1)) == want
+            assert texts(cfg, run_experiment(cfg, workers=2)) == want
+
+    def test_groups_are_balanced_and_bounded_by_memory(self, monkeypatch):
+        sphere = ExperimentConfig(n=50, m=2000, num_trials=20)
+        assert [len(g) for g in harness._trial_groups(sphere)] == [10, 10]
+        assert [len(g) for g in harness._trial_groups(replace(sphere, num_trials=21))] == [7, 7, 7]
+        tall = ExperimentConfig(n=16, m=50000, num_trials=12)
+        assert [len(g) for g in harness._trial_groups(tall)] == [1] * 12
+        assert self.group_sizes(monkeypatch, replace(sphere, num_trials=7), 3) == [2, 2, 3]
+        groups = harness._trial_groups(replace(sphere, num_trials=7))
+        assert [t for g in groups for t in g] == list(range(7))
+
+    def test_zero_row_trial_fails_alone(self, monkeypatch):
+        # trial 1's ensemble gets a zero row where its 30th step draws:
+        # in every group it fails with solve's message, and the other
+        # trials' bytes are those of their runs without it
+        cfg = GROUPED["sphere_aligned"]
+        clean = [run_trial(cfg, t) for t in range(cfg.num_trials)]
+        ens_seed = derive_seed(cfg.master_seed, 1, ENSEMBLE_STREAM)
+        draws = np.random.default_rng(derive_seed(cfg.master_seed, 1, SOLVER_STREAM)).integers(cfg.m, size=30)
+        row = int(draws[-1])
+        sample = ExperimentConfig.sample_ensemble
+
+        def with_zero_row(self, seed):
+            ens = sample(self, seed)
+            if seed != ens_seed:
+                return ens
+            vectors = np.array(ens.vectors)
+            vectors[row] = 0.0
+            return sensing.SensingEnsemble(vectors=vectors)
+
+        monkeypatch.setattr(ExperimentConfig, "sample_ensemble", with_zero_row)
+        alone = [run_trial(cfg, t) for t in range(cfg.num_trials)]
+        assert alone[1].failed and alone[1].error == "ValueError: sensing vector must be nonzero"
+        assert texts(cfg, alone[::2]) == texts(cfg, clean[::2])
+        for per_group in (1, 2, 3):
+            self.group_sizes(monkeypatch, cfg, per_group)
+            assert texts(cfg, run_experiment(cfg, workers=1)) == texts(cfg, alone)
+
+    def test_a_batch_holds_one_group_of_ensembles(self):
+        # sphere n = 50, m = 2000, 20 trials: two groups of 10, whose
+        # ensembles hold 10 * 1.6 MB; the rest of the traced peak measured
+        # 5.6 MiB.  All 20 ensembles at once would hold 32 MB.
+        cfg = ExperimentConfig(n=50, m=2000, num_trials=20, master_seed=3000)
+        group = 10 * 16 * cfg.m * cfg.n
+        tracemalloc.start()
+        try:
+            records = run_experiment(cfg, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rec.converged for rec in records)
+        assert group < peak < group + 8 * 2**20
 
 
 class TestCsvOutput:

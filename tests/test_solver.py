@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from kaczmarz_pr.core import aligned2_rows
 from kaczmarz_pr.harness import ExperimentConfig, run_experiment
 from kaczmarz_pr.regularity import dir_deriv_f
 from kaczmarz_pr.sensing import objective_f, objective_rows
-from kaczmarz_pr.solver import project_magnitude
+from kaczmarz_pr.solver import _prepared, _steps, _steps_stacked, project_magnitude, solve_group
 from kaczmarz_pr.verify import check_contraction_identity
 
 
@@ -602,6 +602,121 @@ class TestScreenedStoppingTest:
         else:
             assert products == [1] * h
         self.assert_same_run(state, replay)
+
+
+class TestStepRule:
+    """The one-row body, the stacked body and project_magnitude take every
+    step with the same bits."""
+
+    def rows(self, rng, shape, scale=1.0):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 50])
+    @pytest.mark.parametrize("scale", [2.0**-500, 1.0, 2.0**500])
+    def test_stacked_rows_match_one_row_steps(self, n, scale):
+        rng = np.random.default_rng(n)
+        size, T = 40, 7
+        rows = self.rows(rng, (size, T, n))
+        x = self.rows(rng, (T, n), scale)
+        y = scale * np.abs(rng.standard_normal((size, T)))
+        y[3] = 0.0  # y = 0: a plain hyperplane projection
+        rows[0, 2] = np.eye(n)[0]  # with x[2] orthogonal to it, s = 0
+        x[2, 0] = 0.0
+        y[9, 4] = 1e15 * scale  # |s| <= tau y: the pinned branch
+        conj, na2 = _prepared(rows)
+        tau = SolverConfig.zero_threshold
+        stacked = np.empty((size, T, n), dtype=complex)
+        _steps_stacked(x, rows, conj, na2, y, tau, stacked)
+        for t in range(T):
+            one = np.empty((size, n), dtype=complex)
+            _steps(x[t], rows[:, t], conj[:, t], na2[:, t], y[:, t], tau, one)
+            assert np.array_equal(stacked[:, t], one)
+            w = x[t]
+            for j in range(size):
+                w = project_magnitude(w, rows[j, t], y[j, t], tau)
+            assert np.array_equal(w, one[-1])
+        assert stacked[0, 2, 0] == y[0, 2]  # pinned at s = 0
+
+
+def group_problems(model, n, m, count, seed, **settings):
+    """``count`` seeded problems of one shape, spectrally started."""
+    problems = []
+    for t in range(count):
+        if model == "sphere":
+            ens = sample_sphere(n, m, seed + t)
+        else:
+            ens = sample_block_unitary(n, m // n, seed + t)
+        z = sample_unit_vector(n, seed + 100 + t)
+        y = measure(ens, z)
+        x0 = spectral_init(ens, y, SpectralConfig(seed=seed + 200 + t))
+        problems.append((ens, y, x0, SolverConfig(seed=seed + 300 + t, **settings), z))
+    return problems
+
+
+class TestSolveGroup:
+    def assert_same_state(self, got, want):
+        assert got.k == want.k
+        assert np.array_equal(got.x, want.x)
+        np.testing.assert_array_equal(np.array(got.history), np.array(want.history))
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+    @pytest.mark.parametrize("stack_min", [1, 4, 100])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("sphere", 12, 150, dict(max_iters=20_000, tol_aligned_rel=1e-13)),
+            ("unitary", 12, 144, dict(max_iters=20_000, tol_aligned_rel=1e-13, history_stride=7)),
+            ("sphere", 12, 150, dict(max_iters=45, tol_aligned_rel=1e-13)),
+            ("sphere", 2, 40, dict(max_iters=20_000, tol_aligned_rel=1e-13)),
+            ("sphere", 12, 150, dict(max_iters=20_000, tol_residual=1e-24, history_stride=7)),
+            ("sphere", 12, 150, dict(max_iters=800, tol_aligned_rel=0.0)),
+        ],
+        ids=["sphere", "unitary-stride7", "max-iters", "n2", "residual", "no-stop"],
+    )
+    def test_each_problem_gets_its_solve(self, monkeypatch, case, stack_min):
+        # 1 steps every block stacked, 100 every block one row at a time,
+        # and 4 switches to one row as the problems stop one by one
+        model, n, m, settings = case
+        problems = group_problems(model, n, m, 6, 40, **settings)
+        alone = [solve(*problem) for problem in problems]
+        monkeypatch.setattr(solver, "_STACK_MIN", stack_min)
+        for got, want in zip(solve_group(problems), alone):
+            self.assert_same_state(got, want)
+        assert len({state.k for state in alone}) > 1 or settings["max_iters"] <= 800
+
+    def test_blind_problems(self):
+        problems = [(e, y, x0, cfg, None) for e, y, x0, cfg, _ in
+                    group_problems("sphere", 12, 150, 5, 60, max_iters=20_000, tol_residual=1e-24)]
+        for got, problem in zip(solve_group(problems), problems):
+            self.assert_same_state(got, solve(*problem))
+
+    def test_zero_row_fails_alone(self):
+        # problem 1 draws its zero row in a later block: it gets solve's
+        # error, and the others their states, as if it were not there
+        problems = group_problems("sphere", 12, 150, 5, 70, max_iters=20_000, tol_aligned_rel=1e-13)
+        ens, y, x0, cfg, z = problems[1]
+        vectors = np.array(ens.vectors)
+        vectors[int(np.random.default_rng(cfg.seed).integers(150, size=40)[-1])] = 0.0
+        broken = SensingEnsemble(vectors=vectors)
+        problems[1] = (broken, MeasurementSet(values=y.values, ensemble=broken), x0, cfg, z)
+        out = solve_group(problems)
+        with pytest.raises(ValueError, match="sensing vector must be nonzero"):
+            solve(*problems[1])
+        assert isinstance(out[1], ValueError) and str(out[1]) == "sensing vector must be nonzero"
+        for i in (0, 2, 3, 4):
+            self.assert_same_state(out[i], solve(*problems[i]))
+
+    def test_problems_must_share_settings(self):
+        problems = group_problems("sphere", 6, 60, 2, 80, max_iters=100, tol_aligned_rel=1e-8)
+        ens, y, x0, cfg, z = problems[1]
+        for changed in (
+            (ens, y, x0, replace(cfg, max_iters=101), z),
+            (ens, y, x0, replace(cfg, tol_aligned_rel=None, tol_residual=1e-8), None),
+            group_problems("sphere", 7, 60, 1, 80, max_iters=100, tol_aligned_rel=1e-8)[0],
+        ):
+            with pytest.raises(ValueError, match="share n"):
+                solve_group([problems[0], changed])
+        assert solve_group([]) == []
 
 
 class TestContractionIdentity:

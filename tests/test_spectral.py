@@ -30,13 +30,38 @@ class TestTruncatedCovariance:
         y = measure(ens, sample_unit_vector(4, 3))
         vals = y.values.copy()
         vals[7] = 100.0  # way above 3 * lam0
-        y_out = MeasurementSet(values=vals, ensemble=ens)
-        Y, lam0 = truncated_covariance(ens, y_out)
+        Y, lam0 = truncated_covariance(ens, MeasurementSet(values=vals, ensemble=ens))
         assert vals[7] > 3.0 * lam0
+        # the dropped row takes no part, bit for bit: another vector in its
+        # place leaves Y unchanged
+        vectors = np.array(ens.vectors)
+        vectors[7] = sample_unit_vector(4, 4)
+        other = SensingEnsemble(vectors=vectors)
+        assert np.array_equal(truncated_covariance(other, MeasurementSet(values=vals, ensemble=other))[0], Y)
+        # Y is the Gram formula on the kept rows alone
         mask = vals <= 3.0 * lam0
+        B = (ens.vectors[mask] * vals[mask][:, None]).view(float)
+        G = B.T @ B
+        manual = (G[0::2, 0::2] + G[1::2, 1::2] + 1j * (G[1::2, 0::2] - G[0::2, 1::2])) / ens.m
+        assert np.array_equal(Y, manual)
         aw = ens.vectors[mask]
-        manual = (aw.T * vals[mask] ** 2) @ aw.conj() / ens.m
-        assert np.abs(Y - manual).max() == 0.0
+        assert np.abs(Y - (aw.T * vals[mask] ** 2) @ aw.conj() / ens.m).max() <= 1e-16
+
+    @pytest.mark.parametrize("shape", [(1, 7), (5, 300), (16, 5000)])
+    def test_exactly_hermitian(self, shape):
+        n, m = shape
+        for ens in (sample_sphere(n, m, 20), sample_block_unitary(n, max(1, m // n), 21)):
+            Y, _ = truncated_covariance(ens, measure(ens, sample_unit_vector(n, 22)))
+            assert np.array_equal(Y, Y.conj().T)
+
+    @pytest.mark.parametrize("k", [-520, -530])
+    def test_subnormal_rms_level_rejected(self, k):
+        # lam0 < 2^-511 makes lam0^2, the scale of Y, subnormal
+        ens = sample_sphere(8, 160, 5)
+        y = measure(ens, 2.0**k * (np.linspace(0.1, 0.8, 8) + 0.3j))
+        assert 0.0 < np.sqrt(np.mean(y.values**2)) < 2.0**-511
+        with pytest.raises(ValueError, match=r"measurement RMS level \S+ is below 2\*\*-511"):
+            truncated_covariance(ens, y)
 
     def test_all_zero_measurements_rejected(self):
         ens = sample_sphere(3, 10, 4)
