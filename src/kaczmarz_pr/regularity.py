@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sensing import row_magnitudes, row_products
+from .seeding import check_seed
 
 __all__ = [
     "dir_deriv_f",
@@ -151,6 +152,7 @@ class RegularityParams:
             raise ValueError("c0 must be finite and positive")
         if self.net_or_samples < 1:
             raise ValueError("net_or_samples must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -262,6 +264,22 @@ def _bracket_form(ensemble, z, c0: float, alpha: float):
     return lam, basis @ y, np.concatenate(w_rows)
 
 
+def _move_candidates(t2, reach, lim, step, norms2):
+    """Rows of W that some move c +- step e_j can put in its wedge, as
+    indices into W, from |t_c|^2, the rows' reach max_j |P_j,i|, their
+    limits (|u_i| / beta)^2 and the moves' squared norms.
+
+    |t_c +- step P_j| <= |t_c| + step reach, so a row with
+    (|t_c| + step reach)^2 below lim times the smallest squared norm lies
+    outside every move's wedge.  The relative slack 1e-9 exceeds the
+    rounding of both sides, so rounding can only add rows.
+    """
+    bound = np.sqrt(t2)
+    bound += step * reach
+    bound *= bound
+    return np.flatnonzero(bound >= lim * (norms2.min() * (1.0 - 1e-9)))
+
+
 def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     """(rows, moves): the direction search's scores of frame coordinates.
 
@@ -273,12 +291,21 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
 
     (tested as |t_i|^2 < (|u_i| / beta)^2).  Products are linear in c,
     t = sum_j c_j P_j, with P_j the products of W's rows with frame axis j,
-    built once.  ``rows(C)`` scores unit rows C through P, O(n |W|) each;
+    built once.  ``rows(C)`` scores unit rows C through P, O(n |W|) each.
     ``moves(c, step)`` returns the moves c +- step e_j of a unit c in the
-    order +e_0, -e_0, +e_1, ..., normalized, with their scores: their
-    products are (t_c +- step P_j) / ||c +- step e_j||, O(|W|) each.  Where
-    W is empty a score is the form alone, O(n).  P is built over row blocks
-    of ``_FORM_BYTES``, and every temporary of a score holds at most
+    order +e_0, -e_0, +e_1, ..., normalized, with their scores; their
+    products are (t_c +- step P_j) / ||c +- step e_j||, so
+
+        |t|^2 ||c +- step e_j||^2 = |t_c|^2 + step^2 |P_j|^2 +- 2 step Re(conj(t_c) P_j).
+
+    Only the rows of ``_move_candidates`` can be in a move's wedge; they
+    are formed and masked elementwise, O(n) each.  Every other row counts
+    whole, so its part of each gap is the three sums of the right-hand side
+    over those rows: a dot product, the axes' sums of |P_j|^2 (kept from
+    the build) less the candidates', and one GEMV over P.  A sweep costs
+    O(n |W|) in two GEMVs plus O(n) per candidate.  Where W is empty a
+    score is the form alone, O(n).  P is built over row blocks of
+    ``_FORM_BYTES``, and every temporary of a score holds at most
     ``_EVAL_BYTES`` (one row or axis at least).
     """
     n, k, w = ensemble.n, 2 * ensemble.n - 1, len(w_rows)
@@ -286,17 +313,22 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     lim = (row_magnitudes(ensemble, z)[w_rows] / (c0 * alpha)) ** 2
     axes_conj = frame[:n] - 1j * frame[n:]
     P = np.empty((k, 2, w))  # axis j: (Re, Im) of its products
+    reach, q_sums = np.empty(w), np.zeros(k)  # max_j |P_j,i|; sum_i |P_j,i|^2
     form_block = max(1, _FORM_BYTES // (16 * n))
     for lo in range(0, w, form_block):
         q = ensemble.vectors[w_rows[lo : lo + form_block]] @ axes_conj  # conj(a_i^* f_j)
         P[:, 0, lo : lo + form_block] = q.real.T
         P[:, 1, lo : lo + form_block] = -q.imag.T
-    flat, Q = P.reshape(k, 2 * w), P[:, 0] ** 2 + P[:, 1] ** 2
-    block = max(1, _EVAL_BYTES // (16 * max(w, 1)))  # rows of C, or axes of a sweep
+        q2 = q.real**2 + q.imag**2
+        reach[lo : lo + form_block] = np.sqrt(q2.max(axis=1))
+        q_sums += q2.sum(axis=0)
+    flat = P.reshape(k, 2 * w)
+    block = max(1, _EVAL_BYTES // (16 * max(w, 1)))  # rows of C
     unit_moves = np.kron(np.eye(k), [[1.0], [-1.0]])
 
-    def gap(p2):
-        """(d, |W|) squared products -> (d,) gaps, masking p2 in place."""
+    def gap(p2, lim):
+        """(d, rows) squared products and the rows' limits -> (d,) gaps,
+        masking p2 in place."""
         p2 *= p2 < lim  # p2 >= 0, so wedge rows give +0
         return c_wedge * p2.sum(axis=1)
 
@@ -306,7 +338,7 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
             B = C[lo : lo + block]
             T = (B @ flat).reshape(len(B), 2, w)
             T *= T
-            f[lo : lo + len(B)] += gap(T[:, 0] + T[:, 1])
+            f[lo : lo + len(B)] += gap(T[:, 0] + T[:, 1], lim)
         return f
 
     def moves(c, step):
@@ -314,21 +346,36 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
         norms = np.linalg.norm(R, axis=1)
         C = R / norms[:, np.newaxis]
         f = (C * C) @ lam
-        # |t_c +- step P_j|^2 = |t_c|^2 + step^2 |P_j|^2 +- 2 step Re(conj(t_c) P_j)
-        tr, ti = (c @ flat).reshape(2, w)
-        t2 = tr * tr + ti * ti
-        tr, ti = 2.0 * step * tr, 2.0 * step * ti
-        inv = (1.0 / (norms * norms)).reshape(k, 2, 1)
-        for lo in range(0, k, block):
-            cross = P[lo : lo + block, 0] * tr
-            cross += P[lo : lo + block, 1] * ti
-            base = Q[lo : lo + block] * (step * step)
+        t = (c @ flat).reshape(2, w)
+        t2 = t[0] * t[0] + t[1] * t[1]
+        norms2 = norms * norms
+        inv = (1.0 / norms2).reshape(k, 2, 1)
+        near = _move_candidates(t2, reach, lim, step, norms2)
+        far = np.ones(w)
+        far[near] = 0.0
+        far_t2, far_cross, far_q = t2 @ far, flat @ (t * far).reshape(2 * w), q_sums.copy()
+        t, t2, lim_near = 2.0 * step * t[:, near], t2[near], lim[near]
+        axis_block = max(1, _EVAL_BYTES // (16 * max(len(near), 1)))
+        for lo in range(0, k, axis_block):
+            G = P[lo : lo + axis_block][:, :, near]
+            base = G[:, 0] * G[:, 0]
+            base += G[:, 1] * G[:, 1]
+            far_q[lo : lo + axis_block] -= base.sum(axis=1)
+            base *= step * step
             base += t2
-            p2 = np.empty((len(base), 2, w))  # (axis, sign, row)
+            cross = G[:, 0] * t[0]
+            cross += G[:, 1] * t[1]
+            p2 = np.empty((len(base), 2, len(near)))  # (axis, sign, row)
             np.add(base, cross, out=p2[:, 0])
             np.subtract(base, cross, out=p2[:, 1])
-            p2 *= inv[lo : lo + block]
-            f[2 * lo : 2 * lo + 2 * len(base)] += gap(p2.reshape(2 * len(base), w))
+            p2 *= inv[lo : lo + axis_block]
+            f[2 * lo : 2 * lo + 2 * len(base)] += gap(p2.reshape(2 * len(base), len(near)), lim_near)
+        far_q *= step * step
+        far_q += far_t2
+        far_cross *= 2.0 * step
+        p2 = np.column_stack((far_q + far_cross, far_q - far_cross))  # (axis, sign)
+        p2 *= inv[:, :, 0]
+        f += c_wedge * p2.reshape(2 * k)
         return C, f
 
     return rows, moves

@@ -21,3 +21,11 @@ def derive_seed(*parts: int) -> int:
     """Mix integer parts into one 64-bit seed (stable across platforms)."""
     ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is a Python or numpy integer >= 0,
+    the seeds ``numpy.random.default_rng`` takes; a float such as 1.5 is
+    refused rather than truncated."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

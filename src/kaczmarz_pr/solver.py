@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import aligned2_rows
 from .sensing import _block_rows, objective_rows
+from .seeding import check_seed
 
 __all__ = [
     "SolverConfig",
@@ -50,6 +51,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        check_seed(self.seed)
         if not (math.isfinite(self.zero_threshold) and self.zero_threshold > 0.0):
             raise ValueError("zero_threshold must be positive and finite")
         if self.row_rule != "uniform":

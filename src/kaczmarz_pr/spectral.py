@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sensing import sample_unit_vector
+from .seeding import check_seed
 
 __all__ = ["SpectralConfig", "truncated_covariance", "spectral_init"]
 
@@ -34,6 +35,7 @@ class SpectralConfig:
             raise ValueError("power_tol must be positive and finite")
         if self.power_iters_max < 1:
             raise ValueError("power_iters_max must be >= 1")
+        check_seed(self.seed)
 
 
 def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncation_multiplier):

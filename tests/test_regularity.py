@@ -317,18 +317,23 @@ class TestEstimateL:
         assert rep.L_estimate == (5 / 120) * reported
 
     @pytest.mark.parametrize("n", [1, 2, 8, 50])
-    @pytest.mark.parametrize("c0, w_case", [(1e-6, "empty"), (1 / 80, "partial"), (0.1, "all")])
+    @pytest.mark.parametrize(
+        "c0, w_case", [(1e-6, "empty"), (1e-3, "few"), (1 / 80, "partial"), (0.1, "all")]
+    )
     def test_descent_scores_equal_random_stage_scores(self, n, c0, w_case):
         # a sweep scores c +- step e_j from the products of c and of the
         # frame axes, the random stage the same normalized coordinates by one
         # product each: the two agree, and both are the bracket of
-        # regularity_terms; W is empty, partial (empty at n = 1, where
-        # |a_i^* z| = ||a_i||) or every row (c0 alpha >= 1)
+        # regularity_terms; W is empty, a few rows (none below n = 50),
+        # partial (empty at n = 1, where |a_i^* z| = ||a_i||) or every row
+        # (c0 alpha >= 1)
         m, alpha = 4 * n + 100, 20.0
         ens = sample_sphere(n, m, 70 + n)
         z = sample_unit_vector(n, 71 + n)
         lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
-        if w_case == "partial" and n > 1:
+        if w_case == "few" and n == 50:
+            assert 0 < len(w_rows) < 0.05 * m
+        elif w_case == "partial" and n > 1:
             assert 0 < len(w_rows) < m
         else:
             assert len(w_rows) == (m if w_case == "all" else 0)
@@ -344,6 +349,58 @@ class TestEstimateL:
                 V = C @ frame.T
                 brackets = [regularity_terms(ens, z, v, c0, alpha)[3] for v in V[:, :n] + 1j * V[:, n:]]
                 np.testing.assert_allclose(f, brackets, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize(
+        "n, m, c0, w_case",
+        [
+            (1, 104, 1 / 80, "empty"),
+            (1, 104, 0.1, "all"),
+            (8, 132, 2e-3, "few"),
+            (8, 132, 1 / 80, "partial"),
+            (8, 132, 0.1, "all"),
+            (50, 2000, 1e-3, "few"),
+            (50, 2000, 1 / 80, "partial"),
+            (50, 2000, 0.1, "all"),
+        ],
+    )
+    def test_rows_left_out_of_a_sweep_are_outside_every_wedge(self, monkeypatch, n, m, c0, w_case):
+        # a sweep forms and masks only _move_candidates' rows and sums the
+        # rest of W in full: every other row must lie outside the wedge of
+        # all 2 (2n-1) moves, with |t|^2 formed elementwise from c's and the
+        # axes' products
+        alpha, k = 20.0, 2 * n - 1
+        ens = sample_sphere(n, m, derive_seed(n, m, 1))
+        z = sample_unit_vector(n, derive_seed(n, m, 2))
+        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
+        w = len(w_rows)
+        assert {"empty": w == 0, "few": 0 < w < 0.05 * m, "partial": 0 < w < m, "all": w == m}[w_case]
+        picked = []
+        pick = regularity._move_candidates
+
+        def recording_pick(*args):
+            picked.append(pick(*args))
+            return picked[-1]
+
+        monkeypatch.setattr(regularity, "_move_candidates", recording_pick)
+        rows, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
+        a_w = ens.vectors[w_rows].conj()
+        P = a_w @ (frame[:n] + 1j * frame[n:])  # (row, axis): a_i^* f_j
+        lim = (np.abs(a_w @ z) / (c0 * alpha)) ** 2
+        rng = np.random.default_rng(derive_seed(n, m, 3))
+        for _ in range(3):
+            c = rng.standard_normal(k)
+            c /= np.linalg.norm(c)
+            for step in (0.25, 0.01, 1e-3):
+                C, f = moves(c, step)
+                out = np.setdiff1d(np.arange(w), picked.pop())
+                t = (P @ c)[out, np.newaxis]
+                base = np.abs(t) ** 2 + step**2 * np.abs(P[out]) ** 2
+                cross = 2.0 * step * np.real(np.conj(t) * P[out])
+                R = c + step * np.kron(np.eye(k), [[1.0], [-1.0]])
+                p2 = np.stack((base + cross, base - cross), axis=2).reshape(len(out), 2 * k)
+                p2 /= np.sum(R * R, axis=1)
+                assert np.all(p2 < lim[out, np.newaxis])
+        assert picked == []
 
     def test_bench_shaped_search_is_pinned(self):
         # the benchmark's estimate_l instance at master seed 3000, with a
@@ -465,6 +522,14 @@ class TestEstimateL:
             RegularityParams(c0=0.0, alpha=5.0)
         with pytest.raises(ValueError):
             RegularityParams(c0=0.1, alpha=1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), np.int64(-3), "4"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # -1 would fail only after the bracket form is built; 1.5 would run as 1
+        with pytest.raises(ValueError, match="seed"):
+            RegularityParams(c0=0.1, alpha=5.0, seed=seed)
+        for ok in (0, 7, np.int64(5), np.uint32(3)):
+            assert RegularityParams(c0=0.1, alpha=5.0, seed=ok).seed == ok
 
     def test_report_json_layout(self):
         # the direction is one signal-file object, params one nested object,

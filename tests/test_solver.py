@@ -156,6 +156,14 @@ class TestStep:
         with pytest.raises(ValueError, match="uniform"):
             SolverConfig(max_iters=1, tol_residual=0.0, row_rule="inverse_norm")
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), np.int64(-3), "4"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # -1 would fail only later, inside numpy; 1.5 would run as 1
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(max_iters=1, tol_residual=0.0, seed=seed)
+        for ok in (0, 7, np.int64(5), np.uint32(3)):
+            assert SolverConfig(max_iters=1, tol_residual=0.0, seed=ok).seed == ok
+
 
 class TestSolve:
     def test_start_at_solution_stops_immediately(self):

@@ -169,3 +169,12 @@ class TestSpectralInit:
         y = measure(other, sample_unit_vector(3, 23))
         with pytest.raises(ValueError):
             spectral_init(ens, y, SpectralConfig(seed=24))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), np.int64(-3), "4"])
+def test_spectral_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SpectralConfig(seed=seed)
+    for ok in (0, 7, np.int64(5), np.uint32(3)):
+        assert SpectralConfig(seed=ok).seed == ok
+
