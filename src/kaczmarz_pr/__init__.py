@@ -9,6 +9,7 @@ The package splits into:
 * ``spectral``   truncated spectral initialization
 * ``regularity`` derivatives of f, wedge sets and the regularity estimator
 * ``harness``    seeded experiment batches, rate fitting, CSV/JSON output
+* ``blas``       one OpenBLAS thread for the work whose bits depend on it
 * ``verify``     every invariant and lemma check, with the Monte-Carlo
                  estimates of the lemma constants, shared by the acceptance
                  tests and ``kaczmarz-pr verify``

@@ -19,7 +19,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import sensing
+from . import blas, sensing
 from .seeding import (
     ENSEMBLE_STREAM,
     SIGNAL_STREAM,
@@ -277,13 +277,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Tr
     environment variable (unset -> serial, 0 -> all cores, negative ->
     ConfigError), and a pool maps the same groups.  Both maps return the
     records in trial order, each equal to ``run_trial``'s, so their content
-    is independent of the grouping and of the worker count."""
+    is independent of the grouping and of the worker count.  The whole run
+    holds OpenBLAS at one thread (``blas.one_thread``; forked workers
+    inherit it), and a serial run draws the next trial's ensemble on a
+    thread of its own (``sensing.draw_ahead``)."""
     nworkers = _worker_count(workers)
     groups = _trial_groups(cfg)
-    if nworkers == 1 or len(groups) == 1:
-        return [rec for group in map(_run_group, repeat(cfg), groups) for rec in group]
-    with ProcessPoolExecutor(max_workers=min(nworkers, len(groups))) as pool:
-        return [rec for group in pool.map(_run_group, repeat(cfg), groups) for rec in group]
+    with blas.one_thread():
+        if nworkers == 1 or len(groups) == 1:
+            seeds = [derive_seed(cfg.master_seed, t, ENSEMBLE_STREAM) for t in range(cfg.num_trials)]
+            with sensing.draw_ahead(cfg.model, cfg.n, cfg.effective_m, seeds):
+                return [rec for group in map(_run_group, repeat(cfg), groups) for rec in group]
+        with ProcessPoolExecutor(max_workers=min(nworkers, len(groups))) as pool:
+            return [rec for group in pool.map(_run_group, repeat(cfg), groups) for rec in group]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ measurement set holds the ensemble it measured.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,7 @@ __all__ = [
     "sample_sphere",
     "sample_block_unitary",
     "sample_unit_vector",
-    "haar_unitary",
+    "draw_ahead",
     "row_products",
     "row_magnitudes",
     "measure",
@@ -57,6 +60,89 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     g.real = rng.standard_normal(shape)
     g.imag = rng.standard_normal(shape)
     return g
+
+
+def _fill_normal(rng: np.random.Generator, g: np.ndarray, segment: int, buf: np.ndarray) -> None:
+    """Fill the complex (rows, n) array g with ``_complex_normal``'s draws
+    on each of its consecutive segments of ``segment`` rows in turn: a
+    segment's real block, then its imaginary block.  The draws pass through
+    the contiguous real (rows, n) buffer buf, ``len(buf)`` rows at a time,
+    and no array is allocated.  numpy's normal stream does not depend on
+    how a draw is split, so g gets the bits of the one-shot draws."""
+    step = len(buf)
+    for lo in range(0, len(g), segment):
+        seg = g[lo : lo + segment]
+        for part in (seg.real, seg.imag):
+            for start in range(0, len(part), step):
+                target = part[start : start + step]
+                out = buf[: len(target)]
+                rng.standard_normal(out=out)
+                target[...] = out
+
+
+def _segment_rows(model: str, n: int, m: int) -> int:
+    """Rows per ``_fill_normal`` segment: the sphere model draws its m rows
+    at once, the unitary model one n x n Ginibre matrix at a time."""
+    return n if model == MODEL_UNITARY else m
+
+
+class _DrawAhead:
+    """The normal fills of a run's ensembles of one (model, n, m), drawn
+    in the order of ``seeds``, the next one on a drawer thread while the
+    calling thread works on the current one.  The calling thread allocates
+    every array and the one buffer, so the drawer allocates nothing (a
+    thread that allocates grows a malloc arena of its own)."""
+
+    def __init__(self, model: str, n: int, m: int, seeds):
+        self._shape = (model, n, m)
+        self._seeds = iter(seeds)
+        self._buf = np.empty((_block_rows(n), n))
+        self._drawer = ThreadPoolExecutor(max_workers=1)
+        self._submit()
+
+    def _submit(self) -> None:
+        seed = next(self._seeds, None)
+        if seed is None:
+            self._pending = None
+            return
+        model, n, m = self._shape
+        g = np.empty((m, n), dtype=complex)
+        rng = np.random.default_rng(int(seed))
+        self._pending = (seed, g, self._drawer.submit(_fill_normal, rng, g, _segment_rows(model, n, m), self._buf))
+
+    def take(self, model: str, n: int, m: int, seed: int) -> np.ndarray | None:
+        """The filled array of ensemble (model, n, m, seed) if it is the
+        next one, after starting the fill of the one after it; else None."""
+        if self._pending is None or (model, n, m) != self._shape or seed != self._pending[0]:
+            return None
+        _, g, fill = self._pending
+        fill.result()
+        self._submit()
+        return g
+
+    def close(self) -> None:
+        self._drawer.shutdown(wait=True)
+
+
+_AHEAD: ContextVar[_DrawAhead | None] = ContextVar("draw_ahead", default=None)
+
+
+@contextmanager
+def draw_ahead(model: str, n: int, m: int, seeds):
+    """Within the block, this thread's ``sample_sphere`` (model sphere) or
+    ``sample_block_unitary`` (model unitary, m = K n) calls at seeds[0],
+    seeds[1], ... in that order take their normal draws from one drawer
+    thread, which draws the next ensemble's while the caller finishes the
+    current one.  Any other call draws its own, and every ensemble has the
+    bits it has outside the block.  A serial run uses it to spend a second
+    core on sampling."""
+    ahead = _DrawAhead(model, n, m, seeds)
+    token = _AHEAD.set(ahead)
+    try:
+        yield
+    finally:
+        _AHEAD.reset(token)
+        ahead.close()
 
 
 def _normalize_rows(g: np.ndarray) -> np.ndarray:
@@ -111,6 +197,28 @@ class MeasurementSet:
         return self.values
 
 
+def _sample(model: str, n: int, m: int, seed: int) -> SensingEnsemble:
+    """The (m, n) ensemble of ``model`` at ``seed``: the normal fill, from
+    ``draw_ahead`` when it holds this one, then its rows normalized (sphere)
+    or its Ginibre blocks turned into the columns of Haar unitaries."""
+    ahead = _AHEAD.get()
+    g = ahead.take(model, n, m, seed) if ahead is not None else None
+    if g is None:
+        g = np.empty((m, n), dtype=complex)
+        _fill_normal(np.random.default_rng(int(seed)), g, _segment_rows(model, n, m), np.empty((_block_rows(n), n)))
+    if model == MODEL_UNITARY:
+        # the raw QR factor of a Ginibre block is not Haar; rescaling its
+        # column j by the phase of R_jj (a positive R diagonal) restores it
+        for start in range(0, m, n):
+            block = g[start : start + n]
+            q, r = np.linalg.qr(block)
+            d = np.diagonal(r)
+            block[...] = (q * (d / np.abs(d))[np.newaxis, :]).T  # row j of U.T is column j of U
+    else:
+        _normalize_rows(g)
+    return SensingEnsemble(vectors=_freeze(g))
+
+
 def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
     """m i.i.d. vectors uniform on the unit sphere in C^n.
 
@@ -119,30 +227,14 @@ def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    rng = np.random.default_rng(int(seed))
-    return SensingEnsemble(vectors=_freeze(_normalize_rows(_complex_normal(rng, (m, n)))))
-
-
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary via QR of a complex Ginibre matrix.
-
-    The raw QR factor is not Haar; rescaling column j by the phase of
-    R_jj (equivalently forcing a positive R diagonal) restores it.
-    """
-    g = _complex_normal(rng, (n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[np.newaxis, :]
+    return _sample(MODEL_SPHERE, n, m, seed)
 
 
 def sample_block_unitary(n: int, K: int, seed: int) -> SensingEnsemble:
     """K independent Haar unitaries; ensemble rows are their columns in block order."""
     if n < 1 or K < 1:
         raise ValueError(f"need n >= 1 and K >= 1, got n={n}, K={K}")
-    rng = np.random.default_rng(int(seed))
-    blocks = [haar_unitary(n, rng).T for _ in range(K)]  # row j of U.T is column j of U
-    vectors = np.ascontiguousarray(np.vstack(blocks))
-    return SensingEnsemble(vectors=_freeze(vectors))
+    return _sample(MODEL_UNITARY, n, K * n, seed)
 
 
 def sample_unit_vector(n: int, seed) -> np.ndarray:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import sample_unit_vector
+from .blas import one_thread
+from .sensing import _block_rows, sample_unit_vector
 from .seeding import check_seed
 
 __all__ = ["SpectralConfig", "truncated_covariance", "spectral_init"]
@@ -43,10 +44,13 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
     y_i <= multiplier * lam0, where lam0 = sqrt(mean y^2).
 
     Returns (Y, lam0).  Y is (1/m) B^T conj(B) for the rows B_i = y_i a_i,
-    with y_i set to 0 on dropped rows: one real Gram product of B's float
-    view, symmetric by construction, assembled into a Y that is exactly
-    Hermitian.  A row is dropped only if y_i^2 exceeds multiplier^2 times
-    the mean, which cannot hold for all rows at once when multiplier >= 1;
+    with y_i set to 0 on dropped rows: the sum of the real Gram products of
+    B's float view over blocks of ``sensing._block_rows(n)`` rows, each
+    symmetric by construction, assembled into a Y that is exactly
+    Hermitian.  The products run on one BLAS thread (``blas.one_thread``),
+    so Y has the same bits at any ``OPENBLAS_NUM_THREADS``.  A row is
+    dropped only if y_i^2 exceeds multiplier^2 times the mean, which
+    cannot hold for all rows at once when multiplier >= 1;
     a smaller multiplier that drops every row raises, as do all-zero
     measurements, an RMS level below 2^-511 (lam0^2, the scale of Y, would
     be subnormal) and measurements of another ensemble
@@ -61,9 +65,14 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
     mask = vals <= multiplier * lam0
     if not mask.any():
         raise ValueError(f"no measurement is within truncation_multiplier {multiplier} times the RMS level")
-    B = ensemble.vectors * np.where(mask, vals, 0.0)[:, None]
-    Bf = B.view(float)  # columns Re b_1, Im b_1, Re b_2, ...
-    G = Bf.T @ Bf  # a product with its own transpose, exactly symmetric
+    weights = np.where(mask, vals, 0.0)
+    rows = _block_rows(ensemble.n)
+    G = np.zeros((2 * ensemble.n, 2 * ensemble.n))
+    with one_thread():
+        for start in range(0, ensemble.m, rows):
+            B = ensemble.vectors[start : start + rows] * weights[start : start + rows, None]
+            Bf = B.view(float)  # columns Re b_1, Im b_1, Re b_2, ...
+            G += Bf.T @ Bf  # a product with its own transpose, exactly symmetric
     Y = np.empty((ensemble.n, ensemble.n), dtype=complex)
     Y.real = G[0::2, 0::2] + G[1::2, 1::2]
     Y.imag = G[1::2, 0::2] - G[0::2, 1::2]

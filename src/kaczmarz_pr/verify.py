@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sensing
+from .blas import one_thread
 from .core import dist_phase_aligned, inner, phase_diff_bound_check
 from .regularity import dir_deriv_f, second_dir_deriv_at_signal, second_dir_deriv_fi, wedge
 from .seeding import derive_seed
@@ -415,22 +416,25 @@ def check_projection_mass(seed, trials):
 def run_verification(trials: int, seed: int) -> tuple[list[CheckResult], bool]:
     """The verify suite: every check once, each on its own seed stream
     (seed, 101...115), with the sampled checks at ``max(trials,
-    MIN_TRIALS)`` samples; returns (results, all_passed)."""
+    MIN_TRIALS)`` samples, on one BLAS thread (``blas.one_thread``: its
+    many small products run slower on several threads, more so on a busy
+    machine); returns (results, all_passed)."""
     samples = max(int(trials), MIN_TRIALS)
-    results = [
-        check_inner_product_identities((seed, 101)),
-        check_aligned_distance((seed, 102)),
-        check_phase_diff_bound((seed, 103), samples),
-        check_sphere_sampler((seed, 104), samples),
-        check_unitary_sampler((seed, 105), n=8, K=16, ensembles=1),
-        check_projection_vs_phase_grid((seed, 106), draws=33),
-        check_contraction_identity((seed, 107), reps=100),
-        check_directional_derivatives((seed, 108), (seed, 109), reps=50, bound_reps=200),
-        check_wedge_monotonicity((seed, 110)),
-        check_spectral_init((seed, 111)),
-        check_solver_determinism_and_constraint((seed, 112)),
-        check_wedge_fraction((seed, 113), samples, tol=0.002, sigmas=4.5),
-        check_plane_curvature((seed, 114), samples),
-        check_projection_mass((seed, 115), samples),
-    ]
+    with one_thread():
+        results = [
+            check_inner_product_identities((seed, 101)),
+            check_aligned_distance((seed, 102)),
+            check_phase_diff_bound((seed, 103), samples),
+            check_sphere_sampler((seed, 104), samples),
+            check_unitary_sampler((seed, 105), n=8, K=16, ensembles=1),
+            check_projection_vs_phase_grid((seed, 106), draws=33),
+            check_contraction_identity((seed, 107), reps=100),
+            check_directional_derivatives((seed, 108), (seed, 109), reps=50, bound_reps=200),
+            check_wedge_monotonicity((seed, 110)),
+            check_spectral_init((seed, 111)),
+            check_solver_determinism_and_constraint((seed, 112)),
+            check_wedge_fraction((seed, 113), samples, tol=0.002, sigmas=4.5),
+            check_plane_curvature((seed, 114), samples),
+            check_projection_mass((seed, 115), samples),
+        ]
     return results, all(r.passed for r in results)

@@ -114,9 +114,9 @@ class TestRunExperiment:
         ids=["n256", "m50000", "m2000"],
     )
     def test_parallel_matches_serial_at_large_shapes(self, shape):
-        # at n = 256 the covariance product's last bits depend on the BLAS
-        # thread count, so the bytes match only while every process that
-        # computes trials uses the same count
+        # at n = 256 a covariance product on several BLAS threads moves its
+        # last bits; every process that computes trials runs that product on
+        # one thread (blas.one_thread), so the bytes match at any count
         cfg = ExperimentConfig(model="sphere", num_trials=2, master_seed=11, **shape)
         assert render_csv(run_experiment(cfg, workers=1)) == render_csv(run_experiment(cfg, workers=2))
 
@@ -202,6 +202,16 @@ class TestGroups:
             assert self.group_sizes(monkeypatch, cfg, per_group) == sizes
             assert texts(cfg, run_experiment(cfg, workers=1)) == want
             assert texts(cfg, run_experiment(cfg, workers=2)) == want
+
+    @pytest.mark.parametrize("shape", [dict(n=16, m=3000), dict(n=12, model="unitary", K=12)],
+                             ids=["sphere", "unitary"])
+    def test_serial_run_draws_ahead_with_run_trial_bytes(self, monkeypatch, shape):
+        # in groups of one, every ensemble after the first is drawn while
+        # the trial before it runs, across each group boundary
+        cfg = ExperimentConfig(num_trials=4, master_seed=21, **shape)
+        want = texts(cfg, [run_trial(cfg, t) for t in range(cfg.num_trials)])
+        assert self.group_sizes(monkeypatch, cfg, 1) == [1, 1, 1, 1]
+        assert texts(cfg, run_experiment(cfg, workers=1)) == want
 
     def test_groups_are_balanced_and_bounded_by_memory(self, monkeypatch):
         sphere = ExperimentConfig(n=50, m=2000, num_trials=20)

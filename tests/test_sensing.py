@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,50 @@ from kaczmarz_pr import (
     sample_block_unitary,
     sample_sphere,
     sample_unit_vector,
+    sensing,
 )
 from kaczmarz_pr.sensing import _BLOCK_BYTES, objective_f, objective_rows, row_products
+
+
+class TestNormalFill:
+    def test_block_fill_has_the_bits_of_one_shot_draws(self):
+        # n = 16, m = 5000: the 1024-row blocks of _block_rows(16) split the
+        # real and the imaginary draw into 5 draws each, the last one short
+        n, m = 16, 5000
+        g = np.empty((m, n), dtype=complex)
+        sensing._fill_normal(np.random.default_rng(4), g, m, np.empty((sensing._block_rows(n), n)))
+        rng = np.random.default_rng(4)
+        assert g.real.tobytes() == rng.standard_normal((m, n)).tobytes()
+        assert g.imag.tobytes() == rng.standard_normal((m, n)).tobytes()
+
+    def test_segments_have_the_bits_of_ginibre_draws(self):
+        # unitary segments of n = 200 rows, each drawn in 81-row blocks
+        n, K = 200, 3
+        g = np.empty((K * n, n), dtype=complex)
+        sensing._fill_normal(np.random.default_rng(5), g, n, np.empty((sensing._block_rows(n), n)))
+        rng = np.random.default_rng(5)
+        want = np.vstack([sensing._complex_normal(rng, (n, n)) for _ in range(K)])
+        assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", ["sphere", "unitary"])
+    def test_draw_ahead_fills_planned_ensembles_off_thread_with_their_bits(self, monkeypatch, model):
+        n, m = 16, 3200
+        sample = sample_sphere if model == "sphere" else lambda n, m, s: sample_block_unitary(n, m // n, s)
+        want = {s: sample(n, m, s).vectors.tobytes() for s in (5, 6, 7, 9)}
+        fill, threads = sensing._fill_normal, {}
+
+        def traced_fill(rng, g, segment, buf):
+            threads.setdefault(threading.get_ident(), []).append(len(g))
+            fill(rng, g, segment, buf)
+
+        monkeypatch.setattr(sensing, "_fill_normal", traced_fill)
+        with sensing.draw_ahead(model, n, m, [5, 6, 7]):
+            got = {s: sample(n, m, s).vectors.tobytes() for s in (5, 6, 9, 7)}
+        assert got == want
+        # 5, 6 and 7 were drawn ahead, and 9, which the plan does not hold,
+        # on the caller's thread
+        assert threads.pop(threading.get_ident()) == [m]
+        assert list(threads.values()) == [[m, m, m]]
 
 
 class TestSphereSampler:
@@ -51,8 +94,9 @@ class TestSphereSampler:
             assert sample_sphere(n, 3000, seed).vectors.tobytes() == g.tobytes()
 
     def test_norm_temporaries_stay_in_blocks(self):
-        # the draw holds the rows and one real block of normals, 1.5 times
-        # the rows' bytes; norms of the whole array added two (m, n) more
+        # the draw holds the rows and one 128 KiB real buffer of normals
+        # (a one-shot real draw held 1.5 times the rows' bytes); norms of
+        # the whole array added two (m, n) more
         tracemalloc.start()
         try:
             ens = sample_sphere(16, 50_000, 3)
