@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_thread
 from .sensing import row_magnitudes, row_products
 from .seeding import check_seed
 
@@ -265,19 +266,30 @@ def _bracket_form(ensemble, z, c0: float, alpha: float):
 
 
 def _move_candidates(t2, reach, lim, step, norms2):
-    """Rows of W that some move c +- step e_j can put in its wedge, as
-    indices into W, from |t_c|^2, the rows' reach max_j |P_j,i|, their
-    limits (|u_i| / beta)^2 and the moves' squared norms.
+    """(near, inside): the rows of W that some move c +- step e_j can put
+    in its wedge, as indices into W, and a mask over ``near`` of the rows
+    that every move puts in its wedge; from |t_c|^2, the rows' reach
+    max_j |P_j,i|, their limits (|u_i| / beta)^2 and the moves' squared
+    norms.
 
-    |t_c +- step P_j| <= |t_c| + step reach, so a row with
-    (|t_c| + step reach)^2 below lim times the smallest squared norm lies
-    outside every move's wedge.  The relative slack 1e-9 exceeds the
-    rounding of both sides, so rounding can only add rows.
+    |t_c| - step reach <= |t_c +- step P_j| <= |t_c| + step reach.  So a
+    row with (|t_c| + step reach)^2 below lim times the smallest squared
+    norm lies outside every move's wedge, and one with
+    (|t_c| - step reach)_+^2 at least lim times the largest lies inside
+    every move's wedge.  The slacks, 1e-9 of lim and 1e-9 of
+    (|t_c| + step reach)^2, exceed the rounding of both sides and of a
+    move's |t|^2 formed elementwise, so rounding can only add rows to those
+    that are neither.
     """
-    bound = np.sqrt(t2)
-    bound += step * reach
-    bound *= bound
-    return np.flatnonzero(bound >= lim * (norms2.min() * (1.0 - 1e-9)))
+    ta = np.sqrt(t2)
+    hi = ta + step * reach
+    hi *= hi
+    near = np.flatnonzero(hi >= lim * (norms2.min() * (1.0 - 1e-9)))
+    lo = ta[near] - step * reach[near]
+    np.maximum(lo, 0.0, out=lo)
+    lo *= lo
+    lo -= 1e-9 * hi[near]
+    return near, lo >= lim[near] * (norms2.max() * (1.0 + 1e-9))
 
 
 def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
@@ -298,33 +310,42 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
 
         |t|^2 ||c +- step e_j||^2 = |t_c|^2 + step^2 |P_j|^2 +- 2 step Re(conj(t_c) P_j).
 
-    Only the rows of ``_move_candidates`` can be in a move's wedge; they
-    are formed and masked elementwise, O(n) each.  Every other row counts
-    whole, so its part of each gap is the three sums of the right-hand side
-    over those rows: a dot product, the axes' sums of |P_j|^2 (kept from
-    the build) less the candidates', and one GEMV over P.  A sweep costs
-    O(n |W|) in two GEMVs plus O(n) per candidate.  Where W is empty a
-    score is the form alone, O(n).  P is built over row blocks of
-    ``_FORM_BYTES``, and every temporary of a score holds at most
-    ``_EVAL_BYTES`` (one row or axis at least).
+    ``_move_candidates`` splits W three ways.  Its near rows that are not
+    inside every wedge, the edge rows, are formed and masked elementwise,
+    O(n) each; the inside rows give +0 to every gap and are skipped; every
+    other (far) row counts whole, so its part of each gap is the three sums
+    of the right-hand side over the far rows.  Where the near rows are at
+    most half of W, those are the sums over W less one small product over
+    the near rows: sum |t_c|^2, the axes' sums of |P_j|^2 (kept from the
+    build) and M c, with M_jl = sum_i Re(conj(P_j,i) P_l,i) built once,
+    (2n-1)^2.  Else they are one small product over the far rows.  t_c is
+    carried: where c is the last sweep's point or one of its moves, its
+    products are that point's or (t +- step P_j) / ||c +- step e_j||,
+    O(|W|); else c's product with P.  So a sweep costs O(|W|) elementwise
+    plus O(n) per edge row and per row of the smaller of the near and far
+    sets.  Where W is empty a score is the form alone, O(n).  P, one
+    (2n-1, |W|) complex array, is built over row blocks of ``_FORM_BYTES``,
+    and every temporary of a score holds at most ``_EVAL_BYTES`` (one row
+    or axis at least).
     """
     n, k, w = ensemble.n, 2 * ensemble.n - 1, len(w_rows)
     c_wedge = _term_coefficients(alpha, ensemble.m)[1]
     lim = (row_magnitudes(ensemble, z)[w_rows] / (c0 * alpha)) ** 2
     axes_conj = frame[:n] - 1j * frame[n:]
-    P = np.empty((k, 2, w))  # axis j: (Re, Im) of its products
+    P = np.empty((k, w), dtype=complex)  # P[j, i] = a_i^* f_j
     reach, q_sums = np.empty(w), np.zeros(k)  # max_j |P_j,i|; sum_i |P_j,i|^2
     form_block = max(1, _FORM_BYTES // (16 * n))
     for lo in range(0, w, form_block):
         q = ensemble.vectors[w_rows[lo : lo + form_block]] @ axes_conj  # conj(a_i^* f_j)
-        P[:, 0, lo : lo + form_block] = q.real.T
-        P[:, 1, lo : lo + form_block] = -q.imag.T
+        P[:, lo : lo + form_block] = q.conj().T
         q2 = q.real**2 + q.imag**2
         reach[lo : lo + form_block] = np.sqrt(q2.max(axis=1))
         q_sums += q2.sum(axis=0)
-    flat = P.reshape(k, 2 * w)
+    flat = P.view(float)  # (2n-1, 2|W|): (Re, Im) of each product in turn
+    gram = flat @ flat.T  # M, so (M c)_j = sum_i Re(conj(t_c,i) P_j,i)
     block = max(1, _EVAL_BYTES // (16 * max(w, 1)))  # rows of C
     unit_moves = np.kron(np.eye(k), [[1.0], [-1.0]])
+    last = None  # the last sweep's (c, t_c, step, C, norms)
 
     def gap(p2, lim):
         """(d, rows) squared products and the rows' limits -> (d,) gaps,
@@ -336,40 +357,70 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
         f = (C * C) @ lam
         for lo in range(0, len(C), block):
             B = C[lo : lo + block]
-            T = (B @ flat).reshape(len(B), 2, w)
+            T = B @ flat
             T *= T
-            f[lo : lo + len(B)] += gap(T[:, 0] + T[:, 1], lim)
+            f[lo : lo + len(B)] += gap(T[:, 0::2] + T[:, 1::2], lim)
         return f
 
+    def products(c):
+        """t_c, carried from the last sweep where c is its point or a move."""
+        if last is not None:
+            c_last, t, step, C, norms = last
+            if np.array_equal(c, c_last):
+                return t
+            i = int(np.argmax(C @ c))
+            if np.array_equal(C[i], c):
+                t = t - step * P[i // 2] if i % 2 else t + step * P[i // 2]
+                t /= norms[i]
+                return t
+        return (c @ flat).view(complex)
+
     def moves(c, step):
+        nonlocal last
         R = c + step * unit_moves
         norms = np.linalg.norm(R, axis=1)
         C = R / norms[:, np.newaxis]
         f = (C * C) @ lam
-        t = (c @ flat).reshape(2, w)
-        t2 = t[0] * t[0] + t[1] * t[1]
+        t = products(c)
+        last = (c.copy(), t, step, C, norms)
+        t2 = t.real * t.real + t.imag * t.imag
         norms2 = norms * norms
         inv = (1.0 / norms2).reshape(k, 2, 1)
-        near = _move_candidates(t2, reach, lim, step, norms2)
-        far = np.ones(w)
-        far[near] = 0.0
-        far_t2, far_cross, far_q = t2 @ far, flat @ (t * far).reshape(2 * w), q_sums.copy()
-        t, t2, lim_near = 2.0 * step * t[:, near], t2[near], lim[near]
-        axis_block = max(1, _EVAL_BYTES // (16 * max(len(near), 1)))
+        near, inside = _move_candidates(t2, reach, lim, step, norms2)
+        edge = near[~inside]
+        # sums over the summed rows; W's less them where those are the near rows
+        from_all = 2 * len(near) <= w
+        if from_all:
+            summed = near
+        else:
+            far = np.ones(w, dtype=bool)
+            far[near] = False
+            summed = np.flatnonzero(far)
+        far_t2, far_cross, far_q = t2[summed].sum(), np.empty(k), np.empty(k)
+        t_summed = np.conj(t[summed])
+        t_edge, t2_edge, lim_edge = 2.0 * step * t[edge], t2[edge], lim[edge]
+        axis_block = max(1, _EVAL_BYTES // (16 * max(len(summed), len(edge), 1)))
         for lo in range(0, k, axis_block):
-            G = P[lo : lo + axis_block][:, :, near]
-            base = G[:, 0] * G[:, 0]
-            base += G[:, 1] * G[:, 1]
-            far_q[lo : lo + axis_block] -= base.sum(axis=1)
+            G = P[lo : lo + axis_block][:, summed]
+            far_cross[lo : lo + axis_block] = (G @ t_summed).real
+            far_q[lo : lo + axis_block] = np.einsum("ji,ji->j", G.real, G.real)
+            far_q[lo : lo + axis_block] += np.einsum("ji,ji->j", G.imag, G.imag)
+            G = P[lo : lo + axis_block][:, edge]
+            base = G.real * G.real
+            base += G.imag * G.imag
             base *= step * step
-            base += t2
-            cross = G[:, 0] * t[0]
-            cross += G[:, 1] * t[1]
-            p2 = np.empty((len(base), 2, len(near)))  # (axis, sign, row)
+            base += t2_edge
+            cross = G.real * t_edge.real
+            cross += G.imag * t_edge.imag
+            p2 = np.empty((len(base), 2, len(edge)))  # (axis, sign, row)
             np.add(base, cross, out=p2[:, 0])
             np.subtract(base, cross, out=p2[:, 1])
             p2 *= inv[lo : lo + axis_block]
-            f[2 * lo : 2 * lo + 2 * len(base)] += gap(p2.reshape(2 * len(base), len(near)), lim_near)
+            f[2 * lo : 2 * lo + 2 * len(base)] += gap(p2.reshape(2 * len(base), len(edge)), lim_edge)
+        if from_all:
+            far_t2 = t2.sum() - far_t2
+            far_cross = gram @ c - far_cross
+            far_q = q_sums - far_q
         far_q *= step * step
         far_q += far_t2
         far_cross *= 2.0 * step
@@ -381,6 +432,7 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     return rows, moves
 
 
+@one_thread()  # a fresh hold per call
 def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     """Search the phase-aligned unit sphere {v : ||v|| = 1, Im(z^* v) = 0}
     for the minimum of
@@ -399,11 +451,12 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     seeded standard normal coordinates follow, uniform on the set once
     normalized; then a deterministic descent from e_0 scores the moves
     c +- step e_j along every frame axis, moves to the lowest where it is
-    strictly below c's value and else halves the step (``_STEP0`` down to
-    ``_MIN_STEP``, at most ``_MAX_SWEEPS`` sweeps).  ``_search_scorer``
-    scores every candidate, and ``offer`` counts each one and keeps the
-    first lowest, so ``evaluations`` is exactly 1 + budget + 2 (2n-1) times
-    the sweeps run; the report is ``regularity_terms`` at the lowest, its
+    strictly below c's value and is not c itself (from +-e_j, the moves
+    along axis j normalize back to c), and else halves the step
+    (``_STEP0`` down to ``_MIN_STEP``, at most ``_MAX_SWEEPS`` sweeps).
+    ``_search_scorer`` scores every candidate, and ``offer`` counts each
+    one and keeps the first lowest, so ``evaluations`` is exactly
+    1 + budget + 2 (2n-1) times the sweeps run; the report is ``regularity_terms`` at the lowest, its
     only call.  The stream draws only the rows the budget asks for, in
     order, so it is prefix-stable in the budget; the anchor and its
     descent do not depend on it, so a larger budget only adds directions
@@ -413,6 +466,8 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     makes no move and only halves its step, 8 sweeps.  Where the
     eigenvector's wedge is all of W, always so where the wedge is empty,
     the eigenvector is the minimizer and both values are the constant.
+    The call holds OpenBLAS at one thread (``blas.one_thread``), so the
+    report's bits do not depend on its thread count.
     """
     n, m = ensemble.n, ensemble.m
     c0, alpha = params.c0, params.alpha
@@ -443,7 +498,7 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
         if step <= _MIN_STEP:
             break
         c_move, f_move = offer(*moves(c, step))
-        if f_move < f:
+        if f_move < f and not np.array_equal(c_move, c):
             c, f = c_move, f_move
         else:
             step *= 0.5

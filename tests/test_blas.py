@@ -99,6 +99,22 @@ def test_run_bytes_do_not_depend_on_openblas_num_threads():
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("shape", [["--m", "2000"], ["--model", "unitary", "--K", "40"]])
+def test_estimate_l_bytes_do_not_depend_on_openblas_num_threads(shape):
+    # the digests differed (740e61af... at 1 thread, 9bff24a3... at 2 for
+    # --m 2000; 3aea8270... and b5068de2... for --K 40), L_lower among the
+    # values that moved, while estimate_L ran on every thread OpenBLAS started
+    args = ["-m", "kaczmarz_pr.cli", "estimate-l", "--n", "50", *shape, "--alpha", "20", "--seed", "3000"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                              timeout=600, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_pin_is_a_no_op_where_the_symbols_are_missing(monkeypatch):
     cfg = ExperimentConfig(n=8, m=120, num_trials=3, master_seed=17)
     want = render_csv(run_experiment(cfg, workers=1))

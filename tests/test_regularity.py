@@ -350,6 +350,23 @@ class TestEstimateL:
                 brackets = [regularity_terms(ens, z, v, c0, alpha)[3] for v in V[:, :n] + 1j * V[:, n:]]
                 np.testing.assert_allclose(f, brackets, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("n, c0", [(2, 1 / 80), (8, 1 / 80), (8, 0.1), (50, 1e-3), (50, 1 / 80), (50, 0.1)])
+    def test_carried_products_score_like_fresh_ones(self, n, c0):
+        # a sweep from the last sweep's point or one of its moves carries
+        # that point's products; along a walk of moves its scores stay those
+        # of the random stage, which forms every product afresh
+        m, alpha = 4 * n + 100, 20.0
+        ens = sample_sphere(n, m, 80 + n)
+        z = sample_unit_vector(n, 81 + n)
+        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
+        rows, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
+        c = np.random.default_rng(n).standard_normal(2 * n - 1)
+        c /= np.linalg.norm(c)
+        for i in range(40):
+            C, f = moves(c, 0.25 / 2 ** (i // 8))
+            np.testing.assert_allclose(f, rows(C), rtol=1e-12, atol=0)
+            c = C[(7 * i) % len(C)] if i % 3 else c  # some walk, some repeat
+
     @pytest.mark.parametrize(
         "n, m, c0, w_case",
         [
@@ -364,10 +381,11 @@ class TestEstimateL:
         ],
     )
     def test_rows_left_out_of_a_sweep_are_outside_every_wedge(self, monkeypatch, n, m, c0, w_case):
-        # a sweep forms and masks only _move_candidates' rows and sums the
-        # rest of W in full: every other row must lie outside the wedge of
-        # all 2 (2n-1) moves, with |t|^2 formed elementwise from c's and the
-        # axes' products
+        # a sweep forms and masks only _move_candidates' near rows that are
+        # not inside, skips the inside ones and sums the rest of W in full:
+        # every other row must lie outside the wedge of all 2 (2n-1) moves,
+        # and every inside row inside it, with |t|^2 formed elementwise from
+        # c's and the axes' products
         alpha, k = 20.0, 2 * n - 1
         ens = sample_sphere(n, m, derive_seed(n, m, 1))
         z = sample_unit_vector(n, derive_seed(n, m, 2))
@@ -387,20 +405,27 @@ class TestEstimateL:
         P = a_w @ (frame[:n] + 1j * frame[n:])  # (row, axis): a_i^* f_j
         lim = (np.abs(a_w @ z) / (c0 * alpha)) ** 2
         rng = np.random.default_rng(derive_seed(n, m, 3))
+        skips = 0
         for _ in range(3):
             c = rng.standard_normal(k)
             c /= np.linalg.norm(c)
             for step in (0.25, 0.01, 1e-3):
                 C, f = moves(c, step)
-                out = np.setdiff1d(np.arange(w), picked.pop())
-                t = (P @ c)[out, np.newaxis]
-                base = np.abs(t) ** 2 + step**2 * np.abs(P[out]) ** 2
-                cross = 2.0 * step * np.real(np.conj(t) * P[out])
+                near, inside = picked.pop()
+                out = np.setdiff1d(np.arange(w), near)
+                skipped = near[inside]
                 R = c + step * np.kron(np.eye(k), [[1.0], [-1.0]])
-                p2 = np.stack((base + cross, base - cross), axis=2).reshape(len(out), 2 * k)
-                p2 /= np.sum(R * R, axis=1)
-                assert np.all(p2 < lim[out, np.newaxis])
+                for part, outside in ((out, True), (skipped, False)):
+                    t = (P @ c)[part, np.newaxis]
+                    base = np.abs(t) ** 2 + step**2 * np.abs(P[part]) ** 2
+                    cross = 2.0 * step * np.real(np.conj(t) * P[part])
+                    p2 = np.stack((base + cross, base - cross), axis=2).reshape(len(part), 2 * k)
+                    p2 /= np.sum(R * R, axis=1)
+                    assert np.all((p2 < lim[part, np.newaxis]) == outside)
+                skips += len(skipped)
         assert picked == []
+        if w_case in ("partial", "all") and n > 1:
+            assert skips > 0
 
     def test_bench_shaped_search_is_pinned(self):
         # the benchmark's estimate_l instance at master seed 3000, with a
@@ -440,6 +465,61 @@ class TestEstimateL:
         assert c0 * alpha < np.min(np.abs(ens.vectors.conj() @ z))
         rep = estimate_L(ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=64, seed=2))
         assert rep.evaluations == 1 + 64 + 16 * (2 * n - 1) == 305
+
+    def test_a_move_onto_its_own_point_is_no_move(self, monkeypatch):
+        # sphere n = 2, m = 60: from e_0 the move -e_0 normalizes back to
+        # e_0 and scores an ulp below the anchor; a move whose coordinates
+        # equal c's is no move, so the step halves and no sweep is spent
+        # moving c onto itself
+        n, seed = 2, 61
+        ens = sample_sphere(n, 60, derive_seed(seed, 1))
+        z = sample_unit_vector(n, derive_seed(seed, 2))
+        scored, sweeps = [], []
+        make = regularity._search_scorer
+
+        def recording_scorer(*args):
+            rows, moves = make(*args)
+
+            def scored_rows(C):
+                scored.append(rows(C))
+                return scored[-1]
+
+            def scored_moves(c, step):
+                C, f = moves(c, step)
+                sweeps.append((c.copy(), step, C, f))
+                return C, f
+
+            return scored_rows, scored_moves
+
+        monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
+        rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=64, seed=seed))
+        c, step, C, f = sweeps[0]
+        j = int(np.argmin(f))
+        assert np.array_equal(C[j], c) and f[j] < scored[0][0]
+        assert sweeps[1][1] == step / 2
+        for (c, step, _, _), (c_next, step_next, _, _) in zip(sweeps, sweeps[1:]):
+            if step_next == step:  # a move was accepted
+                assert not np.array_equal(c_next, c)
+        assert rep.evaluations == 1 + 64 + 2 * (2 * n - 1) * len(sweeps) == 275
+
+    @pytest.mark.parametrize("n, m, c0", [(2, 100, 1 / 80), (8, 160, 1 / 80), (8, 160, 0.1), (50, 2000, 1 / 80)])
+    def test_report_does_not_depend_on_skipping_inside_rows(self, monkeypatch, n, m, c0):
+        # a sweep skips the near rows inside every move's wedge: forming and
+        # masking them as well must give the same report, bit for bit
+        ens = sample_sphere(n, m, 38)
+        z = sample_unit_vector(n, 39)
+        params = RegularityParams(c0=c0, alpha=20.0, net_or_samples=64, seed=40)
+        want = render_json(estimate_L(ens, z, params))
+        pick, skipped = regularity._move_candidates, []
+
+        def skip_nothing(*args):
+            near, inside = pick(*args)
+            skipped.append(inside.sum())
+            return near, np.zeros_like(inside)
+
+        monkeypatch.setattr(regularity, "_move_candidates", skip_nothing)
+        assert render_json(estimate_L(ens, z, params)) == want
+        assert sum(skipped) > 0
 
     @pytest.mark.parametrize("c0", [1e-6, 1 / 80])
     def test_bracket_form_does_not_depend_on_row_blocks(self, monkeypatch, c0):
