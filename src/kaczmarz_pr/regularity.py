@@ -46,6 +46,7 @@ _EVAL_BYTES = 512 * 1024  # bytes held by each temporary of the search's scores
 # _EVAL_BYTES
 _FORM_BYTES = _EVAL_BYTES
 _DIR_CHUNK = 256
+_SPAN_ROWS = 4096  # W rows over which the random stage sums a score's gap at once
 _STEP0, _MIN_STEP, _MAX_SWEEPS = 0.25, 1e-3, 200  # estimate_L's descent schedule
 
 
@@ -303,7 +304,11 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
 
     (tested as |t_i|^2 < (|u_i| / beta)^2).  Products are linear in c,
     t = sum_j c_j P_j, with P_j the products of W's rows with frame axis j,
-    built once.  ``rows(C)`` scores unit rows C through P, O(n |W|) each.
+    built once.  ``rows(C)`` scores unit rows C through P, O(n |W|) each,
+    span by span: it sums a gap over ``_SPAN_ROWS`` rows of W at a time,
+    for every row of C, so a span of P is read from memory once per call
+    rather than once per block of C.  The span is fixed, so the order in
+    which a gap is summed does not depend on ``_EVAL_BYTES``.
     ``moves(c, step)`` returns the moves c +- step e_j of a unit c in the
     order +e_0, -e_0, +e_1, ..., normalized, with their scores; their
     products are (t_c +- step P_j) / ||c +- step e_j||, so
@@ -314,19 +319,17 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     inside every wedge, the edge rows, are formed and masked elementwise,
     O(n) each; the inside rows give +0 to every gap and are skipped; every
     other (far) row counts whole, so its part of each gap is the three sums
-    of the right-hand side over the far rows.  Where the near rows are at
-    most half of W, those are the sums over W less one small product over
-    the near rows: sum |t_c|^2, the axes' sums of |P_j|^2 (kept from the
-    build) and M c, with M_jl = sum_i Re(conj(P_j,i) P_l,i) built once,
-    (2n-1)^2.  Else they are one small product over the far rows.  t_c is
+    of the right-hand side over the far rows.  Those are the sums over W
+    less one small product over the near rows: sum |t_c|^2, the axes' sums
+    of |P_j|^2 (kept from the build) and M c, with
+    M_jl = sum_i Re(conj(P_j,i) P_l,i) built once, (2n-1)^2.  t_c is
     carried: where c is the last sweep's point or one of its moves, its
     products are that point's or (t +- step P_j) / ||c +- step e_j||,
     O(|W|); else c's product with P.  So a sweep costs O(|W|) elementwise
-    plus O(n) per edge row and per row of the smaller of the near and far
-    sets.  Where W is empty a score is the form alone, O(n).  P, one
-    (2n-1, |W|) complex array, is built over row blocks of ``_FORM_BYTES``,
-    and every temporary of a score holds at most ``_EVAL_BYTES`` (one row
-    or axis at least).
+    plus O(n) per near row.  Where W is empty a score is the form alone,
+    O(n).  P, one (2n-1, |W|) complex array, is built over row blocks of
+    ``_FORM_BYTES``, and every temporary of a score holds at most
+    ``_EVAL_BYTES`` (one row of a span, or one axis, at least).
     """
     n, k, w = ensemble.n, 2 * ensemble.n - 1, len(w_rows)
     c_wedge = _term_coefficients(alpha, ensemble.m)[1]
@@ -343,7 +346,8 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
         q_sums += q2.sum(axis=0)
     flat = P.view(float)  # (2n-1, 2|W|): (Re, Im) of each product in turn
     gram = flat @ flat.T  # M, so (M c)_j = sum_i Re(conj(t_c,i) P_j,i)
-    block = max(1, _EVAL_BYTES // (16 * max(w, 1)))  # rows of C
+    span = max(1, min(w, _SPAN_ROWS))
+    block = max(1, _EVAL_BYTES // (16 * span))  # rows of C
     unit_moves = np.kron(np.eye(k), [[1.0], [-1.0]])
     last = None  # the last sweep's (c, t_c, step, C, norms)
 
@@ -355,11 +359,12 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
 
     def rows(C):
         f = (C * C) @ lam
-        for lo in range(0, len(C), block):
-            B = C[lo : lo + block]
-            T = B @ flat
-            T *= T
-            f[lo : lo + len(B)] += gap(T[:, 0::2] + T[:, 1::2], lim)
+        for lo_w in range(0, w, span):
+            axes = flat[:, 2 * lo_w : 2 * (lo_w + span)]
+            for lo in range(0, len(C), block):
+                T = C[lo : lo + block] @ axes
+                T *= T
+                f[lo : lo + len(T)] += gap(T[:, 0::2] + T[:, 1::2], lim[lo_w : lo_w + span])
         return f
 
     def products(c):
@@ -388,23 +393,16 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
         inv = (1.0 / norms2).reshape(k, 2, 1)
         near, inside = _move_candidates(t2, reach, lim, step, norms2)
         edge = near[~inside]
-        # sums over the summed rows; W's less them where those are the near rows
-        from_all = 2 * len(near) <= w
-        if from_all:
-            summed = near
-        else:
-            far = np.ones(w, dtype=bool)
-            far[near] = False
-            summed = np.flatnonzero(far)
-        far_t2, far_cross, far_q = t2[summed].sum(), np.empty(k), np.empty(k)
-        t_summed = np.conj(t[summed])
+        # the near rows' sums, subtracted from W's below to leave the far rows'
+        near_t2, near_cross, near_q = t2[near].sum(), np.empty(k), np.empty(k)
+        t_near = np.conj(t[near])
         t_edge, t2_edge, lim_edge = 2.0 * step * t[edge], t2[edge], lim[edge]
-        axis_block = max(1, _EVAL_BYTES // (16 * max(len(summed), len(edge), 1)))
+        axis_block = max(1, _EVAL_BYTES // (16 * max(len(near), 1)))
         for lo in range(0, k, axis_block):
-            G = P[lo : lo + axis_block][:, summed]
-            far_cross[lo : lo + axis_block] = (G @ t_summed).real
-            far_q[lo : lo + axis_block] = np.einsum("ji,ji->j", G.real, G.real)
-            far_q[lo : lo + axis_block] += np.einsum("ji,ji->j", G.imag, G.imag)
+            G = P[lo : lo + axis_block][:, near]
+            near_cross[lo : lo + axis_block] = (G @ t_near).real
+            near_q[lo : lo + axis_block] = np.einsum("ji,ji->j", G.real, G.real)
+            near_q[lo : lo + axis_block] += np.einsum("ji,ji->j", G.imag, G.imag)
             G = P[lo : lo + axis_block][:, edge]
             base = G.real * G.real
             base += G.imag * G.imag
@@ -417,10 +415,9 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
             np.subtract(base, cross, out=p2[:, 1])
             p2 *= inv[lo : lo + axis_block]
             f[2 * lo : 2 * lo + 2 * len(base)] += gap(p2.reshape(2 * len(base), len(edge)), lim_edge)
-        if from_all:
-            far_t2 = t2.sum() - far_t2
-            far_cross = gram @ c - far_cross
-            far_q = q_sums - far_q
+        far_t2 = t2.sum() - near_t2
+        far_cross = gram @ c - near_cross
+        far_q = q_sums - near_q
         far_q *= step * step
         far_q += far_t2
         far_cross *= 2.0 * step

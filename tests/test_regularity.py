@@ -581,6 +581,29 @@ class TestEstimateL:
             reports.append(render_json(rep))
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
+    @pytest.mark.parametrize("span", [1, 7, 32])
+    def test_random_stage_sums_w_in_spans(self, monkeypatch, span):
+        # the random stage sums a score's gap over _SPAN_ROWS rows of W at a
+        # time: spans shorter than W give the one-span scores up to rounding,
+        # and the report does not depend on the evaluation blocks, bit for bit
+        n, m, c0, alpha = 8, 160, 1 / 80, 20.0
+        ens = sample_sphere(n, m, 38)
+        z = sample_unit_vector(n, 39)
+        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
+        assert len(w_rows) > 32
+        C = np.random.default_rng(span).standard_normal((300, 2 * n - 1))
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+        want = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)[0](C)
+        monkeypatch.setattr(regularity, "_SPAN_ROWS", span)
+        got = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)[0](C)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        params = RegularityParams(c0=c0, alpha=alpha, net_or_samples=600, seed=40)
+        reports = []
+        for eval_bytes in (regularity._EVAL_BYTES, 1, 16 * m * 4096):
+            monkeypatch.setattr(regularity, "_EVAL_BYTES", eval_bytes)
+            reports.append(render_json(estimate_L(ens, z, params)))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_rejects_alpha_whose_terms_overflow(self):
         # 2 + 4 alpha overflows, so term3 and L would be infinite
         ens = sample_sphere(2, 4, 41)
