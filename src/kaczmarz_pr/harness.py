@@ -13,6 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from typing import get_args, get_type_hints
@@ -25,6 +26,7 @@ from .seeding import (
     SIGNAL_STREAM,
     SOLVER_STREAM,
     SPECTRAL_STREAM,
+    check_int,
     derive_seed,
 )
 from .solver import SolverConfig, solve_group
@@ -84,20 +86,19 @@ class ExperimentConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.num_trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
-        if self.model == sensing.MODEL_SPHERE:
-            if self.m is None or self.m < 1:
-                raise ConfigError("sphere model needs m >= 1")
-        elif self.model == sensing.MODEL_UNITARY:
-            if self.K is None or self.K < 1:
-                raise ConfigError("unitary model needs K >= 1")
-        else:
+        if self.model not in (sensing.MODEL_SPHERE, sensing.MODEL_UNITARY):
             raise ConfigError(f"unknown model {self.model!r}")
+        size = "K" if self.model == sensing.MODEL_UNITARY else "m"
+        if getattr(self, size) is None:
+            raise ConfigError(f"{self.model} model needs {size} >= 1")
+        try:
+            for key, value, low in (("n", self.n, 1), ("trials", self.num_trials, 1),
+                                    ("master_seed", self.master_seed, 0), (size, getattr(self, size), 1)):
+                check_int(key, value, low)
+            self.solver_config(0)
+            self.spectral_config(0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.signal is not None:  # a read-only copy, which the caller's array cannot change
             object.__setattr__(self, "signal", np.array(self.signal, dtype=complex))
             self.signal.setflags(write=False)
@@ -107,11 +108,6 @@ class ExperimentConfig:
                 raise ConfigError("provided signal must be finite")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.output_format!r}")
-        try:
-            self.solver_config(0)
-            self.spectral_config(0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def solver_config(self, seed: int) -> SolverConfig:
         return SolverConfig(
@@ -132,11 +128,10 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def sample_ensemble(self, seed: int):
-        """The sensing ensemble of this config's model, drawn from ``seed``."""
-        if self.model == sensing.MODEL_UNITARY:
-            return sensing.sample_block_unitary(self.n, self.K, seed)
-        return sensing.sample_sphere(self.n, self.m, seed)
+    def sample_ensemble(self, seed: int, fill: np.ndarray | None = None):
+        """The sensing ensemble of this config's model at ``seed``, built
+        from its normal fill where the caller drew it (``sensing.draw_ahead``)."""
+        return sensing._sample(self.model, self.n, self.effective_m, seed, fill)
 
     @property
     def effective_m(self) -> int:
@@ -202,18 +197,24 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
 _FAILURES = (ValueError, RuntimeError, ArithmeticError)
 
 
-def _run_group(cfg: ExperimentConfig, trial_ids) -> list[TrialRecord]:
+def _run_group(cfg: ExperimentConfig, trial_ids, fills=None) -> list[TrialRecord]:
     """``run_trial`` for each id, with the solves in lockstep
     (``solve_group``); a trial that fails leaves the others' records
-    unchanged."""
+    unchanged.  ``fills``, where given, yields each trial's (ensemble seed,
+    normal fill) in turn (``sensing.draw_ahead``); a fill of another seed
+    raises LookupError."""
     records, problems, started = [], [], []
     for trial_id in trial_ids:
         seed = derive_seed(cfg.master_seed, trial_id)
         rec = TrialRecord(trial_id=trial_id, seed=seed, n=cfg.n, m=cfg.effective_m, model=cfg.model)
         records.append(rec)
+        ens_seed = derive_seed(cfg.master_seed, trial_id, ENSEMBLE_STREAM)
+        fill_seed, fill = (ens_seed, None) if fills is None else next(fills)
+        if fill_seed != ens_seed:
+            raise LookupError(f"trial {trial_id} has ensemble seed {ens_seed}, not the fill's {fill_seed}")
         try:
             z = _signal_for_trial(cfg, trial_id)
-            ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, trial_id, ENSEMBLE_STREAM))
+            ensemble = cfg.sample_ensemble(ens_seed, fill)
             y = sensing.measure(ensemble, z)
             spec_cfg = cfg.spectral_config(derive_seed(cfg.master_seed, trial_id, SPECTRAL_STREAM))
             x0 = spectral_init(ensemble, y, spec_cfg)
@@ -279,15 +280,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Tr
     records in trial order, each equal to ``run_trial``'s, so their content
     is independent of the grouping and of the worker count.  The whole run
     holds OpenBLAS at one thread (``blas.one_thread``; forked workers
-    inherit it), and a serial run draws the next trial's ensemble on a
-    thread of its own (``sensing.draw_ahead``)."""
+    inherit it).  A serial run holds the ``sensing.draw_ahead`` generator of
+    every trial's ensemble and passes it to each group, so the next trial's
+    normal draws are made on a thread of their own."""
     nworkers = _worker_count(workers)
     groups = _trial_groups(cfg)
     with blas.one_thread():
         if nworkers == 1 or len(groups) == 1:
             seeds = [derive_seed(cfg.master_seed, t, ENSEMBLE_STREAM) for t in range(cfg.num_trials)]
-            with sensing.draw_ahead(cfg.model, cfg.n, cfg.effective_m, seeds):
-                return [rec for group in map(_run_group, repeat(cfg), groups) for rec in group]
+            with closing(sensing.draw_ahead(cfg.model, cfg.n, cfg.effective_m, seeds)) as fills:
+                return [rec for group in groups for rec in _run_group(cfg, group, fills)]
         with ProcessPoolExecutor(max_workers=min(nworkers, len(groups))) as pool:
             return [rec for group in pool.map(_run_group, repeat(cfg), groups) for rec in group]
 

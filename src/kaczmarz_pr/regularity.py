@@ -27,7 +27,7 @@ import numpy as np
 
 from .blas import one_thread
 from .sensing import row_magnitudes, row_products
-from .seeding import check_seed
+from .seeding import check_int, check_seed
 
 __all__ = [
     "dir_deriv_f",
@@ -152,8 +152,7 @@ class RegularityParams:
             raise ValueError("alpha must be finite and exceed 1")
         if not (math.isfinite(self.c0) and self.c0 > 0.0):
             raise ValueError("c0 must be finite and positive")
-        if self.net_or_samples < 1:
-            raise ValueError("net_or_samples must be >= 1")
+        check_int("net_or_samples", self.net_or_samples, 1)
         check_seed(self.seed)
 
 
@@ -294,7 +293,9 @@ def _move_candidates(t2, reach, lim, step, norms2):
 
 
 def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
-    """(rows, moves): the direction search's scores of frame coordinates.
+    """(rows, products, moves): the direction search's scores of frame
+    coordinates, as pure functions; the caller holds the point and its
+    products.
 
     At a unit c, with v_R = frame c, t_i = a_i^* v, u_i = a_i^* z and
     beta = c0 alpha, every wedge row lies in W, so the bracket is the form
@@ -309,9 +310,11 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     for every row of C, so a span of P is read from memory once per call
     rather than once per block of C.  The span is fixed, so the order in
     which a gap is summed does not depend on ``_EVAL_BYTES``.
-    ``moves(c, step)`` returns the moves c +- step e_j of a unit c in the
-    order +e_0, -e_0, +e_1, ..., normalized, with their scores; their
-    products are (t_c +- step P_j) / ||c +- step e_j||, so
+    ``products(c)`` is t_c, c's product with P.  ``moves(c, t_c, step)``
+    returns the moves c +- step e_j of a unit c in the order +e_0, -e_0,
+    +e_1, ..., normalized, their scores and ``carry``, where ``carry(j)``
+    is the products of move j, (t_c +- step P_j) / ||c +- step e_j||,
+    O(|W|).  So
 
         |t|^2 ||c +- step e_j||^2 = |t_c|^2 + step^2 |P_j|^2 +- 2 step Re(conj(t_c) P_j).
 
@@ -322,12 +325,9 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     of the right-hand side over the far rows.  Those are the sums over W
     less one small product over the near rows: sum |t_c|^2, the axes' sums
     of |P_j|^2 (kept from the build) and M c, with
-    M_jl = sum_i Re(conj(P_j,i) P_l,i) built once, (2n-1)^2.  t_c is
-    carried: where c is the last sweep's point or one of its moves, its
-    products are that point's or (t +- step P_j) / ||c +- step e_j||,
-    O(|W|); else c's product with P.  So a sweep costs O(|W|) elementwise
-    plus O(n) per near row.  Where W is empty a score is the form alone,
-    O(n).  P, one (2n-1, |W|) complex array, is built over row blocks of
+    M_jl = sum_i Re(conj(P_j,i) P_l,i) built once, (2n-1)^2.  So a sweep
+    costs O(|W|) elementwise plus O(n) per near row.  Where W is empty a
+    score is the form alone, O(n).  P, one (2n-1, |W|) complex array, is built over row blocks of
     ``_FORM_BYTES``, and every temporary of a score holds at most
     ``_EVAL_BYTES`` (one row of a span, or one axis, at least).
     """
@@ -349,7 +349,6 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     span = max(1, min(w, _SPAN_ROWS))
     block = max(1, _EVAL_BYTES // (16 * span))  # rows of C
     unit_moves = np.kron(np.eye(k), [[1.0], [-1.0]])
-    last = None  # the last sweep's (c, t_c, step, C, norms)
 
     def gap(p2, lim):
         """(d, rows) squared products and the rows' limits -> (d,) gaps,
@@ -368,26 +367,13 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
         return f
 
     def products(c):
-        """t_c, carried from the last sweep where c is its point or a move."""
-        if last is not None:
-            c_last, t, step, C, norms = last
-            if np.array_equal(c, c_last):
-                return t
-            i = int(np.argmax(C @ c))
-            if np.array_equal(C[i], c):
-                t = t - step * P[i // 2] if i % 2 else t + step * P[i // 2]
-                t /= norms[i]
-                return t
         return (c @ flat).view(complex)
 
-    def moves(c, step):
-        nonlocal last
+    def moves(c, t, step):
         R = c + step * unit_moves
         norms = np.linalg.norm(R, axis=1)
         C = R / norms[:, np.newaxis]
         f = (C * C) @ lam
-        t = products(c)
-        last = (c.copy(), t, step, C, norms)
         t2 = t.real * t.real + t.imag * t.imag
         norms2 = norms * norms
         inv = (1.0 / norms2).reshape(k, 2, 1)
@@ -424,9 +410,13 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
         p2 = np.column_stack((far_q + far_cross, far_q - far_cross))  # (axis, sign)
         p2 *= inv[:, :, 0]
         f += c_wedge * p2.reshape(2 * k)
-        return C, f
 
-    return rows, moves
+        def carry(j):  # (t_c +- step P_j) / ||c +- step e_j||, + for even j
+            return (t + (-1) ** j * step * P[j // 2]) / norms[j]
+
+        return C, f, carry
+
+    return rows, products, moves
 
 
 @one_thread()  # a fresh hold per call
@@ -451,9 +441,11 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     strictly below c's value and is not c itself (from +-e_j, the moves
     along axis j normalize back to c), and else halves the step
     (``_STEP0`` down to ``_MIN_STEP``, at most ``_MAX_SWEEPS`` sweeps).
-    ``_search_scorer`` scores every candidate, and ``offer`` counts each
-    one and keeps the first lowest, so ``evaluations`` is exactly
-    1 + budget + 2 (2n-1) times the sweeps run; the report is ``regularity_terms`` at the lowest, its
+    The descent holds its point c, c's products t_c and c's score f, and
+    takes an accepted move's products from its sweep.  ``_search_scorer``
+    scores every candidate, and ``offer`` counts each one and keeps the
+    first lowest, so ``evaluations`` is exactly 1 + budget + 2 (2n-1) times
+    the sweeps run; the report is ``regularity_terms`` at the lowest, its
     only call.  The stream draws only the rows the budget asks for, in
     order, so it is prefix-stable in the budget; the anchor and its
     descent do not depend on it, so a larger budget only adds directions
@@ -469,22 +461,24 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     n, m = ensemble.n, ensemble.m
     c0, alpha = params.c0, params.alpha
     lam, frame, w_rows = _bracket_form(ensemble, z, c0, alpha)
-    rows, moves = _search_scorer(ensemble, z, lam, frame, w_rows, c0, alpha)
+    rows, products, moves = _search_scorer(ensemble, z, lam, frame, w_rows, c0, alpha)
     v0 = frame[:n, 0] + 1j * frame[n:, 0]
     attained = np.array_equal(wedge(ensemble, z, v0, c0 * alpha), w_rows)
     evaluations, best_c, best_f = 0, None, math.inf
 
     def offer(C, f):
-        """Count C, keep the first lowest so far; return C's lowest (c, f)."""
+        """Count C, keep the first lowest so far; return the index of C's lowest."""
         nonlocal evaluations, best_c, best_f
         evaluations += len(C)
         j = int(np.argmin(f))
         if f[j] < best_f:
             best_c, best_f = C[j], float(f[j])
-        return C[j], float(f[j])
+        return j
 
     anchor = np.eye(1, 2 * n - 1)
-    c, f = offer(anchor, rows(anchor))
+    scores = rows(anchor)
+    offer(anchor, scores)
+    c, t, f = anchor[0], products(anchor[0]), float(scores[0])
     rng = np.random.default_rng(int(params.seed))
     for done in range(0, params.net_or_samples, _DIR_CHUNK):
         C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))
@@ -494,9 +488,10 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     for _ in range(_MAX_SWEEPS):
         if step <= _MIN_STEP:
             break
-        c_move, f_move = offer(*moves(c, step))
-        if f_move < f and not np.array_equal(c_move, c):
-            c, f = c_move, f_move
+        C, f_moves, carry = moves(c, t, step)
+        j = offer(C, f_moves)
+        if f_moves[j] < f and not np.array_equal(C[j], c):
+            c, t, f = C[j], carry(j), float(f_moves[j])
         else:
             step *= 0.5
 

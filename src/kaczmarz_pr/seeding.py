@@ -23,9 +23,16 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def check_int(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer >=
+    ``low``; a float such as 1.5 is refused rather than truncated, and a
+    bool too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 def check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is a Python or numpy integer >= 0,
-    the seeds ``numpy.random.default_rng`` takes; a float such as 1.5 is
-    refused rather than truncated."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    """``check_int`` for the seeds ``numpy.random.default_rng`` takes."""
+    check_int("seed", seed, 0)

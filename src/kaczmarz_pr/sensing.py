@@ -13,8 +13,6 @@ measurement set holds the ensemble it measured.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,63 +84,29 @@ def _segment_rows(model: str, n: int, m: int) -> int:
     return n if model == MODEL_UNITARY else m
 
 
-class _DrawAhead:
-    """The normal fills of a run's ensembles of one (model, n, m), drawn
-    in the order of ``seeds``, the next one on a drawer thread while the
-    calling thread works on the current one.  The calling thread allocates
-    every array and the one buffer, so the drawer allocates nothing (a
-    thread that allocates grows a malloc arena of its own)."""
-
-    def __init__(self, model: str, n: int, m: int, seeds):
-        self._shape = (model, n, m)
-        self._seeds = iter(seeds)
-        self._buf = np.empty((_block_rows(n), n))
-        self._drawer = ThreadPoolExecutor(max_workers=1)
-        self._submit()
-
-    def _submit(self) -> None:
-        seed = next(self._seeds, None)
-        if seed is None:
-            self._pending = None
-            return
-        model, n, m = self._shape
-        g = np.empty((m, n), dtype=complex)
-        rng = np.random.default_rng(int(seed))
-        self._pending = (seed, g, self._drawer.submit(_fill_normal, rng, g, _segment_rows(model, n, m), self._buf))
-
-    def take(self, model: str, n: int, m: int, seed: int) -> np.ndarray | None:
-        """The filled array of ensemble (model, n, m, seed) if it is the
-        next one, after starting the fill of the one after it; else None."""
-        if self._pending is None or (model, n, m) != self._shape or seed != self._pending[0]:
-            return None
-        _, g, fill = self._pending
-        fill.result()
-        self._submit()
-        return g
-
-    def close(self) -> None:
-        self._drawer.shutdown(wait=True)
-
-
-_AHEAD: ContextVar[_DrawAhead | None] = ContextVar("draw_ahead", default=None)
-
-
-@contextmanager
 def draw_ahead(model: str, n: int, m: int, seeds):
-    """Within the block, this thread's ``sample_sphere`` (model sphere) or
-    ``sample_block_unitary`` (model unitary, m = K n) calls at seeds[0],
-    seeds[1], ... in that order take their normal draws from one drawer
-    thread, which draws the next ensemble's while the caller finishes the
-    current one.  Any other call draws its own, and every ensemble has the
-    bits it has outside the block.  A serial run uses it to spend a second
-    core on sampling."""
-    ahead = _DrawAhead(model, n, m, seeds)
-    token = _AHEAD.set(ahead)
-    try:
-        yield
-    finally:
-        _AHEAD.reset(token)
-        ahead.close()
+    """Yield (seed, fill) for each of ``seeds`` in turn, where fill holds
+    the normal draws that ``_sample`` builds ensemble (model, n, m, seed)
+    from, with the bits of its own draw.  The caller holds the generator
+    and each fill; one drawer thread draws the next fill while the caller
+    works on the current one.  Each step allocates the next array on the
+    caller's thread, as it did the one buffer, so the drawer allocates
+    nothing (a thread that allocates grows a malloc arena of its own).
+    Closing the generator waits for the drawer."""
+    segment, buf = _segment_rows(model, n, m), np.empty((_block_rows(n), n))
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+
+        def queue(seed):
+            g = np.empty((m, n), dtype=complex)
+            return seed, g, drawer.submit(_fill_normal, np.random.default_rng(int(seed)), g, segment, buf)
+
+        queued = map(queue, seeds)
+        ahead = next(queued, None)
+        while ahead:
+            seed, g, fill = ahead  # lets go of the last fill before the next is allocated
+            ahead = next(queued, None)
+            fill.result()
+            yield seed, g
 
 
 def _normalize_rows(g: np.ndarray) -> np.ndarray:
@@ -197,12 +161,10 @@ class MeasurementSet:
         return self.values
 
 
-def _sample(model: str, n: int, m: int, seed: int) -> SensingEnsemble:
-    """The (m, n) ensemble of ``model`` at ``seed``: the normal fill, from
-    ``draw_ahead`` when it holds this one, then its rows normalized (sphere)
+def _sample(model: str, n: int, m: int, seed: int, g: np.ndarray | None = None) -> SensingEnsemble:
+    """The (m, n) ensemble of ``model`` at ``seed``: its normal fill, g if
+    the caller drew it (``draw_ahead``), then its rows normalized (sphere)
     or its Ginibre blocks turned into the columns of Haar unitaries."""
-    ahead = _AHEAD.get()
-    g = ahead.take(model, n, m, seed) if ahead is not None else None
     if g is None:
         g = np.empty((m, n), dtype=complex)
         _fill_normal(np.random.default_rng(int(seed)), g, _segment_rows(model, n, m), np.empty((_block_rows(n), n)))

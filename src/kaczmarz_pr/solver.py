@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import aligned2_rows
 from .sensing import _block_rows, objective_rows
-from .seeding import check_seed
+from .seeding import check_int, check_seed
 
 __all__ = [
     "SolverConfig",
@@ -49,8 +49,7 @@ class SolverConfig:
     history_stride: int | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_int("max_iters", self.max_iters, 1)
         check_seed(self.seed)
         if not (math.isfinite(self.zero_threshold) and self.zero_threshold > 0.0):
             raise ValueError("zero_threshold must be positive and finite")
@@ -61,8 +60,8 @@ class SolverConfig:
         tol = self.tol_residual if self.tol_aligned_rel is None else self.tol_aligned_rel
         if not tol >= 0.0:
             raise ValueError("tolerances must be >= 0")
-        if self.history_stride is not None and self.history_stride < 1:
-            raise ValueError("history_stride must be >= 1")
+        if self.history_stride is not None:
+            check_int("history_stride", self.history_stride, 1)
 
     def converged(self, aligned, residual, z_norm):
         """The stopping test, the only tolerance comparison; plain

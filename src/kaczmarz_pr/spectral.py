@@ -17,7 +17,7 @@ import numpy as np
 
 from .blas import one_thread
 from .sensing import _block_rows, sample_unit_vector
-from .seeding import check_seed
+from .seeding import check_int, check_seed
 
 __all__ = ["SpectralConfig", "truncated_covariance", "spectral_init"]
 
@@ -34,8 +34,7 @@ class SpectralConfig:
             raise ValueError("truncation_multiplier must be positive and finite")
         if not (math.isfinite(self.power_tol) and self.power_tol > 0.0):
             raise ValueError("power_tol must be positive and finite")
-        if self.power_iters_max < 1:
-            raise ValueError("power_iters_max must be >= 1")
+        check_int("power_iters_max", self.power_iters_max, 1)
         check_seed(self.seed)
 
 

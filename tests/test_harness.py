@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from contextlib import closing
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from pathlib import Path
 
@@ -234,8 +235,8 @@ class TestGroups:
         row = int(draws[-1])
         sample = ExperimentConfig.sample_ensemble
 
-        def with_zero_row(self, seed):
-            ens = sample(self, seed)
+        def with_zero_row(self, seed, fill=None):
+            ens = sample(self, seed, fill)
             if seed != ens_seed:
                 return ens
             vectors = np.array(ens.vectors)
@@ -249,6 +250,16 @@ class TestGroups:
         for per_group in (1, 2, 3):
             self.group_sizes(monkeypatch, cfg, per_group)
             assert texts(cfg, run_experiment(cfg, workers=1)) == texts(cfg, alone)
+
+    def test_a_fill_of_another_seed_raises(self):
+        # a group takes each trial's fill in turn from the generator it is
+        # passed; a fill drawn for another trial's seed is a bug, not a
+        # failed trial
+        cfg = ExperimentConfig(n=4, m=40, num_trials=2, master_seed=3)
+        seeds = [derive_seed(3, t, ENSEMBLE_STREAM) for t in (1, 0)]
+        with closing(sensing.draw_ahead(cfg.model, cfg.n, cfg.m, seeds)) as fills:
+            with pytest.raises(LookupError, match="trial 0"):
+                harness._run_group(cfg, range(2), fills)
 
     def test_a_batch_holds_one_group_of_ensembles(self):
         # sphere n = 50, m = 2000, 20 trials: two groups of 10, whose
@@ -482,6 +493,20 @@ class TestConfigFile:
             cfg.num_trials = 0
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             replace(cfg, num_trials=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("master_seed", 1.5), ("m", 40.5), ("K", 2.5), ("max_iters", 2.5), ("history_stride", 2.5),
+         ("n", 4.0), ("n", True), ("num_trials", 2.5), ("power_iters_max", 2.5)],
+    )
+    def test_integer_fields_refuse_other_numbers(self, field, value):
+        # master seed 1.5 would run as master seed 1, and each of the others
+        # would end in a numpy TypeError at run time
+        shape = dict(model="unitary", K=4) if field == "K" else dict(m=40)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentConfig(**{"n": 4, **shape, field: value})
+        cfg = ExperimentConfig(**{"n": 4, **shape, field: np.int64(3)})
+        assert getattr(cfg, field) == 3
 
     def test_config_keeps_a_read_only_copy_of_the_signal(self):
         # the caller's array cannot change the signal the config checked

@@ -254,18 +254,18 @@ class TestEstimateL:
         make = regularity._search_scorer
 
         def recording_scorer(*args):
-            rows, moves = make(*args)
+            rows, products, moves = make(*args)
 
             def scored_rows(C):
                 scored.append((C.copy(), rows(C)))
                 return scored[-1][1]
 
-            def scored_moves(c, step):
-                C, f = moves(c, step)
+            def scored_moves(c, t, step):
+                C, f, carry = moves(c, t, step)
                 sweeps.append((c.copy(), len(C)))
-                return C, f
+                return C, f, carry
 
-            return scored_rows, scored_moves
+            return scored_rows, products, scored_moves
 
         monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=57))
@@ -289,18 +289,18 @@ class TestEstimateL:
         make, terms = regularity._search_scorer, regularity.regularity_terms
 
         def recording_scorer(*args):
-            rows, moves = make(*args)
+            rows, products, moves = make(*args)
 
             def scored_rows(C):
                 scores.append(rows(C))
                 return scores[-1]
 
-            def scored_moves(c, step):
-                C, f = moves(c, step)
+            def scored_moves(c, t, step):
+                C, f, carry = moves(c, t, step)
                 scores.append(f)
-                return C, f
+                return C, f, carry
 
-            return scored_rows, scored_moves
+            return scored_rows, products, scored_moves
 
         def recording_terms(*args):
             out = terms(*args)
@@ -337,12 +337,12 @@ class TestEstimateL:
             assert 0 < len(w_rows) < m
         else:
             assert len(w_rows) == (m if w_case == "all" else 0)
-        rows, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
+        rows, products, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
         k = 2 * n - 1
         c = np.random.default_rng(n).standard_normal(k)
         for start in (np.eye(k)[0], c / np.linalg.norm(c)):
             for step in (0.25, 0.01, 1e-3):
-                C, f = moves(start, step)
+                C, f, _ = moves(start, products(start), step)
                 R = start + step * np.kron(np.eye(k), [[1.0], [-1.0]])
                 assert np.array_equal(C, R / np.linalg.norm(R, axis=1, keepdims=True))
                 np.testing.assert_allclose(f, rows(C), rtol=1e-12, atol=0)
@@ -352,20 +352,24 @@ class TestEstimateL:
 
     @pytest.mark.parametrize("n, c0", [(2, 1 / 80), (8, 1 / 80), (8, 0.1), (50, 1e-3), (50, 1 / 80), (50, 0.1)])
     def test_carried_products_score_like_fresh_ones(self, n, c0):
-        # a sweep from the last sweep's point or one of its moves carries
-        # that point's products; along a walk of moves its scores stay those
-        # of the random stage, which forms every product afresh
+        # a walk of moves carries each accepted move's products from its
+        # sweep, (t +- step P_j) / ||c +- step e_j||; along it the sweeps'
+        # scores stay those of the random stage, which forms every product
+        # afresh
         m, alpha = 4 * n + 100, 20.0
         ens = sample_sphere(n, m, 80 + n)
         z = sample_unit_vector(n, 81 + n)
         lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
-        rows, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
+        rows, products, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
         c = np.random.default_rng(n).standard_normal(2 * n - 1)
         c /= np.linalg.norm(c)
+        t = products(c)
         for i in range(40):
-            C, f = moves(c, 0.25 / 2 ** (i // 8))
+            C, f, carry = moves(c, t, 0.25 / 2 ** (i // 8))
             np.testing.assert_allclose(f, rows(C), rtol=1e-12, atol=0)
-            c = C[(7 * i) % len(C)] if i % 3 else c  # some walk, some repeat
+            if i % 3:  # some walk, some repeat
+                c, t = C[(7 * i) % len(C)], carry((7 * i) % len(C))
+                np.testing.assert_allclose(t, products(c), rtol=0, atol=1e-12 * max(1.0, np.abs(t).max(initial=0.0)))
 
     @pytest.mark.parametrize(
         "n, m, c0, w_case",
@@ -400,7 +404,7 @@ class TestEstimateL:
             return picked[-1]
 
         monkeypatch.setattr(regularity, "_move_candidates", recording_pick)
-        rows, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
+        rows, products, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
         a_w = ens.vectors[w_rows].conj()
         P = a_w @ (frame[:n] + 1j * frame[n:])  # (row, axis): a_i^* f_j
         lim = (np.abs(a_w @ z) / (c0 * alpha)) ** 2
@@ -410,7 +414,7 @@ class TestEstimateL:
             c = rng.standard_normal(k)
             c /= np.linalg.norm(c)
             for step in (0.25, 0.01, 1e-3):
-                C, f = moves(c, step)
+                C, f, _ = moves(c, products(c), step)
                 near, inside = picked.pop()
                 out = np.setdiff1d(np.arange(w), near)
                 skipped = near[inside]
@@ -478,18 +482,18 @@ class TestEstimateL:
         make = regularity._search_scorer
 
         def recording_scorer(*args):
-            rows, moves = make(*args)
+            rows, products, moves = make(*args)
 
             def scored_rows(C):
                 scored.append(rows(C))
                 return scored[-1]
 
-            def scored_moves(c, step):
-                C, f = moves(c, step)
+            def scored_moves(c, t, step):
+                C, f, carry = moves(c, t, step)
                 sweeps.append((c.copy(), step, C, f))
-                return C, f
+                return C, f, carry
 
-            return scored_rows, scored_moves
+            return scored_rows, products, scored_moves
 
         monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=64, seed=seed))
@@ -633,6 +637,13 @@ class TestEstimateL:
             RegularityParams(c0=0.1, alpha=5.0, seed=seed)
         for ok in (0, 7, np.int64(5), np.uint32(3)):
             assert RegularityParams(c0=0.1, alpha=5.0, seed=ok).seed == ok
+
+    @pytest.mark.parametrize("budget", [2.5, np.float64(64.0), "64"])
+    def test_rejects_a_budget_that_is_not_an_integer(self, budget):
+        # 2.5 would end in a numpy TypeError once the random stage draws
+        with pytest.raises(ValueError, match="net_or_samples must be an integer"):
+            RegularityParams(c0=0.1, alpha=5.0, net_or_samples=budget)
+        assert RegularityParams(c0=0.1, alpha=5.0, net_or_samples=np.int64(64)).net_or_samples == 64
 
     def test_report_json_layout(self):
         # the direction is one signal-file object, params one nested object,

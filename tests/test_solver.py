@@ -164,6 +164,14 @@ class TestStep:
         for ok in (0, 7, np.int64(5), np.uint32(3)):
             assert SolverConfig(max_iters=1, tol_residual=0.0, seed=ok).seed == ok
 
+    @pytest.mark.parametrize("field, value", [("max_iters", 2.5), ("max_iters", "3"), ("history_stride", 2.5)])
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        # each would end in a numpy TypeError once the solve starts
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{"max_iters": 5, "tol_residual": 0.0, field: value})
+        ok = SolverConfig(**{"max_iters": 5, "tol_residual": 0.0, field: np.int64(3)})
+        assert getattr(ok, field) == 3
+
 
 class TestSolve:
     def test_start_at_solution_stops_immediately(self):
