@@ -46,7 +46,11 @@ _EVAL_BYTES = 512 * 1024  # bytes held by each temporary of the search's scores
 # _EVAL_BYTES
 _FORM_BYTES = _EVAL_BYTES
 _DIR_CHUNK = 256
-_SPAN_ROWS = 4096  # W rows over which the random stage sums a score's gap at once
+# W rows over which the random stage sums a score's gap at once.  A tile of
+# _EVAL_BYTES then holds 64 candidates, the smallest block at which the
+# tile's GEMM runs near its peak: 64 rows ran at about 95% of it and 8 rows
+# at under half (k = 99 to 511, one OpenBLAS thread, Xeon)
+_SPAN_ROWS = 512
 _STEP0, _MIN_STEP, _MAX_SWEEPS = 0.25, 1e-3, 200  # estimate_L's descent schedule
 
 
@@ -101,8 +105,18 @@ def _signal_products(ensemble, z):
 
 
 def _curvature(t, uc, ua):
-    """(2 Re(t conj(u)))^2 / (2 |u|^2) elementwise, from conj(u) and |u|."""
+    """(2 Re(t conj(u)))^2 / (2 |u|^2) elementwise, from conj(u) and |u|.
+
+    Each u_i enters scaled by 2^-e_i, the power of two that puts |u_i| in
+    [1/2, 1) (``frexp``), so neither square overflows or underflows at any
+    scale of the signal; the numerator is linear in u, so it is scaled
+    after the product.  The scaling is exact and cancels, so the bits are
+    those of the unscaled formula wherever |u_i|^2 is a normal float.
+    """
+    ua, e = np.frexp(ua)
+    np.negative(e, out=e)
     cross = 2.0 * np.real(t * uc)
+    np.ldexp(cross, e, out=cross)
     cross *= cross
     cross *= 1.0 / (2.0 * ua * ua)
     return cross
@@ -191,6 +205,17 @@ class RegularityReport:
     constraint_2c0alpha_gt_1: bool
 
 
+def _vector(name: str, x, n: int) -> np.ndarray:
+    """x as a complex array; raises ValueError unless its shape is (n,) and
+    every entry is finite."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must have finite entries")
+    return x
+
+
 def _term_coefficients(alpha: float, m: int):
     """(6/(alpha-1), 2+4 alpha), the weights of term2 and term3; raises
     where term2 + term3 could overflow at m unit rows."""
@@ -208,8 +233,10 @@ def regularity_terms(ensemble, z, v, c0: float, alpha: float):
     term2 = 6/(alpha-1) sum_i |a_i^* v|^2
     term3 = (2+4 alpha) sum over the wedge S(v, c0 alpha) of |a_i^* v|^2
 
-    and bracket = term1 - term2 - term3.
+    and bracket = term1 - term2 - term3.  z and v must be finite (n,)
+    vectors.
     """
+    z, v = _vector("z", z, ensemble.n), _vector("v", v, ensemble.n)
     uc, ua = _signal_products(ensemble, z)
     c_mid, c_wedge = _term_coefficients(alpha, ensemble.m)
     t = row_products(ensemble, v)
@@ -306,10 +333,14 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     (tested as |t_i|^2 < (|u_i| / beta)^2).  Products are linear in c,
     t = sum_j c_j P_j, with P_j the products of W's rows with frame axis j,
     built once.  ``rows(C)`` scores unit rows C through P, O(n |W|) each,
-    span by span: it sums a gap over ``_SPAN_ROWS`` rows of W at a time,
-    for every row of C, so a span of P is read from memory once per call
-    rather than once per block of C.  The span is fixed, so the order in
-    which a gap is summed does not depend on ``_EVAL_BYTES``.
+    in tiles: a span of ``_SPAN_ROWS`` rows of W (all of W where it is
+    shorter) against a block of C's rows, one GEMM each, whose products
+    hold ``_EVAL_BYTES``; so a block has 64 rows, or more where W is
+    shorter than a span, wherever C has them.  It runs every block of C
+    through one span before the next, so a span of P is read from memory
+    once per call rather than once per block, and sums a gap span by span.
+    The span is fixed, so the order in which a gap is summed does not
+    depend on ``_EVAL_BYTES``.
     ``products(c)`` is t_c, c's product with P.  ``moves(c, t_c, step)``
     returns the moves c +- step e_j of a unit c in the order +e_0, -e_0,
     +e_1, ..., normalized, their scores and ``carry``, where ``carry(j)``
@@ -459,6 +490,7 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     report's bits do not depend on its thread count.
     """
     n, m = ensemble.n, ensemble.m
+    z = _vector("z", z, n)
     c0, alpha = params.c0, params.alpha
     lam, frame, w_rows = _bracket_form(ensemble, z, c0, alpha)
     rows, products, moves = _search_scorer(ensemble, z, lam, frame, w_rows, c0, alpha)

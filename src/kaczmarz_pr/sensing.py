@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import check_int
+
 __all__ = [
     "MODEL_SPHERE",
     "MODEL_UNITARY",
@@ -187,20 +189,21 @@ def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
     Each vector draws 2n standard normal reals (real/imag parts) and is
     normalized; deterministic given (n, m, seed).
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    check_int("n", n, 1)
+    check_int("m", m, 1)
     return _sample(MODEL_SPHERE, n, m, seed)
 
 
 def sample_block_unitary(n: int, K: int, seed: int) -> SensingEnsemble:
     """K independent Haar unitaries; ensemble rows are their columns in block order."""
-    if n < 1 or K < 1:
-        raise ValueError(f"need n >= 1 and K >= 1, got n={n}, K={K}")
+    check_int("n", n, 1)
+    check_int("K", K, 1)
     return _sample(MODEL_UNITARY, n, K * n, seed)
 
 
 def sample_unit_vector(n: int, seed) -> np.ndarray:
     """One vector uniform on the unit sphere of C^n (seed int or Generator)."""
+    check_int("n", n, 1)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
     v = _complex_normal(rng, (n,))
     return v / np.linalg.norm(v)

@@ -42,6 +42,8 @@ BATCHES = {
 ESTIMATE_L = {
     "estimate-l sphere": ["estimate-l", "--n", "8", "--m", "160", "--alpha", "20", "--seed", "1"],
     "estimate-l unitary": ["estimate-l", "--model", "unitary", "--n", "4", "--K", "10", "--alpha", "600"],
+    # 1,221 rows in W: the random stage sums each gap over three spans
+    "estimate-l sphere spans": ["estimate-l", "--n", "16", "--m", "2000", "--alpha", "20", "--seed", "2", "--budget", "256"],
 }
 
 VERIFY = "verify --trials 100000 --seed 7"

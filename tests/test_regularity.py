@@ -102,6 +102,22 @@ class TestSecondDerivative:
             d2 = second_dir_deriv_fi(ens.vectors[i], z, z, v)
             assert abs(d2 - w1[i]) <= 1e-12 * max(1.0, abs(w1[i]))
 
+    @pytest.mark.parametrize("k", [-530, 530])
+    def test_curvature_does_not_depend_on_the_signal_scale(self, k):
+        # at 2^k z, |u|^2 overflows (k = 530) or underflows (k = -530): the
+        # curvature, the terms and the search stay those at z
+        ens = sample_sphere(6, 80, 15)
+        z = sample_unit_vector(6, 16)
+        v = sample_unit_vector(6, 17)
+        scaled = np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k)
+        assert np.array_equal(second_dir_deriv_at_signal(ens, scaled, v), second_dir_deriv_at_signal(ens, z, v))
+        assert regularity_terms(ens, scaled, v, 1 / 80, 20.0)[0] == regularity_terms(ens, z, v, 1 / 80, 20.0)[0]
+        params = RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=64, seed=18)
+        for size in (1e160, 1e-160):
+            rep = estimate_L(ens, size * z, params)
+            assert math.isfinite(rep.term1) and math.isfinite(rep.L_estimate)
+            assert_lower_bound(rep)
+
     def test_bounded_by_twice_projection(self):
         # 0 <= f''_i(z) <= 2|a_i^* v|^2 on 200 random ensembles, 2 <= n <= 6
         result = check_directional_derivatives((14,), (14,), reps=0, bound_reps=200)
@@ -318,7 +334,7 @@ class TestEstimateL:
 
     @pytest.mark.parametrize("n", [1, 2, 8, 50])
     @pytest.mark.parametrize(
-        "c0, w_case", [(1e-6, "empty"), (1e-3, "few"), (1 / 80, "partial"), (0.1, "all")]
+        "c0, w_case", [(1e-6, "empty"), (1e-3, "few"), (1 / 80, "partial"), (0.1, "all"), (0.1, "spans")]
     )
     def test_descent_scores_equal_random_stage_scores(self, n, c0, w_case):
         # a sweep scores c +- step e_j from the products of c and of the
@@ -326,8 +342,9 @@ class TestEstimateL:
         # product each: the two agree, and both are the bracket of
         # regularity_terms; W is empty, a few rows (none below n = 50),
         # partial (empty at n = 1, where |a_i^* z| = ||a_i||) or every row
-        # (c0 alpha >= 1)
-        m, alpha = 4 * n + 100, 20.0
+        # (c0 alpha >= 1), and in "spans" every row of m = 1200, more than
+        # one _SPAN_ROWS
+        m, alpha = (1200 if w_case == "spans" else 4 * n + 100), 20.0
         ens = sample_sphere(n, m, 70 + n)
         z = sample_unit_vector(n, 71 + n)
         lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
@@ -336,7 +353,9 @@ class TestEstimateL:
         elif w_case == "partial" and n > 1:
             assert 0 < len(w_rows) < m
         else:
-            assert len(w_rows) == (m if w_case == "all" else 0)
+            assert len(w_rows) == (m if w_case in ("all", "spans") else 0)
+        if w_case == "spans":
+            assert len(w_rows) > regularity._SPAN_ROWS
         rows, products, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
         k = 2 * n - 1
         c = np.random.default_rng(n).standard_normal(k)
@@ -616,6 +635,27 @@ class TestEstimateL:
             regularity_terms(ens, z, z, 0.1, 1e308)
         with pytest.raises(ValueError, match="alpha"):
             estimate_L(ens, z, RegularityParams(c0=0.1, alpha=1e308, net_or_samples=10))
+
+    def test_rejects_vectors_that_are_not_finite_n_vectors(self):
+        # a NaN z ended in LinAlgError, a wrong shape in numpy's matmul
+        # error, and a NaN v gave four NaN terms
+        ens = sample_sphere(4, 40, 41)
+        z = sample_unit_vector(4, 42)
+        params = RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=16)
+        nan = z.copy()
+        nan[1] = complex(0.0, math.nan)
+        for bad, message in (
+            (nan, "must have finite entries"),
+            (np.full(4, math.inf), "must have finite entries"),
+            (z[:3], r"must have shape \(4,\), got \(3,\)"),
+            (np.stack((z, z)), r"must have shape \(4,\), got \(2, 4\)"),
+        ):
+            with pytest.raises(ValueError, match="z " + message):
+                estimate_L(ens, bad, params)
+            with pytest.raises(ValueError, match="z " + message):
+                regularity_terms(ens, bad, z, 1 / 80, 20.0)
+            with pytest.raises(ValueError, match="v " + message):
+                regularity_terms(ens, z, bad, 1 / 80, 20.0)
 
     def test_rejects_singular_signal(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)

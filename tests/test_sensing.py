@@ -111,6 +111,24 @@ class TestSphereSampler:
         with pytest.raises(ValueError):
             sample_sphere(5, 0, 0)
 
+    @pytest.mark.parametrize("n, m, name", [(4, 40.5, "m"), (4.0, 40, "n"), (True, 40, "n"), (4, np.float64(40.0), "m")])
+    def test_sizes_that_are_not_integers_are_refused(self, n, m, name):
+        # a float or a bool would end in numpy's TypeError, or run as 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_sphere(n, m, 1)
+        assert sample_sphere(np.int64(4), np.int32(40), 1).vectors.shape == (40, 4)
+
+
+class TestUnitVector:
+    @pytest.mark.parametrize(
+        "n, message", [(4.0, "n must be an integer"), (True, "n must be an integer"), (0, "n must be >= 1")]
+    )
+    def test_invalid_dimensions(self, n, message):
+        # a float ended in numpy's TypeError, and n = 0 gave an empty array
+        with pytest.raises(ValueError, match=message):
+            sample_unit_vector(n, 1)
+        assert sample_unit_vector(np.int64(3), 1).shape == (3,)
+
 
 class TestBlockUnitarySampler:
     def test_blocks_are_unitary(self):
@@ -148,6 +166,11 @@ class TestBlockUnitarySampler:
             sample_block_unitary(0, 2, 0)
         with pytest.raises(ValueError):
             sample_block_unitary(2, 0, 0)
+
+    @pytest.mark.parametrize("n, K, name", [(4, 2.5, "K"), (4.0, 2, "n"), (4, True, "K")])
+    def test_sizes_that_are_not_integers_are_refused(self, n, K, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_block_unitary(n, K, 1)
 
 
 class TestMeasure:
