@@ -250,29 +250,27 @@ def regularity_terms(ensemble, z, v, c0: float, alpha: float):
     return term1, term2, term3, term1 - term2 - term3
 
 
-def _bracket_form(ensemble, z, c0: float, alpha: float):
+def _bracket_form(ensemble, z, uc, ua, beta: float, c_mid: float, c_wedge: float):
     """(lam, frame, W): the eigenvalues, ascending, and eigenframe of a real
     quadratic form that bounds term1 - term2 - term3 from below on the
-    phase-aligned unit sphere, and the rows W defined below.
+    phase-aligned unit sphere, and the rows W defined below, from the
+    (conj(u), |u|) of ``_signal_products``, beta = c0 alpha and the weights.
 
     In v_R = (Re v, Im v), term1 = ||G v_R||^2 with rows g_i = (Re b_i,
     -Im b_i), b_i = conj(u_i) conj(a_i) / |u_i| and u_i = a_i^* z.  Every
-    wedge S(v, c0 alpha) of a unit v lies in W = {i : |u_i| <= c0 alpha
-    ||a_i||}, so term3 <= (2+4 alpha) sum_{i in W} |a_i^* v|^2 and the form
+    wedge S(v, beta) of a unit v lies in W = {i : |u_i| <= beta ||a_i||},
+    so term3 <= (2+4 alpha) sum_{i in W} |a_i^* v|^2 and the form
 
         term1 - 6/(alpha-1) sum_i |a_i^* v|^2 - (2+4 alpha) sum_{i in W} |a_i^* v|^2
 
-    is at most the bracket, with equality at v if S(v, c0 alpha) = W (at
-    every v if W is empty).  ``frame`` is a real (2n, 2n-1) array whose
+    is at most the bracket, with equality at v if S(v, beta) = W (at every
+    v if W is empty).  ``frame`` is a real (2n, 2n-1) array whose
     orthonormal columns span the complement of (i z)_R and diagonalize the
     form there: a unit c in R^{2n-1} gives a unit, phase-aligned v by
     v_R = frame c, at which the form is sum_j lam_j c_j^2.  G^T G and the
     Hermitian part are summed over blocks of ``_FORM_BYTES`` rows.
     """
     n = ensemble.n
-    z = np.asarray(z, dtype=complex)
-    uc, ua = _signal_products(ensemble, z)
-    c_mid, c_wedge = _term_coefficients(alpha, ensemble.m)
     gram = np.zeros((2 * n, 2 * n))
     herm = np.zeros((n, n), dtype=complex)
     w_rows = []
@@ -282,7 +280,7 @@ def _bracket_form(ensemble, z, c0: float, alpha: float):
         b = a.conj() * (uc[lo : lo + block] / ua[lo : lo + block])[:, np.newaxis]
         g = np.concatenate((b.real, -b.imag), axis=1)
         gram += g.T @ g
-        in_w = ua[lo : lo + block] <= c0 * alpha * np.sqrt(np.sum(a.real**2 + a.imag**2, axis=1))
+        in_w = ua[lo : lo + block] <= beta * np.sqrt(np.sum(a.real**2 + a.imag**2, axis=1))
         w_rows.append(lo + np.flatnonzero(in_w))
         herm += (a * (c_mid + c_wedge * in_w)[:, np.newaxis]).T @ a.conj()
     form = gram - np.block([[herm.real, -herm.imag], [herm.imag, herm.real]])
@@ -319,10 +317,10 @@ def _move_candidates(t2, reach, lim, step, norms2):
     return near, lo >= lim[near] * (norms2.max() * (1.0 + 1e-9))
 
 
-def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
-    """(rows, products, moves): the direction search's scores of frame
-    coordinates, as pure functions; the caller holds the point and its
-    products.
+def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
+    """(rows, t_0, moves): the direction search's scores of frame
+    coordinates, as pure functions, and the products of the anchor e_0;
+    the caller holds the point and its products.
 
     At a unit c, with v_R = frame c, t_i = a_i^* v, u_i = a_i^* z and
     beta = c0 alpha, every wedge row lies in W, so the bracket is the form
@@ -330,7 +328,8 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
 
         score(c) = sum_j lam_j c_j^2 + (2+4 alpha) sum_{i in W, beta |t_i| < |u_i|} |t_i|^2
 
-    (tested as |t_i|^2 < (|u_i| / beta)^2).  Products are linear in c,
+    (tested as |t_i|^2 < lim_i, W's limits (|u_i| / beta)^2, with
+    c_wedge = 2+4 alpha).  Products are linear in c,
     t = sum_j c_j P_j, with P_j the products of W's rows with frame axis j,
     built once.  ``rows(C)`` scores unit rows C through P, O(n |W|) each,
     in tiles: a span of ``_SPAN_ROWS`` rows of W (all of W where it is
@@ -341,7 +340,7 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     once per call rather than once per block, and sums a gap span by span.
     The span is fixed, so the order in which a gap is summed does not
     depend on ``_EVAL_BYTES``.
-    ``products(c)`` is t_c, c's product with P.  ``moves(c, t_c, step)``
+    t_0 = P_0 is the anchor's products.  ``moves(c, t_c, step)``
     returns the moves c +- step e_j of a unit c in the order +e_0, -e_0,
     +e_1, ..., normalized, their scores and ``carry``, where ``carry(j)``
     is the products of move j, (t_c +- step P_j) / ||c +- step e_j||,
@@ -363,8 +362,6 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
     ``_EVAL_BYTES`` (one row of a span, or one axis, at least).
     """
     n, k, w = ensemble.n, 2 * ensemble.n - 1, len(w_rows)
-    c_wedge = _term_coefficients(alpha, ensemble.m)[1]
-    lim = (row_magnitudes(ensemble, z)[w_rows] / (c0 * alpha)) ** 2
     axes_conj = frame[:n] - 1j * frame[n:]
     P = np.empty((k, w), dtype=complex)  # P[j, i] = a_i^* f_j
     reach, q_sums = np.empty(w), np.zeros(k)  # max_j |P_j,i|; sum_i |P_j,i|^2
@@ -396,9 +393,6 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
                 T *= T
                 f[lo : lo + len(T)] += gap(T[:, 0::2] + T[:, 1::2], lim[lo_w : lo_w + span])
         return f
-
-    def products(c):
-        return (c @ flat).view(complex)
 
     def moves(c, t, step):
         R = c + step * unit_moves
@@ -447,7 +441,7 @@ def _search_scorer(ensemble, z, lam, frame, w_rows, c0: float, alpha: float):
 
         return C, f, carry
 
-    return rows, products, moves
+    return rows, P[0], moves
 
 
 @one_thread()  # a fresh hold per call
@@ -472,30 +466,34 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     strictly below c's value and is not c itself (from +-e_j, the moves
     along axis j normalize back to c), and else halves the step
     (``_STEP0`` down to ``_MIN_STEP``, at most ``_MAX_SWEEPS`` sweeps).
-    The descent holds its point c, c's products t_c and c's score f, and
-    takes an accepted move's products from its sweep.  ``_search_scorer``
-    scores every candidate, and ``offer`` counts each one and keeps the
-    first lowest, so ``evaluations`` is exactly 1 + budget + 2 (2n-1) times
-    the sweeps run; the report is ``regularity_terms`` at the lowest, its
-    only call.  The stream draws only the rows the budget asks for, in
-    order, so it is prefix-stable in the budget; the anchor and its
-    descent do not depend on it, so a larger budget only adds directions
-    and, up to rounding, never raises the minimum found.  Where the
-    wedge is empty for every unit v (c0 alpha ||a_i|| < |a_i^* z| for
-    every row), e_0 and its moves +-e_0 all score lam_0, so the descent
-    makes no move and only halves its step, 8 sweeps.  Where the
-    eigenvector's wedge is all of W, always so where the wedge is empty,
-    the eigenvector is the minimizer and both values are the constant.
-    The call holds OpenBLAS at one thread (``blas.one_thread``), so the
-    report's bits do not depend on its thread count.
+    The descent holds its point c, c's products t_c (from the scorer's t_0
+    at e_0) and c's score f, and takes an accepted move's products from its
+    sweep.  ``_search_scorer`` scores every candidate, and ``offer`` counts
+    each one and keeps the first lowest, so ``evaluations`` is exactly
+    1 + budget + 2 (2n-1) times the sweeps run; the report is
+    ``regularity_terms`` at the lowest, its only call.  The stream draws
+    only the rows the budget asks for, in order, so it is prefix-stable in
+    the budget; the anchor and its descent do not depend on it, so a
+    larger budget only adds directions and, up to rounding, never raises
+    the minimum found.  Where the wedge is empty for every unit v
+    (c0 alpha ||a_i|| < |a_i^* z| for every row), e_0 and its moves +-e_0
+    all score lam_0, so the descent makes no move and only halves its
+    step, 8 sweeps.  Where the eigenvector's wedge is all of W, always so
+    where the wedge is empty, the eigenvector is the minimizer and both
+    values are the constant.  The call holds OpenBLAS at one thread
+    (``blas.one_thread``), so the report's bits do not depend on its
+    thread count.
     """
     n, m = ensemble.n, ensemble.m
     z = _vector("z", z, n)
     c0, alpha = params.c0, params.alpha
-    lam, frame, w_rows = _bracket_form(ensemble, z, c0, alpha)
-    rows, products, moves = _search_scorer(ensemble, z, lam, frame, w_rows, c0, alpha)
+    uc, ua = _signal_products(ensemble, z)
+    c_mid, c_wedge = _term_coefficients(alpha, m)
+    beta = c0 * alpha
+    lam, frame, w_rows = _bracket_form(ensemble, z, uc, ua, beta, c_mid, c_wedge)
+    rows, t, moves = _search_scorer(ensemble, lam, frame, w_rows, (ua[w_rows] / beta) ** 2, c_wedge)
     v0 = frame[:n, 0] + 1j * frame[n:, 0]
-    attained = np.array_equal(wedge(ensemble, z, v0, c0 * alpha), w_rows)
+    attained = np.array_equal(wedge(ensemble, z, v0, beta), w_rows)
     evaluations, best_c, best_f = 0, None, math.inf
 
     def offer(C, f):
@@ -510,7 +508,7 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     anchor = np.eye(1, 2 * n - 1)
     scores = rows(anchor)
     offer(anchor, scores)
-    c, t, f = anchor[0], products(anchor[0]), float(scores[0])
+    c, f = anchor[0], float(scores[0])
     rng = np.random.default_rng(int(params.seed))
     for done in range(0, params.net_or_samples, _DIR_CHUNK):
         C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))

@@ -52,15 +52,28 @@ def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncat
     cannot hold for all rows at once when multiplier >= 1;
     a smaller multiplier that drops every row raises, as do all-zero
     measurements, an RMS level below 2^-511 (lam0^2, the scale of Y, would
-    be subnormal) and measurements of another ensemble
-    (``MeasurementSet.of``).
+    be subnormal), an RMS level of at least 2^511 / sqrt(max(m, n))
+    (||y||^2 = m lam0^2, the scale of the sums over rows here and in the
+    residual, and n lam0^2, the squared norm of the start, must stay a
+    factor 4 below overflow) and measurements of another ensemble
+    (``MeasurementSet.of``).  The mean square is formed from
+    y 2^-e, with 2^-e the power of two that puts max y in [1/2, 1)
+    (``frexp``), so it cannot overflow; the scaling is exact and cancels,
+    so lam0 has the bits of the unscaled formula wherever no y_i^2, scaled
+    or not, is subnormal.
     """
     vals = y.of(ensemble)
     if not vals.any():
         raise ValueError("all measurements are zero; initialization undefined")
-    lam0 = float(np.sqrt(np.mean(vals * vals)))
-    if lam0 < 2.0**-511:  # 0 too, where every y_i^2 underflows
+    e = math.frexp(float(vals.max()))[1]
+    scaled = np.ldexp(vals, -e)
+    lam0 = math.ldexp(float(np.sqrt(np.mean(scaled * scaled))), e)
+    if lam0 < 2.0**-511:
         raise ValueError(f"measurement RMS level {lam0:.6g} is below 2**-511: its square is subnormal")
+    bound = 2.0**511 / math.sqrt(max(ensemble.m, ensemble.n))
+    if lam0 >= bound:
+        raise ValueError(f"measurement RMS level {lam0:.6g} is at least 2**511/sqrt(max(m, n)) = "
+                         f"{bound:.6g}: a run's sums of squares would overflow")
     mask = vals <= multiplier * lam0
     if not mask.any():
         raise ValueError(f"no measurement is within truncation_multiplier {multiplier} times the RMS level")

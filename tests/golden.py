@@ -44,6 +44,10 @@ ESTIMATE_L = {
     "estimate-l unitary": ["estimate-l", "--model", "unitary", "--n", "4", "--K", "10", "--alpha", "600"],
     # 1,221 rows in W: the random stage sums each gap over three spans
     "estimate-l sphere spans": ["estimate-l", "--n", "16", "--m", "2000", "--alpha", "20", "--seed", "2", "--budget", "256"],
+    # W is empty (criterion 10's regime): P has no columns, 8 sweeps
+    "estimate-l sphere empty W": ["estimate-l", "--n", "8", "--m", "160", "--alpha", "20", "--c0", "1e-6", "--seed", "1"],
+    # n = 1: one frame axis, one move pair per sweep
+    "estimate-l n1": ["estimate-l", "--n", "1", "--m", "40", "--alpha", "20", "--seed", "3", "--budget", "64"],
 }
 
 VERIFY = "verify --trials 100000 --seed 7"

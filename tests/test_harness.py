@@ -109,6 +109,30 @@ class TestRunExperiment:
                 assert re.fullmatch(r"ValueError: measurement RMS level \S+ is below 2\*\*-511: "
                                     r"its square is subnormal", rec.error)
 
+    @pytest.mark.parametrize("scale", [2.0**510, 1e300], ids=["2^510", "1e300"])
+    def test_rms_level_near_overflow_fails_every_trial_with_its_cause(self, scale):
+        # at lam0 >= 2^511 / sqrt(max(m, n)) a run's sums of squares would
+        # overflow: every trial fails in truncated_covariance with a message
+        # that names the bound, and no RuntimeWarning escapes before it
+        z = np.linspace(0.1, 0.8, 8) + 0.3j
+        for shape in (dict(m=160), dict(model="unitary", K=20)):
+            cfg = ExperimentConfig(n=8, num_trials=4, master_seed=5, signal=scale * z, **shape)
+            for rec in run_experiment(cfg, workers=1):
+                assert rec.failed
+                assert re.fullmatch(r"ValueError: measurement RMS level \S+ is at least 2\*\*511/sqrt\(max\(m, n\)\) = "
+                                    r"\S+: a run's sums of squares would overflow", rec.error)
+
+    def test_largest_scale_below_the_bound_still_scales_exactly(self):
+        # 2^508 z keeps lam0 under 2^511 / sqrt(160): the run converges, and
+        # its errors are the unscaled run's times 2^508
+        z = np.linspace(0.1, 0.8, 8) + 0.3j
+        for shape in (dict(m=160), dict(model="unitary", K=20)):
+            cfg = ExperimentConfig(n=8, num_trials=4, master_seed=5, signal=z, **shape)
+            scaled = run_experiment(replace(cfg, signal=2.0**508 * z), workers=1)
+            for ref, rec in zip(run_experiment(cfg, workers=1), scaled):
+                assert rec.converged and not rec.failed, rec.error
+                assert rec.aligned_errors == [2.0**508 * e for e in ref.aligned_errors]
+
     @pytest.mark.parametrize(
         "shape",
         [dict(n=256, m=10240, max_iters=40 * 256), dict(n=16, m=50000), dict(n=50, m=2000)],

@@ -30,6 +30,7 @@ from kaczmarz_pr.verify import (
     check_projection_mass,
     check_wedge_fraction,
 )
+from search_internals import bracket_form, products, record_scores, search_scorer
 
 
 class TestObjective:
@@ -265,31 +266,14 @@ class TestEstimateL:
         n = 5
         ens = sample_sphere(n, 120, 57)
         z = sample_unit_vector(n, 58)
-        _, frame, _ = regularity._bracket_form(ens, z, 1 / 80, 20.0)
-        scored, sweeps = [], []
-        make = regularity._search_scorer
-
-        def recording_scorer(*args):
-            rows, products, moves = make(*args)
-
-            def scored_rows(C):
-                scored.append((C.copy(), rows(C)))
-                return scored[-1][1]
-
-            def scored_moves(c, t, step):
-                C, f, carry = moves(c, t, step)
-                sweeps.append((c.copy(), len(C)))
-                return C, f, carry
-
-            return scored_rows, products, scored_moves
-
-        monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
+        _, frame, _ = bracket_form(ens, z, 1 / 80, 20.0)
+        scored, sweeps = record_scores(monkeypatch)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=57))
         (anchor, (f0,)), *_ = scored
         e0 = np.eye(2 * n - 1)[0]
         assert anchor.tolist() == [e0.tolist()]
         assert sweeps[0][0].tolist() == e0.tolist()
-        assert {size for _, size in sweeps} == {2 * (2 * n - 1)}
+        assert {len(C) for _, _, C, _ in sweeps} == {2 * (2 * n - 1)}
         v0 = frame[:n, 0] + 1j * frame[n:, 0]
         assert f0 == pytest.approx(regularity_terms(ens, z, v0, 1 / 80, 20.0)[3], rel=1e-12)
         assert rep.L_estimate < (n / 120) * f0
@@ -301,32 +285,18 @@ class TestEstimateL:
         # and regularity_terms runs once, on the lowest
         ens = sample_sphere(5, 120, 61)
         z = sample_unit_vector(5, 62)
-        scores, brackets = [], []
-        make, terms = regularity._search_scorer, regularity.regularity_terms
-
-        def recording_scorer(*args):
-            rows, products, moves = make(*args)
-
-            def scored_rows(C):
-                scores.append(rows(C))
-                return scores[-1]
-
-            def scored_moves(c, t, step):
-                C, f, carry = moves(c, t, step)
-                scores.append(f)
-                return C, f, carry
-
-            return scored_rows, products, scored_moves
+        brackets, terms = [], regularity.regularity_terms
 
         def recording_terms(*args):
             out = terms(*args)
             brackets.append(out[3])
             return out
 
-        monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
+        scored, sweeps = record_scores(monkeypatch)
         monkeypatch.setattr(regularity, "regularity_terms", recording_terms)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=63))
         reported, = brackets
+        scores = [f for _, f in scored] + [f for *_, f in sweeps]
         assert sum(map(len, scores)) == rep.evaluations
         lowest = min(f.min() for f in scores)
         assert reported == pytest.approx(lowest, rel=1e-12)
@@ -347,7 +317,7 @@ class TestEstimateL:
         m, alpha = (1200 if w_case == "spans" else 4 * n + 100), 20.0
         ens = sample_sphere(n, m, 70 + n)
         z = sample_unit_vector(n, 71 + n)
-        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
+        lam, frame, w_rows, rows, t0, moves = search_scorer(ens, z, c0, alpha)
         if w_case == "few" and n == 50:
             assert 0 < len(w_rows) < 0.05 * m
         elif w_case == "partial" and n > 1:
@@ -356,12 +326,12 @@ class TestEstimateL:
             assert len(w_rows) == (m if w_case in ("all", "spans") else 0)
         if w_case == "spans":
             assert len(w_rows) > regularity._SPAN_ROWS
-        rows, products, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
         k = 2 * n - 1
         c = np.random.default_rng(n).standard_normal(k)
-        for start in (np.eye(k)[0], c / np.linalg.norm(c)):
+        c /= np.linalg.norm(c)
+        for start, t in ((np.eye(k)[0], t0), (c, products(ens, frame, w_rows, c))):
             for step in (0.25, 0.01, 1e-3):
-                C, f, _ = moves(start, products(start), step)
+                C, f, _ = moves(start, t, step)
                 R = start + step * np.kron(np.eye(k), [[1.0], [-1.0]])
                 assert np.array_equal(C, R / np.linalg.norm(R, axis=1, keepdims=True))
                 np.testing.assert_allclose(f, rows(C), rtol=1e-12, atol=0)
@@ -378,17 +348,16 @@ class TestEstimateL:
         m, alpha = 4 * n + 100, 20.0
         ens = sample_sphere(n, m, 80 + n)
         z = sample_unit_vector(n, 81 + n)
-        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
-        rows, products, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
+        lam, frame, w_rows, rows, _, moves = search_scorer(ens, z, c0, alpha)
         c = np.random.default_rng(n).standard_normal(2 * n - 1)
         c /= np.linalg.norm(c)
-        t = products(c)
+        t = products(ens, frame, w_rows, c)
         for i in range(40):
             C, f, carry = moves(c, t, 0.25 / 2 ** (i // 8))
             np.testing.assert_allclose(f, rows(C), rtol=1e-12, atol=0)
             if i % 3:  # some walk, some repeat
                 c, t = C[(7 * i) % len(C)], carry((7 * i) % len(C))
-                np.testing.assert_allclose(t, products(c), rtol=0, atol=1e-12 * max(1.0, np.abs(t).max(initial=0.0)))
+                np.testing.assert_allclose(t, products(ens, frame, w_rows, c), rtol=0, atol=1e-12 * max(1.0, np.abs(t).max(initial=0.0)))
 
     @pytest.mark.parametrize(
         "n, m, c0, w_case",
@@ -412,7 +381,7 @@ class TestEstimateL:
         alpha, k = 20.0, 2 * n - 1
         ens = sample_sphere(n, m, derive_seed(n, m, 1))
         z = sample_unit_vector(n, derive_seed(n, m, 2))
-        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
+        lam, frame, w_rows, rows, _, moves = search_scorer(ens, z, c0, alpha)
         w = len(w_rows)
         assert {"empty": w == 0, "few": 0 < w < 0.05 * m, "partial": 0 < w < m, "all": w == m}[w_case]
         picked = []
@@ -423,7 +392,6 @@ class TestEstimateL:
             return picked[-1]
 
         monkeypatch.setattr(regularity, "_move_candidates", recording_pick)
-        rows, products, moves = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)
         a_w = ens.vectors[w_rows].conj()
         P = a_w @ (frame[:n] + 1j * frame[n:])  # (row, axis): a_i^* f_j
         lim = (np.abs(a_w @ z) / (c0 * alpha)) ** 2
@@ -433,7 +401,7 @@ class TestEstimateL:
             c = rng.standard_normal(k)
             c /= np.linalg.norm(c)
             for step in (0.25, 0.01, 1e-3):
-                C, f, _ = moves(c, products(c), step)
+                C, f, _ = moves(c, products(ens, frame, w_rows, c), step)
                 near, inside = picked.pop()
                 out = np.setdiff1d(np.arange(w), near)
                 skipped = near[inside]
@@ -497,28 +465,11 @@ class TestEstimateL:
         n, seed = 2, 61
         ens = sample_sphere(n, 60, derive_seed(seed, 1))
         z = sample_unit_vector(n, derive_seed(seed, 2))
-        scored, sweeps = [], []
-        make = regularity._search_scorer
-
-        def recording_scorer(*args):
-            rows, products, moves = make(*args)
-
-            def scored_rows(C):
-                scored.append(rows(C))
-                return scored[-1]
-
-            def scored_moves(c, t, step):
-                C, f, carry = moves(c, t, step)
-                sweeps.append((c.copy(), step, C, f))
-                return C, f, carry
-
-            return scored_rows, products, scored_moves
-
-        monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
+        scored, sweeps = record_scores(monkeypatch)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=64, seed=seed))
         c, step, C, f = sweeps[0]
         j = int(np.argmin(f))
-        assert np.array_equal(C[j], c) and f[j] < scored[0][0]
+        assert np.array_equal(C[j], c) and f[j] < scored[0][1][0]
         assert sweeps[1][1] == step / 2
         for (c, step, _, _), (c_next, step_next, _, _) in zip(sweeps, sweeps[1:]):
             if step_next == step:  # a move was accepted
@@ -550,11 +501,11 @@ class TestEstimateL:
         # give the eigenvalues and minimizer of one block up to rounding
         ens = sample_sphere(4, 100, 53)
         z = sample_unit_vector(4, 54)
-        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, 20.0)
+        lam, frame, w_rows = bracket_form(ens, z, c0, 20.0)
         assert (w_rows.size == 0) == (c0 == 1e-6)
         for rows in (1, 7):
             monkeypatch.setattr(regularity, "_FORM_BYTES", 16 * 4 * rows)
-            lam_b, frame_b, w_rows_b = regularity._bracket_form(ens, z, c0, 20.0)
+            lam_b, frame_b, w_rows_b = bracket_form(ens, z, c0, 20.0)
             assert abs(lam_b[0] - lam[0]) <= 1e-12 * max(1.0, abs(lam[0]))
             assert np.max(np.abs(lam_b - lam)) <= 1e-12 * max(1.0, np.max(np.abs(lam)))
             assert abs(abs(frame[:, 0] @ frame_b[:, 0]) - 1.0) <= 1e-9
@@ -567,10 +518,10 @@ class TestEstimateL:
         c0, alpha = 1 / 80, 20.0
         ens = sample_sphere(n, m, 46)
         z = sample_unit_vector(n, 47)
-        assert regularity._bracket_form(ens, z, c0, alpha)[2].size > 0
+        assert bracket_form(ens, z, c0, alpha)[2].size > 0
         rep = estimate_L(ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=256, seed=48))
         assert_lower_bound(rep)
-        frame = regularity._bracket_form(ens, z, c0, alpha)[1]
+        frame = bracket_form(ens, z, c0, alpha)[1]
         C = np.random.default_rng(49).standard_normal((200, 2 * n - 1))
         V = (C / np.linalg.norm(C, axis=1, keepdims=True)) @ frame.T
         for v in V[:, :n] + 1j * V[:, n:]:
@@ -612,13 +563,13 @@ class TestEstimateL:
         n, m, c0, alpha = 8, 160, 1 / 80, 20.0
         ens = sample_sphere(n, m, 38)
         z = sample_unit_vector(n, 39)
-        lam, frame, w_rows = regularity._bracket_form(ens, z, c0, alpha)
+        w_rows, rows = search_scorer(ens, z, c0, alpha)[2:4]
         assert len(w_rows) > 32
         C = np.random.default_rng(span).standard_normal((300, 2 * n - 1))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
-        want = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)[0](C)
+        want = rows(C)
         monkeypatch.setattr(regularity, "_SPAN_ROWS", span)
-        got = regularity._search_scorer(ens, z, lam, frame, w_rows, c0, alpha)[0](C)
+        got = search_scorer(ens, z, c0, alpha)[3](C)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         params = RegularityParams(c0=c0, alpha=alpha, net_or_samples=600, seed=40)
         reports = []

@@ -63,6 +63,25 @@ class TestTruncatedCovariance:
         with pytest.raises(ValueError, match=r"measurement RMS level \S+ is below 2\*\*-511"):
             truncated_covariance(ens, y)
 
+    @pytest.mark.parametrize("scale", [2.0**510, 1e300], ids=["2^510", "1e300"])
+    def test_rms_level_near_overflow_rejected(self, scale):
+        # lam0 >= 2^511 / sqrt(max(m, n)) puts m lam0^2, the scale of the
+        # sums of squares over the rows, within a factor 4 of overflow
+        ens = sample_sphere(8, 160, 5)
+        z = np.linspace(0.1, 0.8, 8) + 0.3j
+        y = measure(ens, scale * z)
+        assert np.sqrt(np.mean(measure(ens, z).values ** 2)) * scale >= 2.0**511 / np.sqrt(160)
+        with pytest.raises(ValueError, match=r"measurement RMS level \S+ is at least 2\*\*511/sqrt\(max\(m, n\)\) = \S+"):
+            truncated_covariance(ens, y)
+
+    @pytest.mark.parametrize("k", [-500, -43, 0, 60, 507])
+    def test_rms_level_has_the_bits_of_the_unscaled_mean(self, k):
+        # the mean square is formed from y scaled by a power of two, which is
+        # exact wherever every y_i^2 is a normal float
+        ens = sample_sphere(8, 160, 5)
+        y = measure(ens, 2.0**k * (np.linspace(0.1, 0.8, 8) + 0.3j))
+        assert truncated_covariance(ens, y)[1] == float(np.sqrt(np.mean(y.values * y.values)))
+
     def test_all_zero_measurements_rejected(self):
         ens = sample_sphere(3, 10, 4)
         y = measure(ens, np.zeros(3, dtype=complex))
