@@ -269,7 +269,11 @@ def _worker_count(workers: int | None) -> int:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
     if workers < 0:
         raise ConfigError(f"{source} must be >= 0, got {workers}")
-    return workers or os.cpu_count() or 1
+    if workers:
+        return workers
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRecord]:

@@ -331,117 +331,163 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
     (tested as |t_i|^2 < lim_i, W's limits (|u_i| / beta)^2, with
     c_wedge = 2+4 alpha).  Products are linear in c,
     t = sum_j c_j P_j, with P_j the products of W's rows with frame axis j,
-    built once.  ``rows(C)`` scores unit rows C through P, O(n |W|) each,
-    in tiles: a span of ``_SPAN_ROWS`` rows of W (all of W where it is
-    shorter) against a block of C's rows, one GEMM each, whose products
-    hold ``_EVAL_BYTES``; so a block has 64 rows, or more where W is
-    shorter than a span, wherever C has them.  It runs every block of C
-    through one span before the next, so a span of P is read from memory
-    once per call rather than once per block, and sums a gap span by span.
-    The span is fixed, so the order in which a gap is summed does not
-    depend on ``_EVAL_BYTES``.
-    t_0 = P_0 is the anchor's products.  ``moves(c, t_c, step)``
-    returns the moves c +- step e_j of a unit c in the order +e_0, -e_0,
-    +e_1, ..., normalized, their scores and ``carry``, where ``carry(j)``
-    is the products of move j, (t_c +- step P_j) / ||c +- step e_j||,
-    O(|W|).  So
+    built once and held once as two row-major (|W|, 2n-1) arrays, the
+    real and the imaginary parts, so that row i's products with every
+    axis are two contiguous reads.
+    ``rows(C)`` scores unit rows C through P, O(n |W|) each, in tiles: a
+    span of ``_SPAN_ROWS`` rows of W (all of W where it is shorter)
+    against a block of C's rows, two GEMMs each (real and imaginary
+    parts), whose products hold ``_EVAL_BYTES`` together; so a block has
+    64 rows, or more where W is shorter than a span, wherever C has them.
+    It runs every block of C through one span before the next, so a span
+    of P is read from memory once per call rather than once per block,
+    and sums a gap span by span.  The span is fixed, so the order in
+    which a gap is summed does not depend on ``_EVAL_BYTES``.
+    t_0 = P_0 is the anchor's products.  ``moves(c, t_c, step)`` scores
+    the moves c +- step e_j of a unit c, in the order +e_0, -e_0, +e_1,
+    ..., and returns (f, move, carry): their scores; ``move(j)``, move j
+    normalized, (c +- step e_j) / ||c +- step e_j||, O(n), with the bits
+    of row j of the whole normalized move matrix; and ``carry(j)``, its
+    products, (t_c +- step P_j) / ||c +- step e_j||, O(|W|).  No move is
+    built to be scored: with s = step,
 
-        |t|^2 ||c +- step e_j||^2 = |t_c|^2 + step^2 |P_j|^2 +- 2 step Re(conj(t_c) P_j).
+        ||c +- s e_j||^2 = ||c||^2 + s^2 +- 2 s c_j,
+        form value = (sum_l lam_l c_l^2 + s^2 lam_j +- 2 s lam_j c_j) / ||c +- s e_j||^2,
+        |t|^2 ||c +- s e_j||^2 = |t_c|^2 + s^2 |P_j|^2 +- 2 s Re(conj(t_c) P_j).
 
     ``_move_candidates`` splits W three ways.  Its near rows that are not
     inside every wedge, the edge rows, are formed and masked elementwise,
     O(n) each; the inside rows give +0 to every gap and are skipped; every
     other (far) row counts whole, so its part of each gap is the three sums
-    of the right-hand side over the far rows.  Those are the sums over W
-    less one small product over the near rows: sum |t_c|^2, the axes' sums
-    of |P_j|^2 (kept from the build) and M c, with
-    M_jl = sum_i Re(conj(P_j,i) P_l,i) built once, (2n-1)^2.  So a sweep
-    costs O(|W|) elementwise plus O(n) per near row.  Where W is empty a
-    score is the form alone, O(n).  P, one (2n-1, |W|) complex array, is built over row blocks of
-    ``_FORM_BYTES``, and every temporary of a score holds at most
-    ``_EVAL_BYTES`` (one row of a span, or one axis, at least).
+    of the last right-hand side over the far rows.  Those are the sums
+    over W less one small product over the near rows: sum |t_c|^2, the
+    axes' sums of |P_j|^2 (kept from the build) and M c, with
+    M_jl = sum_i Re(conj(P_j,i) P_l,i) built once, (2n-1)^2.  Near rows
+    are gathered from P in blocks of ``_EVAL_BYTES``.  So a sweep costs
+    O(|W|) elementwise plus O(n) per move and per near row, and it holds
+    at most two temporaries of ``_EVAL_BYTES`` (a block of near rows, one
+    row at least, and their moves' squared products) at once besides
+    vectors over W; where W is empty a score is the form alone, O(n).  P
+    is built over row blocks of ``_FORM_BYTES``, and every temporary of
+    ``rows`` holds at most ``_EVAL_BYTES`` (one row of a span, or one
+    axis, at least).
     """
     n, k, w = ensemble.n, 2 * ensemble.n - 1, len(w_rows)
     axes_conj = frame[:n] - 1j * frame[n:]
-    P = np.empty((k, w), dtype=complex)  # P[j, i] = a_i^* f_j
+    P = np.empty((2, w, k))  # P[:, i, j] = (Re, Im) of a_i^* f_j
     reach, q_sums = np.empty(w), np.zeros(k)  # max_j |P_j,i|; sum_i |P_j,i|^2
     form_block = max(1, _FORM_BYTES // (16 * n))
     for lo in range(0, w, form_block):
         q = ensemble.vectors[w_rows[lo : lo + form_block]] @ axes_conj  # conj(a_i^* f_j)
-        P[:, lo : lo + form_block] = q.conj().T
+        P[0, lo : lo + form_block] = q.real
+        P[1, lo : lo + form_block] = -q.imag
         q2 = q.real**2 + q.imag**2
         reach[lo : lo + form_block] = np.sqrt(q2.max(axis=1))
         q_sums += q2.sum(axis=0)
-    flat = P.view(float)  # (2n-1, 2|W|): (Re, Im) of each product in turn
-    gram = flat @ flat.T  # M, so (M c)_j = sum_i Re(conj(t_c,i) P_j,i)
+    flat = P.reshape(2 * w, k)
+    gram = flat.T @ flat  # M, so (M c)_j = sum_i Re(conj(t_c,i) P_j,i)
     span = max(1, min(w, _SPAN_ROWS))
     block = max(1, _EVAL_BYTES // (16 * span))  # rows of C
-    unit_moves = np.kron(np.eye(k), [[1.0], [-1.0]])
+    gather = max(1, _EVAL_BYTES // (16 * k))  # rows of W
 
-    def gap(p2, lim):
-        """(d, rows) squared products and the rows' limits -> (d,) gaps,
-        masking p2 in place."""
-        p2 *= p2 < lim  # p2 >= 0, so wedge rows give +0
-        return c_wedge * p2.sum(axis=1)
+    def axis(j):
+        """P_j, the products of W's rows with frame axis j, as a complex (|W|,) array."""
+        p = np.empty(w, dtype=complex)
+        p.real, p.imag = P[0, :, j], P[1, :, j]
+        return p
 
     def rows(C):
         f = (C * C) @ lam
         for lo_w in range(0, w, span):
-            axes = flat[:, 2 * lo_w : 2 * (lo_w + span)]
+            re, im = P[0, lo_w : lo_w + span].T, P[1, lo_w : lo_w + span].T
             for lo in range(0, len(C), block):
-                T = C[lo : lo + block] @ axes
+                p2 = C[lo : lo + block] @ re
+                p2 *= p2
+                T = C[lo : lo + block] @ im
                 T *= T
-                f[lo : lo + len(T)] += gap(T[:, 0::2] + T[:, 1::2], lim[lo_w : lo_w + span])
+                p2 += T
+                p2 *= p2 < lim[lo_w : lo_w + span]  # p2 >= 0, so wedge rows give +0
+                f[lo : lo + len(p2)] += c_wedge * p2.sum(axis=1)
         return f
 
+    def near_sums(at, t):
+        """(sum_i Re(conj(t_i) P_j,i), sum_i |P_j,i|^2) over rows ``at`` of W."""
+        G = np.take(P, at, axis=1)  # (Re/Im, row, axis), each row one contiguous read
+        G = G.reshape(2 * len(at), k)
+        t = t[at]
+        return np.concatenate((t.real, t.imag)) @ G, np.einsum("ij,ij->j", G, G)
+
+    def edge_gaps(at, t, t2, step, norms2):
+        """The (sign, axis) moves' gaps over rows ``at`` of W, formed and
+        masked elementwise."""
+        G, t_cross = np.take(P, at, axis=1), 2.0 * step * t[at]
+        p2 = np.empty((2, len(at), k))  # (sign, row, axis)
+        plus, minus = p2
+        np.multiply(G[0], G[0], out=plus)
+        np.multiply(G[1], G[1], out=minus)
+        plus += minus
+        plus *= step * step
+        plus += t2[at, np.newaxis]
+        G[0] *= t_cross.real[:, np.newaxis]
+        G[1] *= t_cross.imag[:, np.newaxis]
+        cross = G[0]
+        cross += G[1]
+        np.subtract(plus, cross, out=minus)
+        plus += cross
+        p2 /= norms2[:, np.newaxis]
+        p2 *= p2 < lim[at, np.newaxis]  # p2 >= 0, so wedge rows give +0
+        return p2.sum(axis=1)
+
     def moves(c, t, step):
-        R = c + step * unit_moves
-        norms = np.linalg.norm(R, axis=1)
-        C = R / norms[:, np.newaxis]
-        f = (C * C) @ lam
+        s2, lin = step * step, 2.0 * step * c
+        norms2 = c @ c + s2 + np.stack((lin, -lin))  # (sign, axis): ||c +- step e_j||^2
         t2 = t.real * t.real + t.imag * t.imag
-        norms2 = norms * norms
-        inv = (1.0 / norms2).reshape(k, 2, 1)
         near, inside = _move_candidates(t2, reach, lim, step, norms2)
-        edge = near[~inside]
-        # the near rows' sums, subtracted from W's below to leave the far rows'
-        near_t2, near_cross, near_q = t2[near].sum(), np.empty(k), np.empty(k)
-        t_near = np.conj(t[near])
-        t_edge, t2_edge, lim_edge = 2.0 * step * t[edge], t2[edge], lim[edge]
-        axis_block = max(1, _EVAL_BYTES // (16 * max(len(near), 1)))
-        for lo in range(0, k, axis_block):
-            G = P[lo : lo + axis_block][:, near]
-            near_cross[lo : lo + axis_block] = (G @ t_near).real
-            near_q[lo : lo + axis_block] = np.einsum("ji,ji->j", G.real, G.real)
-            near_q[lo : lo + axis_block] += np.einsum("ji,ji->j", G.imag, G.imag)
-            G = P[lo : lo + axis_block][:, edge]
-            base = G.real * G.real
-            base += G.imag * G.imag
-            base *= step * step
-            base += t2_edge
-            cross = G.real * t_edge.real
-            cross += G.imag * t_edge.imag
-            p2 = np.empty((len(base), 2, len(edge)))  # (axis, sign, row)
-            np.add(base, cross, out=p2[:, 0])
-            np.subtract(base, cross, out=p2[:, 1])
-            p2 *= inv[lo : lo + axis_block]
-            f[2 * lo : 2 * lo + 2 * len(base)] += gap(p2.reshape(2 * len(base), len(edge)), lim_edge)
-        far_t2 = t2.sum() - near_t2
-        far_cross = gram @ c - near_cross
-        far_q = q_sums - near_q
-        far_q *= step * step
-        far_q += far_t2
-        far_cross *= 2.0 * step
-        p2 = np.column_stack((far_q + far_cross, far_q - far_cross))  # (axis, sign)
-        p2 *= inv[:, :, 0]
-        f += c_wedge * p2.reshape(2 * k)
+        near_cross, near_q, edge_gap = np.zeros(k), np.zeros(k), np.zeros((2, k))
+        for lo in range(0, len(near), gather):
+            at = near[lo : lo + gather]
+            # the near rows' sums, subtracted from W's below to leave the far rows'
+            cross, q = near_sums(at, t)
+            near_cross += cross
+            near_q += q
+            at = at[~inside[lo : lo + gather]]  # the edge rows
+            if len(at):
+                edge_gap += edge_gaps(at, t, t2, step, norms2)
+        # each move's form value and far rows' gap (W's sums less the near
+        # rows') times ||c +- step e_j||^2: a part common to both signs and
+        # a part that changes sign with the move's
+        common = s2 * (q_sums - near_q) + (t2.sum() - t2[near].sum())
+        signed = 2.0 * step * (gram @ c - near_cross)
+        common = (c * c) @ lam + s2 * lam + c_wedge * common
+        signed = lin * lam + c_wedge * signed
+        f = np.stack((common + signed, common - signed))
+        f /= norms2
+        f += c_wedge * edge_gap
+        f = f.T.reshape(2 * k)
 
-        def carry(j):  # (t_c +- step P_j) / ||c +- step e_j||, + for even j
-            return (t + (-1) ** j * step * P[j // 2]) / norms[j]
+        def moved(j):
+            """(c +- step e_j, its norm), + for even j; the norm is taken
+            over the row as over each row of a matrix, so that move j has
+            the bits of its row in the whole normalized move matrix."""
+            unit = np.zeros(k)
+            unit[j // 2] = 1.0
+            r = c + step * (unit if j % 2 == 0 else -unit)
+            return r, np.linalg.norm(r[np.newaxis], axis=1)[0]
 
-        return C, f, carry
+        def move(j):
+            r, norm = moved(j)
+            return r / norm
 
-    return rows, P[0], moves
+        def carry(j):
+            p = axis(j // 2)
+            p *= (-1) ** j * step
+            p += t
+            p /= moved(j)[1]
+            return p
+
+        return f, move, carry
+
+    return rows, axis(0), moves
 
 
 @one_thread()  # a fresh hold per call
@@ -467,8 +513,9 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     along axis j normalize back to c), and else halves the step
     (``_STEP0`` down to ``_MIN_STEP``, at most ``_MAX_SWEEPS`` sweeps).
     The descent holds its point c, c's products t_c (from the scorer's t_0
-    at e_0) and c's score f, and takes an accepted move's products from its
-    sweep.  ``_search_scorer`` scores every candidate, and ``offer`` counts
+    at e_0) and c's score f; of a sweep's moves it builds only the lowest,
+    and takes an accepted move's products from its sweep.
+    ``_search_scorer`` scores every candidate, and ``offer`` counts
     each one and keeps the first lowest, so ``evaluations`` is exactly
     1 + budget + 2 (2n-1) times the sweeps run; the report is
     ``regularity_terms`` at the lowest, its only call.  The stream draws
@@ -496,32 +543,33 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     attained = np.array_equal(wedge(ensemble, z, v0, beta), w_rows)
     evaluations, best_c, best_f = 0, None, math.inf
 
-    def offer(C, f):
-        """Count C, keep the first lowest so far; return the index of C's lowest."""
+    def offer(f, candidate):
+        """Count f's candidates, keep the first lowest so far, built by
+        candidate(j); return the index of f's lowest."""
         nonlocal evaluations, best_c, best_f
-        evaluations += len(C)
+        evaluations += len(f)
         j = int(np.argmin(f))
         if f[j] < best_f:
-            best_c, best_f = C[j], float(f[j])
+            best_c, best_f = candidate(j), float(f[j])
         return j
 
     anchor = np.eye(1, 2 * n - 1)
     scores = rows(anchor)
-    offer(anchor, scores)
+    offer(scores, anchor.__getitem__)
     c, f = anchor[0], float(scores[0])
     rng = np.random.default_rng(int(params.seed))
     for done in range(0, params.net_or_samples, _DIR_CHUNK):
         C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
-        offer(C, rows(C))
+        offer(rows(C), C.__getitem__)
     step = _STEP0
     for _ in range(_MAX_SWEEPS):
         if step <= _MIN_STEP:
             break
-        C, f_moves, carry = moves(c, t, step)
-        j = offer(C, f_moves)
-        if f_moves[j] < f and not np.array_equal(C[j], c):
-            c, t, f = C[j], carry(j), float(f_moves[j])
+        f_moves, move, carry = moves(c, t, step)
+        j = offer(f_moves, move)
+        if f_moves[j] < f and not np.array_equal(c_j := move(j), c):
+            c, t, f = c_j, carry(j), float(f_moves[j])
         else:
             step *= 0.5
 

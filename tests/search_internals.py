@@ -44,8 +44,9 @@ def products(ens, frame, w_rows, c):
 
 def record_scores(monkeypatch):
     """(scored, sweeps): lists that fill as ``estimate_L`` runs, with
-    (C, f) for every ``rows(C)`` call and (c, step, C, f) for every
-    ``moves(c, t, step)`` call; C and c are copies."""
+    (C, f) for every ``rows(C)`` call and (c, step, f, move) for every
+    ``moves(c, t, step)`` call; C and c are copies, and move(j) builds
+    move j of that sweep."""
     scored, sweeps = [], []
     make = regularity._search_scorer
 
@@ -58,9 +59,9 @@ def record_scores(monkeypatch):
             return f
 
         def scored_moves(c, t, step):
-            C, f, carry = moves(c, t, step)
-            sweeps.append((c.copy(), step, C, f))
-            return C, f, carry
+            f, move, carry = moves(c, t, step)
+            sweeps.append((c.copy(), step, f, move))
+            return f, move, carry
 
         return scored_rows, t0, scored_moves
 

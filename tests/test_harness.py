@@ -156,6 +156,20 @@ class TestRunExperiment:
             with pytest.raises(ConfigError):
                 run_experiment(cfg)
 
+    def test_zero_workers_means_the_usable_cores(self, monkeypatch):
+        # 0 (argument or environment) counts the cores the process may run
+        # on, not every core of the machine; the count alone, no process
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        assert harness._worker_count(0) == 3
+        monkeypatch.setenv("PR_KACZMARZ_THREADS", "0")
+        assert harness._worker_count(None) == 3
+        assert harness._worker_count(2) == 2
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        assert harness._worker_count(0) == 64
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._worker_count(0) == 1
+
     def test_one_dimensional_signal_converges_immediately(self):
         cfg = ExperimentConfig(n=1, model="sphere", m=5, num_trials=1, master_seed=0)
         rec = run_experiment(cfg, workers=1)[0]
