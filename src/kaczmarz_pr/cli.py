@@ -6,7 +6,7 @@ Subcommands:
   estimate-l  lower and upper bounds on the regularity constant
 
 Exit codes: 0 success, 1 failed verification or a failed trial in ``run``,
-2 malformed config/arguments.
+2 malformed config/arguments or a size that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ def _cmd_estimate_l(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, 1))
-    z = sample_unit_vector(cfg.n, derive_seed(cfg.master_seed, 2))
     try:
+        ensemble = cfg.sample_ensemble(derive_seed(cfg.master_seed, 1))
+        z = sample_unit_vector(cfg.n, derive_seed(cfg.master_seed, 2))
         report = estimate_L(ensemble, z, params)
-    except ValueError as exc:  # an alpha whose terms overflow at this m
+    except ValueError as exc:  # a size numpy refuses, or an alpha whose terms overflow at this m
         raise ConfigError(str(exc)) from exc
     text = render_json(report)
     if cfg.output_path:
@@ -150,6 +150,9 @@ def main(argv=None) -> int:
         return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size numpy accepts but cannot allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -202,7 +202,8 @@ def _run_group(cfg: ExperimentConfig, trial_ids, fills=None) -> list[TrialRecord
     (``solve_group``); a trial that fails leaves the others' records
     unchanged.  ``fills``, where given, yields each trial's (ensemble seed,
     normal fill) in turn (``sensing.draw_ahead``); a fill of another seed
-    raises LookupError."""
+    raises LookupError, and a fill that could not be allocated fails its
+    trial as ``sample_ensemble`` would have."""
     records, problems, started = [], [], []
     for trial_id in trial_ids:
         seed = derive_seed(cfg.master_seed, trial_id)
@@ -214,6 +215,8 @@ def _run_group(cfg: ExperimentConfig, trial_ids, fills=None) -> list[TrialRecord
             raise LookupError(f"trial {trial_id} has ensemble seed {ens_seed}, not the fill's {fill_seed}")
         try:
             z = _signal_for_trial(cfg, trial_id)
+            if isinstance(fill, Exception):
+                raise fill
             ensemble = cfg.sample_ensemble(ens_seed, fill)
             y = sensing.measure(ensemble, z)
             spec_cfg = cfg.spectral_config(derive_seed(cfg.master_seed, trial_id, SPECTRAL_STREAM))

@@ -47,10 +47,11 @@ _EVAL_BYTES = 512 * 1024  # bytes held by each temporary of the search's scores
 _FORM_BYTES = _EVAL_BYTES
 _DIR_CHUNK = 256
 # W rows over which the random stage sums a score's gap at once.  A tile of
-# _EVAL_BYTES then holds 64 candidates, the smallest block at which the
-# tile's GEMM runs near its peak: 64 rows ran at about 95% of it and 8 rows
-# at under half (k = 99 to 511, one OpenBLAS thread, Xeon)
+# _EVAL_BYTES then holds 64 candidates.  One OpenBLAS thread on a Xeon (k =
+# 99) ran the tile's float64 GEMM at 37 GFLOPS with 64 rows of C, 43 with
+# 128, and one large GEMM at 61
 _SPAN_ROWS = 512
+_SCREEN_ETA = 2.0**-10  # the float32 screen's relative error term; see _screen_constants
 _STEP0, _MIN_STEP, _MAX_SWEEPS = 0.25, 1e-3, 200  # estimate_L's descent schedule
 
 
@@ -317,10 +318,70 @@ def _move_candidates(t2, reach, lim, step, norms2):
     return near, lo >= lim[near] * (norms2.max() * (1.0 + 1e-9))
 
 
+def _screen_constants(norms, lim, k: int, span: int, c_wedge: float):
+    """(scale, theta, slope, offset, mu): the constants of the float32
+    screen of ``_search_scorer``, from the norms ||P_i|| and the limits of
+    W's rows; None where the largest norm lies outside [2^-400, 2^400].
+
+    The screen takes x_i + i y_i = t_i from float32 GEMMs of c and
+    scale P, with scale the power of two that puts the largest ||P_i|| in
+    [1/2, 1), and forms p_i = x_i^2 + y_i^2 in float32; ``rows`` forms
+    q_i from float64 GEMMs.  With u = 2^-24, rounding c and P, the float32
+    GEMM (gamma_k |c| |P_i|, Cauchy-Schwarz with ||c|| = 1) and the float64
+    one put each part within kappa times its row norm of its float64
+    value, so D_i = kappa^2 ||P_i||^2 bounds both errors' squares summed.
+    With 2 |t| delta <= eta t^2 + delta^2 / eta for each part,
+
+        (1 - eta) (x^2 + y^2) - D_i / eta <= q_i <= (1 + eta) (x^2 + y^2) + (1 + 1/eta) D_i,
+
+    and the float32 squares and sum, and q_i's float64 ones, move these by
+    factors (1 +- u)^2 and (1 +- 2^-53)^2.  theta_i is the float32 value at
+    or below the p at which the right-hand side reaches lim_i, so where
+    p_i < theta_i ``rows`` counts row i too, with at least
+    (1 - eta) p_i - D_i / eta less those factors.  A row the screen does
+    not count adds at least +0 to ``rows``' gap.  So slope times the
+    float32 sums of the counted p_i, less offset, is at most the gap
+    times c_wedge: slope also takes off gamma_{span-1} for each float32
+    sum and the float64 sum over spans, and offset the per-row constants
+    and mu times the largest gap, c_wedge sum lim, that ``rows``' float64
+    sums can round (mu per unit of |score| as well).  Every underflow, at
+    these scales, adds less than k 2^-121 to a product or a square, which
+    the constants hold too.  ``_SCREEN_ETA`` sets eta: the relative term
+    and the per-row constant trade against each other through it.
+    """
+    e = int(np.frexp(norms.max())[1])
+    if abs(e) > 400:
+        return None
+    scale, u, u64, up = math.ldexp(1.0, -e), 2.0**-24, 2.0**-53, 1.0 + 2.0**-30
+
+    def gamma(j, unit):
+        return j * unit / (1.0 - j * unit)
+
+    eta, tiny = _SCREEN_ETA, k * 2.0**-121
+    kappa = (gamma(k, u) * (1.0 + u) ** 2 + 2.0 * u + u * u + gamma(k, u64)) * (1.0 + 2.0**-20)
+    D = (kappa * scale * norms + tiny) ** 2 * up
+    grow = (1.0 + u64) ** 2 * (1.0 + eta) / (1.0 - u) ** 2 * up
+    theta = lim * (scale * scale) - (grow * tiny + (1.0 + u64) ** 2 * (1.0 + 1.0 / eta) * D) * up
+    theta /= grow
+    theta -= 4.0 * u64 * np.abs(theta)  # the rounding of the two lines above
+    theta32 = theta.astype(np.float32)
+    over = theta32 > theta
+    theta32[over] = np.nextafter(theta32[over], np.float32(-np.inf))
+    spans = -(-len(norms) // span)
+    shrink = (1.0 - u64) ** 2 * (1.0 - eta) / (1.0 + u) ** 2 / (1.0 + gamma(span - 1, u)) / (1.0 + gamma(spans, u64))
+    weight = c_wedge / (scale * scale)
+    slope = shrink / up * weight
+    offset = float(np.sum(tiny + D / eta)) * up * weight
+    mu = 2.0 * (span + spans + 8) * u64
+    offset += mu * (2.0 * c_wedge * float(np.sum(lim)) + offset) * up
+    return scale, theta32, slope, offset, mu
+
+
 def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
-    """(rows, t_0, moves): the direction search's scores of frame
-    coordinates, as pure functions, and the products of the anchor e_0;
-    the caller holds the point and its products.
+    """(rows, bounds, t_0, moves): the direction search's scores of frame
+    coordinates and lower bounds on them, as pure functions, and the
+    products of the anchor e_0; the caller holds the point and its
+    products.
 
     At a unit c, with v_R = frame c, t_i = a_i^* v, u_i = a_i^* z and
     beta = c0 alpha, every wedge row lies in W, so the bracket is the form
@@ -343,6 +404,16 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
     of P is read from memory once per call rather than once per block,
     and sums a gap span by span.  The span is fixed, so the order in
     which a gap is summed does not depend on ``_EVAL_BYTES``.
+    ``rows(C, wanted)`` scores only the blocks that hold a row of the mask
+    ``wanted``, with the same operands, so with the same bits, and gives
+    +inf for the others.  ``bounds(C)`` screens C: the form's values, with
+    rows' bits, plus a lower bound on the gap from float32 GEMMs over the
+    same spans, at most each row's score as ``rows`` rounds it (proof at
+    ``_screen_constants``), the form alone where W is empty, and -inf
+    where P's scale leaves float32's range.  It converts one span of P at
+    a time to float32 and holds that copy, 8 (2n-1) ``_SPAN_ROWS`` bytes,
+    besides temporaries of ``_EVAL_BYTES``, two blocks of float32 products
+    of twice as many rows of C as a block of ``rows``.
     t_0 = P_0 is the anchor's products.  ``moves(c, t_c, step)`` scores
     the moves c +- step e_j of a unit c, in the order +e_0, -e_0, +e_1,
     ..., and returns (f, move, carry): their scores; ``move(j)``, move j
@@ -375,7 +446,8 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
     n, k, w = ensemble.n, 2 * ensemble.n - 1, len(w_rows)
     axes_conj = frame[:n] - 1j * frame[n:]
     P = np.empty((2, w, k))  # P[:, i, j] = (Re, Im) of a_i^* f_j
-    reach, q_sums = np.empty(w), np.zeros(k)  # max_j |P_j,i|; sum_i |P_j,i|^2
+    reach, norms = np.empty(w), np.empty(w)  # max_j |P_j,i|; ||P_i||
+    q_sums = np.zeros(k)  # sum_i |P_j,i|^2
     form_block = max(1, _FORM_BYTES // (16 * n))
     for lo in range(0, w, form_block):
         q = ensemble.vectors[w_rows[lo : lo + form_block]] @ axes_conj  # conj(a_i^* f_j)
@@ -383,12 +455,14 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
         P[1, lo : lo + form_block] = -q.imag
         q2 = q.real**2 + q.imag**2
         reach[lo : lo + form_block] = np.sqrt(q2.max(axis=1))
+        norms[lo : lo + form_block] = np.sqrt(q2.sum(axis=1))
         q_sums += q2.sum(axis=0)
     flat = P.reshape(2 * w, k)
     gram = flat.T @ flat  # M, so (M c)_j = sum_i Re(conj(t_c,i) P_j,i)
     span = max(1, min(w, _SPAN_ROWS))
     block = max(1, _EVAL_BYTES // (16 * span))  # rows of C
     gather = max(1, _EVAL_BYTES // (16 * k))  # rows of W
+    screen = _screen_constants(norms, lim, k, span, c_wedge) if w else None
 
     def axis(j):
         """P_j, the products of W's rows with frame axis j, as a complex (|W|,) array."""
@@ -396,11 +470,16 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
         p.real, p.imag = P[0, :, j], P[1, :, j]
         return p
 
-    def rows(C):
+    def rows(C, wanted=None):
         f = (C * C) @ lam
+        tiles = range(0, len(C), block)
+        if wanted is not None:
+            kept = np.logical_or.reduceat(wanted, tiles)  # the blocks that hold a wanted row
+            f[~np.repeat(kept, block)[: len(C)]] = math.inf
+            tiles = [lo for lo, keep in zip(tiles, kept) if keep]
         for lo_w in range(0, w, span):
             re, im = P[0, lo_w : lo_w + span].T, P[1, lo_w : lo_w + span].T
-            for lo in range(0, len(C), block):
+            for lo in tiles:
                 p2 = C[lo : lo + block] @ re
                 p2 *= p2
                 T = C[lo : lo + block] @ im
@@ -409,6 +488,33 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
                 p2 *= p2 < lim[lo_w : lo_w + span]  # p2 >= 0, so wedge rows give +0
                 f[lo : lo + len(p2)] += c_wedge * p2.sum(axis=1)
         return f
+
+    def bounds(C):
+        f = (C * C) @ lam
+        if not w:  # the score is the form alone
+            return f
+        if screen is None:
+            return np.full(len(C), -math.inf)
+        scale, theta, slope, offset, mu = screen
+        C32, gap = C.astype(np.float32), np.zeros(len(C))
+        part = np.empty((2, span, k), dtype=np.float32)
+        block32 = max(1, _EVAL_BYTES // (8 * span))
+        for lo_w in range(0, w, span):
+            re, im = part[:, : min(span, w - lo_w)]
+            np.multiply(P[:, lo_w : lo_w + span], scale, out=part[:, : len(re)], casting="same_kind")
+            for lo in range(0, len(C), block32):
+                p2 = C32[lo : lo + block32] @ re.T
+                p2 *= p2
+                T = C32[lo : lo + block32] @ im.T
+                T *= T
+                p2 += T
+                p2 *= p2 < theta[lo_w : lo_w + span]  # rows that rows counts as well
+                gap[lo : lo + len(p2)] += p2.sum(axis=1)
+        gap *= slope
+        gap -= offset
+        gap += f
+        gap -= mu * np.abs(f)
+        return gap
 
     def near_sums(at, t):
         """(sum_i Re(conj(t_i) P_j,i), sum_i |P_j,i|^2) over rows ``at`` of W."""
@@ -487,7 +593,7 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
 
         return f, move, carry
 
-    return rows, axis(0), moves
+    return rows, bounds, axis(0), moves
 
 
 @one_thread()  # a fresh hold per call
@@ -515,10 +621,20 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     The descent holds its point c, c's products t_c (from the scorer's t_0
     at e_0) and c's score f; of a sweep's moves it builds only the lowest,
     and takes an accepted move's products from its sweep.
-    ``_search_scorer`` scores every candidate, and ``offer`` counts
-    each one and keeps the first lowest, so ``evaluations`` is exactly
-    1 + budget + 2 (2n-1) times the sweeps run; the report is
-    ``regularity_terms`` at the lowest, its only call.  The stream draws
+    The report is the first lowest score in the order e_0, the random
+    rows, the descent's moves, which is not the order of the work: e_0
+    and the descent do not read the stream, so they run first, and the
+    descent's first lowest is known when the random stage starts.
+    ``_search_scorer`` screens each chunk of random rows (``bounds``) and
+    scores a block of ``rows`` only where one of its bounds is at or
+    below the lowest score so far, of e_0, the earlier chunks and the
+    descent.  Every other candidate scores above a score that comes
+    before it or above the descent's lowest, so it is not the first
+    lowest and skipping it changes no bit of the report.  ``offer``
+    counts every candidate, scored or screened, and keeps the first
+    lowest, so ``evaluations`` is exactly 1 + budget + 2 (2n-1) times the
+    sweeps run; the report is ``regularity_terms`` at the lowest, its only
+    call.  The stream draws
     only the rows the budget asks for, in order, so it is prefix-stable in
     the budget; the anchor and its descent do not depend on it, so a
     larger budget only adds directions and, up to rounding, never raises
@@ -538,40 +654,44 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     c_mid, c_wedge = _term_coefficients(alpha, m)
     beta = c0 * alpha
     lam, frame, w_rows = _bracket_form(ensemble, z, uc, ua, beta, c_mid, c_wedge)
-    rows, t, moves = _search_scorer(ensemble, lam, frame, w_rows, (ua[w_rows] / beta) ** 2, c_wedge)
+    rows, bounds, t, moves = _search_scorer(ensemble, lam, frame, w_rows, (ua[w_rows] / beta) ** 2, c_wedge)
     v0 = frame[:n, 0] + 1j * frame[n:, 0]
     attained = np.array_equal(wedge(ensemble, z, v0, beta), w_rows)
-    evaluations, best_c, best_f = 0, None, math.inf
+    evaluations = 0
 
-    def offer(f, candidate):
-        """Count f's candidates, keep the first lowest so far, built by
-        candidate(j); return the index of f's lowest."""
-        nonlocal evaluations, best_c, best_f
+    def offer(f, candidate, best):
+        """Count f's candidates; return the index of f's lowest and best, a
+        (score, candidate) pair, replaced by f's first lowest, built by
+        candidate(j), where that is strictly lower."""
+        nonlocal evaluations
         evaluations += len(f)
         j = int(np.argmin(f))
-        if f[j] < best_f:
-            best_c, best_f = candidate(j), float(f[j])
-        return j
+        if f[j] < best[0]:
+            best = float(f[j]), candidate(j)
+        return j, best
 
     anchor = np.eye(1, 2 * n - 1)
     scores = rows(anchor)
-    offer(scores, anchor.__getitem__)
-    c, f = anchor[0], float(scores[0])
-    rng = np.random.default_rng(int(params.seed))
-    for done in range(0, params.net_or_samples, _DIR_CHUNK):
-        C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))
-        C /= np.linalg.norm(C, axis=1, keepdims=True)
-        offer(rows(C), C.__getitem__)
+    _, best = offer(scores, anchor.__getitem__, (math.inf, None))
+    c, f, descended = anchor[0], float(scores[0]), (math.inf, None)
     step = _STEP0
     for _ in range(_MAX_SWEEPS):
         if step <= _MIN_STEP:
             break
         f_moves, move, carry = moves(c, t, step)
-        j = offer(f_moves, move)
+        j, descended = offer(f_moves, move, descended)
         if f_moves[j] < f and not np.array_equal(c_j := move(j), c):
             c, t, f = c_j, carry(j), float(f_moves[j])
         else:
             step *= 0.5
+    rng = np.random.default_rng(int(params.seed))
+    for done in range(0, params.net_or_samples, _DIR_CHUNK):
+        C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+        # the rows that could be the first lowest (and any NaN bound)
+        wanted = ~(bounds(C) > min(best[0], descended[0]))
+        _, best = offer(rows(C, wanted), C.__getitem__, best)
+    best_c = (descended if descended[0] < best[0] else best)[1]
 
     best_v = frame @ best_c
     best_v = best_v[:n] + 1j * best_v[n:]

@@ -92,22 +92,30 @@ def draw_ahead(model: str, n: int, m: int, seeds):
     from, with the bits of its own draw.  The caller holds the generator
     and each fill; one drawer thread draws the next fill while the caller
     works on the current one.  Each step allocates the next array on the
-    caller's thread, as it did the one buffer, so the drawer allocates
-    nothing (a thread that allocates grows a malloc arena of its own).
-    Closing the generator waits for the drawer."""
-    segment, buf = _segment_rows(model, n, m), np.empty((_block_rows(n), n))
+    caller's thread, and the first one the one buffer, so the drawer
+    allocates nothing (a thread that allocates grows a malloc arena of its
+    own).  An allocation that fails, in the order ``_sample`` allocates,
+    yields (seed, the error) in place of the fill, for the trial of that
+    seed to raise.  Closing the generator waits for the drawer."""
+    segment, buf = _segment_rows(model, n, m), []
     with ThreadPoolExecutor(max_workers=1) as drawer:
 
         def queue(seed):
-            g = np.empty((m, n), dtype=complex)
-            return seed, g, drawer.submit(_fill_normal, np.random.default_rng(int(seed)), g, segment, buf)
+            try:
+                g = np.empty((m, n), dtype=complex)
+                if not buf:
+                    buf.append(np.empty((_block_rows(n), n)))
+            except (ValueError, MemoryError) as exc:  # numpy refuses the size
+                return seed, exc, None
+            return seed, g, drawer.submit(_fill_normal, np.random.default_rng(int(seed)), g, segment, buf[0])
 
         queued = map(queue, seeds)
         ahead = next(queued, None)
         while ahead:
             seed, g, fill = ahead  # lets go of the last fill before the next is allocated
             ahead = next(queued, None)
-            fill.result()
+            if fill is not None:
+                fill.result()
             yield seed, g
 
 

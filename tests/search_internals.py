@@ -26,13 +26,28 @@ def bracket_form(ens, z, c0, alpha):
     return regularity._bracket_form(ens, *_inputs(ens, z, c0, alpha))
 
 
+def _scorer(ens, z, c0, alpha, lim=None):
+    """(lam, frame, w_rows, (rows, bounds, t0, moves)): the bracket form
+    and ``_search_scorer``'s functions, with W's limits lim in place of
+    (|u_i| / beta)^2 where given."""
+    z, uc, ua, beta, c_mid, c_wedge = _inputs(ens, z, c0, alpha)
+    lam, frame, w_rows = regularity._bracket_form(ens, z, uc, ua, beta, c_mid, c_wedge)
+    lim = (ua[w_rows] / beta) ** 2 if lim is None else lim
+    return lam, frame, w_rows, regularity._search_scorer(ens, lam, frame, w_rows, lim, c_wedge)
+
+
 def search_scorer(ens, z, c0, alpha):
     """(lam, frame, w_rows, rows, t0, moves): the bracket form and
     ``_search_scorer``'s scores, with t0 the anchor e_0's products."""
-    z, uc, ua, beta, c_mid, c_wedge = _inputs(ens, z, c0, alpha)
-    lam, frame, w_rows = regularity._bracket_form(ens, z, uc, ua, beta, c_mid, c_wedge)
-    rows, t0, moves = regularity._search_scorer(ens, lam, frame, w_rows, (ua[w_rows] / beta) ** 2, c_wedge)
+    lam, frame, w_rows, (rows, _, t0, moves) = _scorer(ens, z, c0, alpha)
     return lam, frame, w_rows, rows, t0, moves
+
+
+def screen(ens, z, c0, alpha, lim=None):
+    """(frame, w_rows, rows, bounds): ``_search_scorer``'s exact scores and
+    float32 lower bounds, with W's limits lim where given."""
+    _, frame, w_rows, (rows, bounds, _, _) = _scorer(ens, z, c0, alpha, lim)
+    return frame, w_rows, rows, bounds
 
 
 def products(ens, frame, w_rows, c):
@@ -43,27 +58,33 @@ def products(ens, frame, w_rows, c):
 
 
 def record_scores(monkeypatch):
-    """(scored, sweeps): lists that fill as ``estimate_L`` runs, with
-    (C, f) for every ``rows(C)`` call and (c, step, f, move) for every
-    ``moves(c, t, step)`` call; C and c are copies, and move(j) builds
-    move j of that sweep."""
-    scored, sweeps = [], []
+    """(scored, sweeps, screened): lists that fill as ``estimate_L`` runs,
+    with (C, f) for every ``rows(C, wanted)`` call, f +inf on the tiles it
+    did not score, (c, step, f, move) for every ``moves(c, t, step)`` call
+    and (C, lower) for every ``bounds(C)`` call; C and c are copies, and
+    move(j) builds move j of that sweep."""
+    scored, sweeps, screened = [], [], []
     make = regularity._search_scorer
 
     def recording_scorer(*args):
-        rows, t0, moves = make(*args)
+        rows, bounds, t0, moves = make(*args)
 
-        def scored_rows(C):
-            f = rows(C)
+        def scored_rows(C, wanted=None):
+            f = rows(C, wanted)
             scored.append((C.copy(), f))
             return f
+
+        def screened_rows(C):
+            lower = bounds(C)
+            screened.append((C.copy(), lower))
+            return lower
 
         def scored_moves(c, t, step):
             f, move, carry = moves(c, t, step)
             sweeps.append((c.copy(), step, f, move))
             return f, move, carry
 
-        return scored_rows, t0, scored_moves
+        return scored_rows, screened_rows, t0, scored_moves
 
     monkeypatch.setattr(regularity, "_search_scorer", recording_scorer)
-    return scored, sweeps
+    return scored, sweeps, screened

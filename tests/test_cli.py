@@ -3,7 +3,7 @@ import json
 import pytest
 
 import golden
-from kaczmarz_pr import cli
+from kaczmarz_pr import cli, harness
 from kaczmarz_pr.cli import main
 
 
@@ -213,6 +213,37 @@ def test_estimate_l_bad_numbers_exit_2(tmp_path, capsys, flags, message):
     code = main(["estimate-l", "--n", "2", "--m", "20", "--out", str(out), *flags])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_l_size_numpy_refuses_exits_2(capsys):
+    # numpy refuses a (2^62, 4) complex ensemble before it allocates
+    assert main(["estimate-l", "--n", "4", "--m", str(2**62), "--alpha", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum possible size.\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 64.0 TiB for an array with shape (1099511627776, 4)")
+
+
+@pytest.mark.parametrize("command", ["run", "estimate-l"])
+def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # the sampler raises, as numpy does for a size it accepts but cannot
+    # allocate; no array that size is asked for
+    monkeypatch.setattr(harness.ExperimentConfig, "sample_ensemble", _out_of_memory)
+    out = tmp_path / "out.csv"
+    if command == "run":
+        path = tmp_path / "good.cfg"
+        path.write_text(GOOD_CONFIG)
+        argv = ["run", "--config", str(path), "--out", str(out)]
+    else:
+        argv = ["estimate-l", "--n", "4", "--m", "40", "--alpha", "20", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 64.0 TiB for an array with shape (1099511627776, 4)\n"
     assert not out.exists()
 
 

@@ -156,6 +156,20 @@ class TestRunExperiment:
             with pytest.raises(ConfigError):
                 run_experiment(cfg)
 
+    @pytest.mark.parametrize("n, m", [(4, 2**62), (2**62, 4)])
+    def test_a_size_numpy_refuses_fails_each_trial_alike(self, n, m):
+        # numpy refuses the ensemble (or, at n = 2^62, also the signal)
+        # before it allocates: serially the drawer hands the allocation's
+        # ValueError to its trial, so serial, pooled and run_trial records
+        # are the same failed trials, byte for byte
+        cfg = ExperimentConfig(n=n, m=m, num_trials=3, master_seed=7)
+        want = render_csv([run_trial(cfg, t) for t in range(3)])
+        assert want.count(",nan,nan,nan") == 3
+        for workers in (1, 2):
+            records = run_experiment(cfg, workers=workers)
+            assert all(rec.failed and rec.error.startswith("ValueError: array is too big") for rec in records)
+            assert render_csv(records) == want
+
     def test_zero_workers_means_the_usable_cores(self, monkeypatch):
         # 0 (argument or environment) counts the cores the process may run
         # on, not every core of the machine; the count alone, no process

@@ -33,7 +33,7 @@ from kaczmarz_pr.verify import (
     check_wedge_fraction,
 )
 from bracket_grid import grid_minimum
-from search_internals import bracket_form, products, record_scores, search_scorer
+from search_internals import bracket_form, products, record_scores, screen, search_scorer
 
 
 class TestObjective:
@@ -270,7 +270,7 @@ class TestEstimateL:
         ens = sample_sphere(n, 120, 57)
         z = sample_unit_vector(n, 58)
         _, frame, _ = bracket_form(ens, z, 1 / 80, 20.0)
-        scored, sweeps = record_scores(monkeypatch)
+        scored, sweeps, _ = record_scores(monkeypatch)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=57))
         (anchor, (f0,)), *_ = scored
         e0 = np.eye(2 * n - 1)[0]
@@ -285,7 +285,9 @@ class TestEstimateL:
     def test_reports_the_lowest_candidate_evaluated(self, monkeypatch):
         # the anchor, the random chunks and the descent's sweeps are all
         # scored by the search's scorer; every candidate is counted once,
-        # and regularity_terms runs once, on the lowest
+        # and regularity_terms runs once, on the lowest.  Every random
+        # candidate is screened, and one whose tile was left unscored has
+        # a bound above the reported bracket
         ens = sample_sphere(5, 120, 61)
         z = sample_unit_vector(5, 62)
         brackets, terms = [], regularity.regularity_terms
@@ -295,7 +297,7 @@ class TestEstimateL:
             brackets.append(out[3])
             return out
 
-        scored, sweeps = record_scores(monkeypatch)
+        scored, sweeps, screened = record_scores(monkeypatch)
         monkeypatch.setattr(regularity, "regularity_terms", recording_terms)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=63))
         reported, = brackets
@@ -304,6 +306,11 @@ class TestEstimateL:
         lowest = min(f.min() for f in scores)
         assert reported == pytest.approx(lowest, rel=1e-12)
         assert rep.L_estimate == (5 / 120) * reported
+        assert len(screened) == len(scored) - 1 == 2
+        for (C, lower), (C_scored, f) in zip(screened, scored[1:]):
+            assert np.array_equal(C, C_scored)
+            assert np.all(lower[np.isinf(f)] > max(reported, lowest))
+        assert sum(np.isinf(f).sum() for _, f in scored) > 0
 
     @pytest.mark.parametrize("n", [1, 2, 8, 50])
     @pytest.mark.parametrize(
@@ -461,6 +468,46 @@ class TestEstimateL:
                     tracemalloc.stop()
                 assert peak <= bound, (step, peak, bound)
 
+    @pytest.mark.parametrize("e", [-450, -60, 60, 450])
+    def test_search_does_not_depend_on_the_ensemble_scale(self, e):
+        # the screen scales P by a power of two into float32's range, and
+        # past 2^+-400 it scores every tile: either way the search evaluates
+        # the same directions, and L scales by 4^e
+        ens = sample_sphere(3, 60, 1)
+        z = sample_unit_vector(3, 2)
+        params = RegularityParams(c0=0.1, alpha=20.0, net_or_samples=300, seed=3)
+        scaled = SensingEnsemble(vectors=ens.vectors * 2.0**e)
+        want, rep = estimate_L(ens, z, params), estimate_L(scaled, z, params)
+        assert rep.evaluations == want.evaluations
+        assert rep.L_estimate == pytest.approx(want.L_estimate * 4.0**e, rel=1e-12)
+        _, _, rows, bounds = screen(scaled, z, 0.1, 20.0)
+        C = np.random.default_rng(7).standard_normal((300, 5))
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+        lower = bounds(C)
+        assert np.all(lower <= rows(C))
+        assert np.all(np.isinf(lower)) == (abs(e) > 400)
+
+    def test_screen_holds_one_float32_span(self):
+        # the screen converts one span of P to float32 at a time: besides
+        # that copy, 8 (2n-1) _SPAN_ROWS bytes, it holds its two blocks of
+        # float32 products (_EVAL_BYTES together) and vectors and copies of
+        # C.  A float32 copy of all of P would hold 10 MiB more here
+        n, m = 128, 5120
+        ens = sample_sphere(n, m, derive_seed(n, m, 1))
+        z = sample_unit_vector(n, derive_seed(n, m, 2))
+        _, w_rows, _, bounds = screen(ens, z, 1 / 80, 20.0)
+        k = 2 * n - 1
+        assert len(w_rows) > 8 * regularity._SPAN_ROWS
+        C = np.random.default_rng(5).standard_normal((regularity._DIR_CHUNK, k))
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            bounds(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * k * regularity._SPAN_ROWS + 2 * regularity._EVAL_BYTES + C.nbytes, peak
+
     @pytest.mark.parametrize("model", ["sphere", "unitary"])
     @pytest.mark.parametrize("c0", [1e-3, 1 / 80, 0.1])
     def test_close_to_the_grid_minimum_at_n2(self, model, c0):
@@ -521,7 +568,7 @@ class TestEstimateL:
         n, seed = 2, 61
         ens = sample_sphere(n, 60, derive_seed(seed, 1))
         z = sample_unit_vector(n, derive_seed(seed, 2))
-        scored, sweeps = record_scores(monkeypatch)
+        scored, sweeps, _ = record_scores(monkeypatch)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=64, seed=seed))
         c, step, f, move = sweeps[0]
         j = int(np.argmin(f))
@@ -550,6 +597,41 @@ class TestEstimateL:
         monkeypatch.setattr(regularity, "_move_candidates", skip_nothing)
         assert render_json(estimate_L(ens, z, params)) == want
         assert sum(skipped) > 0
+
+    @pytest.mark.parametrize(
+        "model, n, m, c0, budget, seed",
+        [
+            ("sphere", 50, 2000, 1 / 80, 256, 3000),  # the bench shape: no tile scored
+            ("unitary", 4, 40, 0.1, 512, 1),  # some tiles scored, some not
+            ("sphere", 2, 80, 0.1, 2048, 900),
+            ("sphere", 8, 160, 1e-6, 256, 3),  # W empty
+        ],
+    )
+    def test_report_does_not_depend_on_the_screen(self, monkeypatch, model, n, m, c0, budget, seed):
+        # the random stage scores only the tiles that hold a bound at or
+        # below the lowest score so far: scoring every tile must give the
+        # same report, bit for bit
+        if model == "sphere":
+            ens = sample_sphere(n, m, derive_seed(seed, 1))
+        else:
+            ens = sample_block_unitary(n, m, derive_seed(seed, 1))
+        z = sample_unit_vector(n, derive_seed(seed, 2))
+        params = RegularityParams(c0=c0, alpha=20.0, net_or_samples=budget, seed=seed)
+        scored, _, _ = record_scores(monkeypatch)
+        want = render_json(estimate_L(ens, z, params))
+        skipped = sum(int(np.isinf(f).sum()) for _, f in scored)
+        make = regularity._search_scorer
+
+        def unscreened(*args):
+            rows, _, t0, moves = make(*args)
+            return rows, lambda C: np.full(len(C), -np.inf), t0, moves
+
+        monkeypatch.setattr(regularity, "_search_scorer", unscreened)
+        scored.clear()
+        assert render_json(estimate_L(ens, z, params)) == want
+        assert sum(int(np.isinf(f).sum()) for _, f in scored) == 0
+        assert skipped > 0
+        assert skipped < budget or model == "sphere"
 
     @pytest.mark.parametrize("c0", [1e-6, 1 / 80])
     def test_bracket_form_does_not_depend_on_row_blocks(self, monkeypatch, c0):
@@ -633,6 +715,65 @@ class TestEstimateL:
             monkeypatch.setattr(regularity, "_EVAL_BYTES", eval_bytes)
             reports.append(render_json(estimate_L(ens, z, params)))
         assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    @pytest.mark.parametrize(
+        "n, m, c0, w_case",
+        [
+            (1, 40, 0.1, "all"),
+            (8, 160, 1e-6, "empty"),
+            (8, 1200, 0.1, "spans"),
+            (50, 400, 1 / 80, "partial"),
+            (128, 600, 1 / 80, "all"),
+        ],
+    )
+    def test_screen_bounds_every_score_from_below(self, n, m, c0, w_case):
+        # the random stage leaves a tile unscored only where every one of
+        # its float32 bounds is above a score already found, so each bound
+        # must be at or below rows' float64 score: with W's own limits; with
+        # every limit within 1e-9 to 1e-6 relative of its row's |t|^2, all
+        # below it, then all above, where the products' relative error
+        # decides; and at rows where |t_i| is about 1e-5 ||P_i||, limits
+        # 1e-6 relative from |t_i|^2 and every other row's limit 0, where
+        # their absolute error decides
+        alpha, k = 20.0, 2 * n - 1
+        ens = sample_sphere(n, m, derive_seed(n, m, 4))
+        z = sample_unit_vector(n, derive_seed(n, m, 5))
+        frame, w_rows, rows, bounds = screen(ens, z, c0, alpha)
+        w = len(w_rows)
+        assert {"empty": w == 0, "all": w == m, "spans": w == m > regularity._SPAN_ROWS, "partial": 0 < w < m}[w_case]
+        rng = np.random.default_rng(derive_seed(n, m, 6))
+
+        def unit(C):
+            return C / np.linalg.norm(C, axis=-1, keepdims=True)
+
+        C = unit(rng.standard_normal((300, k)))
+        assert np.all(bounds(C) <= rows(C))
+        if w == 0:
+            return
+        t2 = np.abs(products(ens, frame, w_rows, C[0])) ** 2
+        near = 10.0 ** rng.uniform(-9, -6, w)
+        C = unit(C[0] + 1e-10 * rng.standard_normal((300, k)))
+        for side in (-1.0, 1.0):  # every row outside, then inside, the wedge
+            _, _, rows, bounds = screen(ens, z, c0, alpha, lim=t2 * (1.0 + side * near))
+            assert np.all(bounds(C) <= rows(C))
+        if k < 3:  # no unit c is orthogonal to a row's two parts
+            return
+        P = ens.vectors[w_rows].conj() @ (frame[:n] + 1j * frame[n:])  # (row, axis): a_i^* f_j
+        picked = rng.choice(w, min(w, 24), replace=False)
+        C = []
+        for i in picked:
+            q = np.linalg.qr(np.stack((P[i].real, P[i].imag), axis=1))[0]
+            c = rng.standard_normal(k)
+            c = unit(c - q @ (q.T @ c))
+            C.append(unit(c + 1e-5 * q[:, 0]))
+        C = np.array(C)
+        t2 = np.abs(np.einsum("ij,ij->i", C, P[picked])) ** 2
+        assert np.all(t2 < 1e-8 * np.sum(np.abs(P[picked]) ** 2, axis=1))
+        for side in (-1.0, 1.0):
+            lim = np.zeros(w)
+            lim[picked] = t2 * (1.0 + side * 1e-6)
+            _, _, rows, bounds = screen(ens, z, c0, alpha, lim=lim)
+            assert np.all(bounds(C) <= rows(C))
 
     def test_rejects_alpha_whose_terms_overflow(self):
         # 2 + 4 alpha overflows, so term3 and L would be infinite
