@@ -55,6 +55,17 @@ ESTIMATE_L = {
     "estimate-l unitary screened": [
         "estimate-l", "--model", "unitary", "--n", "4", "--K", "40", "--alpha", "20", "--c0", "0.1", "--seed", "1", "--budget", "512",
     ],
+    # a random direction is the report: L_estimate -7.868, against -6.000 at budget 1
+    "estimate-l random wins": ["estimate-l", "--n", "2", "--m", "80", "--alpha", "20", "--seed", "13", "--budget", "256"],
+    # 72 runs, one digest of their joined stdout: sphere m = 40n and unitary
+    # K = 40 at each n, c0 and seed
+    "estimate-l sweep": [
+        ["estimate-l", "--n", str(n), *shape, "--alpha", "20", "--c0", c0, "--seed", seed, "--budget", "256"]
+        for n in (1, 2, 4, 8, 16, 50)
+        for shape in (["--m", str(40 * n)], ["--model", "unitary", "--K", "40"])
+        for c0 in ("0.001", "0.0125", "0.1")
+        for seed in ("900", "901")
+    ],
 }
 
 VERIFY = "verify --trials 100000 --seed 7"
@@ -77,6 +88,9 @@ def batch_texts(cfg: ExperimentConfig, workers: int) -> dict:
 
 
 def cli_stdout(argv) -> str:
+    """The stdout of one command line; of a list of them, their stdouts joined."""
+    if argv and not isinstance(argv[0], str):
+        return "".join(cli_stdout(line) for line in argv)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
