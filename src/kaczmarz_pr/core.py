@@ -18,6 +18,7 @@ __all__ = [
     "PhaseAlignedDistance",
     "aligned2_rows",
     "dist_phase_aligned",
+    "check_vector",
     "phase_diff_bound_check",
 ]
 
@@ -25,6 +26,17 @@ __all__ = [
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+
+
+def check_vector(name: str, x, n: int) -> np.ndarray:
+    """x as a complex array; raises ValueError unless its shape is (n,) and
+    every entry is finite."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must have finite entries")
+    return x
 
 
 def inner(a, b) -> complex:

@@ -270,8 +270,10 @@ def _worker_count(workers: int | None) -> int:
             workers = int(raw)
         except ValueError as exc:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if workers < 0:
-        raise ConfigError(f"{source} must be >= 0, got {workers}")
+    try:
+        check_int(source, workers, 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if workers:
         return workers
     if hasattr(os, "sched_getaffinity"):  # the cores this process may run on

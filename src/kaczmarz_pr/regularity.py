@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import one_thread
+from .core import check_vector
 from .sensing import row_magnitudes, row_products
 from .seeding import check_int, check_seed
 
@@ -206,17 +207,6 @@ class RegularityReport:
     constraint_2c0alpha_gt_1: bool
 
 
-def _vector(name: str, x, n: int) -> np.ndarray:
-    """x as a complex array; raises ValueError unless its shape is (n,) and
-    every entry is finite."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} must have finite entries")
-    return x
-
-
 def _term_coefficients(alpha: float, m: int):
     """(6/(alpha-1), 2+4 alpha), the weights of term2 and term3; raises
     where term2 + term3 could overflow at m unit rows."""
@@ -237,7 +227,7 @@ def regularity_terms(ensemble, z, v, c0: float, alpha: float):
     and bracket = term1 - term2 - term3.  z and v must be finite (n,)
     vectors.
     """
-    z, v = _vector("z", z, ensemble.n), _vector("v", v, ensemble.n)
+    z, v = check_vector("z", z, ensemble.n), check_vector("v", v, ensemble.n)
     uc, ua = _signal_products(ensemble, z)
     c_mid, c_wedge = _term_coefficients(alpha, ensemble.m)
     t = row_products(ensemble, v)
@@ -611,44 +601,36 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     flat direction i z (where term1 vanishes and term2 does not) is left
     out.  A candidate is a nonzero c in R^{2n-1}; normalized, it gives
     v_R = frame c in ``_bracket_form``'s eigenframe, and every unit v of
-    the set is some such c.  Candidate 0 is e_0, the form's minimizer;
-    seeded standard normal coordinates follow, uniform on the set once
-    normalized; then a deterministic descent from e_0 scores the moves
-    c +- step e_j along every frame axis, moves to the lowest where it is
-    strictly below c's value and is not c itself (from +-e_j, the moves
+    the set is some such c.  The search holds one point c, its score f
+    and, in the descent, its products t_c (from the scorer's t_0).  It
+    starts at e_0, the form's minimizer.  A deterministic descent scores
+    the moves c +- step e_j along every frame axis, moves to the lowest
+    where it is strictly below f and is not c itself (from +-e_j, the moves
     along axis j normalize back to c), and else halves the step
-    (``_STEP0`` down to ``_MIN_STEP``, at most ``_MAX_SWEEPS`` sweeps).
-    The descent holds its point c, c's products t_c (from the scorer's t_0
-    at e_0) and c's score f; of a sweep's moves it builds only the lowest,
-    and takes an accepted move's products from its sweep.
-    The report is the first lowest score in the order e_0, the random
-    rows, the descent's moves, which is not the order of the work: e_0
-    and the descent do not read the stream, so they run first, and the
-    descent's first lowest is known when the random stage starts.
-    ``_search_scorer`` screens each chunk of random rows (``bounds``) and
-    scores a block of ``rows`` only where one of its bounds is at or
-    below the lowest score so far, of e_0, the earlier chunks and the
-    descent.  Every other candidate scores above a score that comes
-    before it or above the descent's lowest, so it is not the first
-    lowest and skipping it changes no bit of the report.  ``offer``
-    counts every candidate, scored or screened, and keeps the first
-    lowest, so ``evaluations`` is exactly 1 + budget + 2 (2n-1) times the
-    sweeps run; the report is ``regularity_terms`` at the lowest, its only
-    call.  The stream draws
-    only the rows the budget asks for, in order, so it is prefix-stable in
-    the budget; the anchor and its descent do not depend on it, so a
-    larger budget only adds directions and, up to rounding, never raises
-    the minimum found.  Where the wedge is empty for every unit v
-    (c0 alpha ||a_i|| < |a_i^* z| for every row), e_0 and its moves +-e_0
-    all score lam_0, so the descent makes no move and only halves its
-    step, 8 sweeps.  Where the eigenvector's wedge is all of W, always so
-    where the wedge is empty, the eigenvector is the minimizer and both
-    values are the constant.  The call holds OpenBLAS at one thread
+    (``_STEP0`` down to ``_MIN_STEP``, at most ``_MAX_SWEEPS`` sweeps); it
+    builds only the lowest move, and takes an accepted move's products
+    from its sweep.  Then seeded standard normal coordinates, uniform on
+    the set once normalized, come in chunks; ``bounds`` screens each
+    chunk, ``rows`` scores the blocks that hold a bound at or below f, and
+    the chunk's lowest replaces c where it is strictly below f.  So the
+    report is the lowest score, the earliest of equal ones in that order,
+    and skipping a screened block changes no bit of it; the report is
+    ``regularity_terms`` at c, its only call.  ``evaluations`` counts
+    every candidate, scored or screened: 1 + budget + 2 (2n-1) per sweep
+    run.  The stream draws only the rows the budget asks for, in order, so
+    it is prefix-stable in the budget; the anchor and its descent do not
+    depend on it, so a larger budget only adds directions and, up to
+    rounding, never raises the minimum found.  Where the wedge is empty
+    for every unit v (c0 alpha ||a_i|| < |a_i^* z| for every row), e_0 and
+    its moves +-e_0 all score lam_0, so the descent makes no move and only
+    halves its step, 8 sweeps.  Where the eigenvector's wedge is all of W,
+    always so where the wedge is empty, the eigenvector is the minimizer
+    and both values are the constant.  The call holds OpenBLAS at one thread
     (``blas.one_thread``), so the report's bits do not depend on its
     thread count.
     """
     n, m = ensemble.n, ensemble.m
-    z = _vector("z", z, n)
+    z = check_vector("z", z, n)
     c0, alpha = params.c0, params.alpha
     uc, ua = _signal_products(ensemble, z)
     c_mid, c_wedge = _term_coefficients(alpha, m)
@@ -657,29 +639,15 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     rows, bounds, t, moves = _search_scorer(ensemble, lam, frame, w_rows, (ua[w_rows] / beta) ** 2, c_wedge)
     v0 = frame[:n, 0] + 1j * frame[n:, 0]
     attained = np.array_equal(wedge(ensemble, z, v0, beta), w_rows)
-    evaluations = 0
-
-    def offer(f, candidate, best):
-        """Count f's candidates; return the index of f's lowest and best, a
-        (score, candidate) pair, replaced by f's first lowest, built by
-        candidate(j), where that is strictly lower."""
-        nonlocal evaluations
-        evaluations += len(f)
-        j = int(np.argmin(f))
-        if f[j] < best[0]:
-            best = float(f[j]), candidate(j)
-        return j, best
-
     anchor = np.eye(1, 2 * n - 1)
-    scores = rows(anchor)
-    _, best = offer(scores, anchor.__getitem__, (math.inf, None))
-    c, f, descended = anchor[0], float(scores[0]), (math.inf, None)
+    c, f, evaluations = anchor[0], float(rows(anchor)[0]), 1
     step = _STEP0
     for _ in range(_MAX_SWEEPS):
         if step <= _MIN_STEP:
             break
         f_moves, move, carry = moves(c, t, step)
-        j, descended = offer(f_moves, move, descended)
+        evaluations += len(f_moves)
+        j = int(np.argmin(f_moves))
         if f_moves[j] < f and not np.array_equal(c_j := move(j), c):
             c, t, f = c_j, carry(j), float(f_moves[j])
         else:
@@ -688,12 +656,13 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     for done in range(0, params.net_or_samples, _DIR_CHUNK):
         C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
-        # the rows that could be the first lowest (and any NaN bound)
-        wanted = ~(bounds(C) > min(best[0], descended[0]))
-        _, best = offer(rows(C, wanted), C.__getitem__, best)
-    best_c = (descended if descended[0] < best[0] else best)[1]
+        scores = rows(C, ~(bounds(C) > f))  # the rows that could be lower (and any NaN bound)
+        evaluations += len(C)
+        j = int(np.argmin(scores))
+        if scores[j] < f:
+            c, f = C[j], float(scores[j])
 
-    best_v = frame @ best_c
+    best_v = frame @ c
     best_v = best_v[:n] + 1j * best_v[n:]
     term1, term2, term3, bracket = regularity_terms(ensemble, z, best_v, c0, alpha)
     flag = 2.0 * c0 * alpha

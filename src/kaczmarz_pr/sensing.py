@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_vector
 from .seeding import check_int
 
 __all__ = [
@@ -230,11 +231,9 @@ def row_magnitudes(ensemble: SensingEnsemble, v) -> np.ndarray:
 
 
 def measure(ensemble: SensingEnsemble, z) -> MeasurementSet:
-    """Magnitudes y_i = |a_i^* z| for every row of the ensemble."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (ensemble.n,):
-        raise ValueError(f"signal dimension {z.shape} does not match n={ensemble.n}")
-    y = row_magnitudes(ensemble, z)
+    """Magnitudes y_i = |a_i^* z| for every row of the ensemble, of a finite
+    (n,) vector z."""
+    y = row_magnitudes(ensemble, check_vector("z", z, ensemble.n))
     return MeasurementSet(values=_freeze(y), ensemble=ensemble)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import aligned2_rows
+from .core import aligned2_rows, check_vector
 from .sensing import _block_rows, objective_rows
 from .seeding import check_int, check_seed
 
@@ -197,15 +197,11 @@ class _Run:
 
     def __init__(self, ensemble, y, x0, cfg: SolverConfig, z):
         self.values = y.of(ensemble)
-        x0 = np.asarray(x0, dtype=complex)
-        if x0.shape != (ensemble.n,):
-            raise ValueError(f"x0 dimension {x0.shape} does not match n={ensemble.n}")
+        x0 = check_vector("x0", x0, ensemble.n)
         if cfg.tol_aligned_rel is not None and z is None:
             raise ValueError("aligned-error stopping requires the true signal z")
-        if z is not None and np.shape(z) != x0.shape:
-            raise ValueError(f"z dimension {np.shape(z)} does not match n={ensemble.n}")
         self.ensemble, self.y, self.cfg = ensemble, y, cfg
-        self.z = None if z is None else np.asarray(z, dtype=complex)
+        self.z = None if z is None else check_vector("z", z, ensemble.n)
         self.nz = float(np.linalg.norm(z)) if z is not None else math.nan
         self.state = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(int(cfg.seed)))
         # when f decides the stop, each sample's f is needed at once
@@ -238,7 +234,7 @@ class _Run:
 def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     """Iterate ``step`` until ``cfg.converged`` holds or max_iters is
     reached: ``solve_group`` (see there) on this one problem, raising the
-    error it records."""
+    error it records.  x0, and z where given, must be finite (n,) vectors."""
     (state,) = solve_group([(ensemble, y, x0, cfg, z)])
     if isinstance(state, ValueError):
         raise state

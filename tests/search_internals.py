@@ -10,13 +10,14 @@ here alone.
 from __future__ import annotations
 
 from kaczmarz_pr import regularity
+from kaczmarz_pr.core import check_vector
 from kaczmarz_pr.sensing import row_products
 
 
 def _inputs(ens, z, c0, alpha):
     """(z, uc, ua, beta, c_mid, c_wedge): the checked signal, its products
     (conj(u), |u|), beta = c0 alpha and the term weights."""
-    z = regularity._vector("z", z, ens.n)
+    z = check_vector("z", z, ens.n)
     uc, ua = regularity._signal_products(ens, z)
     return (z, uc, ua, c0 * alpha, *regularity._term_coefficients(alpha, ens.m))
 

@@ -156,6 +156,19 @@ class TestRunExperiment:
             with pytest.raises(ConfigError):
                 run_experiment(cfg)
 
+    def test_worker_count_is_checked_like_every_count(self, monkeypatch):
+        # a bool or a float is refused, not read as 1 or passed on to the
+        # pool, before any pool starts or any trial runs
+        def started(*args, **kwargs):
+            raise AssertionError("work started before the check")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(harness, "_run_group", started)
+        cfg = ExperimentConfig(n=6, model="sphere", m=60, num_trials=2, master_seed=8)
+        for bad in (True, 0.5, 1.5, 2.0, "2", -1):
+            with pytest.raises(ConfigError, match="^workers must be"):
+                run_experiment(cfg, workers=bad)
+
     @pytest.mark.parametrize("n, m", [(4, 2**62), (2**62, 4)])
     def test_a_size_numpy_refuses_fails_each_trial_alike(self, n, m):
         # numpy refuses the ensemble (or, at n = 2^62, also the signal)

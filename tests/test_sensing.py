@@ -200,6 +200,14 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(ens, np.ones(2, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j])
+    def test_signal_must_be_finite(self, bad):
+        # NaN magnitudes would reach spectral_init as a misleading
+        # truncation error
+        ens = sample_sphere(3, 4, 0)
+        with pytest.raises(ValueError, match="z must have finite entries"):
+            measure(ens, np.array([1.0, bad, 0.0]))
+
     def test_reference_identifies_ensemble(self):
         ens = sample_sphere(3, 4, 5)
         y = measure(ens, sample_unit_vector(3, 6))

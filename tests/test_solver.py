@@ -227,13 +227,30 @@ class TestSolve:
         cfg = SolverConfig(max_iters=10, tol_residual=1e-8)
         with pytest.raises(ValueError, match="measurement count"):
             MeasurementSet(values=y.values[:-1], ensemble=ens)
-        with pytest.raises(ValueError, match="x0 dimension"):
+        with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got \(4,\)"):
             solve(ens, y, sample_unit_vector(4, 86), cfg)
         # in either mode; a one-entry z would broadcast against a block's rows
         for run_cfg in (cfg, SolverConfig(max_iters=10, tol_aligned_rel=1e-8)):
             for z in (sample_unit_vector(1, 86), sample_unit_vector(4, 86)):
-                with pytest.raises(ValueError, match="z dimension"):
+                with pytest.raises(ValueError, match=r"z must have shape \(3,\), got"):
                     solve(ens, y, sample_unit_vector(3, 87), run_cfg, z=z)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_start_and_signal_must_be_finite(self, bad):
+        # a non-finite x0 or z raises, naming it, before any step; it would
+        # otherwise run every iteration to a NaN history
+        ens = sample_sphere(4, 40, 88)
+        z = sample_unit_vector(4, 89)
+        y = measure(ens, z)
+        broken = z.copy()
+        broken[2] = bad
+        for cfg in (SolverConfig(max_iters=50, tol_residual=1e-8), SolverConfig(max_iters=50, tol_aligned_rel=1e-8)):
+            with pytest.raises(ValueError, match="x0 must have finite entries"):
+                solve(ens, y, broken, cfg, z=z)
+            with pytest.raises(ValueError, match="z must have finite entries"):
+                solve(ens, y, z, cfg, z=broken)
+            with pytest.raises(ValueError, match="x0 must have finite entries"):
+                solve_group([(ens, y, z, cfg, z), (ens, y, broken, cfg, z)])
 
     def test_measurements_must_match_ensemble(self):
         ens = sample_sphere(3, 9, 80)
