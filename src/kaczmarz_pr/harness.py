@@ -21,6 +21,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import blas, sensing
+from .core import check_vector
 from .seeding import (
     ENSEMBLE_STREAM,
     SIGNAL_STREAM,
@@ -63,8 +64,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One experiment batch, checked at construction (``ConfigError``).
     Each field is a config-file key (see ``apply_settings``); the solver
-    and initializer settings default to those of ``SolverConfig`` and
-    ``SpectralConfig``."""
+    and initializer settings are handed to ``SolverConfig`` and
+    ``SpectralConfig`` by name, and default to theirs."""
 
     n: int
     model: str = sensing.MODEL_SPHERE
@@ -97,36 +98,25 @@ class ExperimentConfig:
                 check_int(key, value, low)
             self.solver_config(0)
             self.spectral_config(0)
+            if self.signal is not None:  # a read-only copy, which the caller's array cannot change
+                object.__setattr__(self, "signal", np.array(check_vector("signal", self.signal, self.n)))
+                self.signal.setflags(write=False)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.signal is not None:  # a read-only copy, which the caller's array cannot change
-            object.__setattr__(self, "signal", np.array(self.signal, dtype=complex))
-            self.signal.setflags(write=False)
-            if self.signal.shape != (self.n,):
-                raise ConfigError("provided signal has wrong dimension")
-            if not np.all(np.isfinite(self.signal)):
-                raise ConfigError("provided signal must be finite")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.output_format!r}")
 
     def solver_config(self, seed: int) -> SolverConfig:
-        return SolverConfig(
-            max_iters=self.effective_max_iters,
-            tol_aligned_rel=self.tol_aligned_rel,
-            tol_residual=self.tol_residual,
-            row_rule=self.row_rule,
-            zero_threshold=self.zero_threshold,
-            seed=seed,
-            history_stride=self.history_stride,
-        )
+        return self._settings_of(SolverConfig, max_iters=self.effective_max_iters, seed=seed)
 
     def spectral_config(self, seed: int) -> SpectralConfig:
-        return SpectralConfig(
-            truncation_multiplier=self.truncation_multiplier,
-            power_iters_max=self.power_iters_max,
-            power_tol=self.power_tol,
-            seed=seed,
-        )
+        return self._settings_of(SpectralConfig, seed=seed)
+
+    def _settings_of(self, cls, **given):
+        """A ``cls`` built from ``given`` and, for each of its other fields,
+        this config's field of the same name."""
+        names = {f.name for f in fields(cls)} - given.keys()
+        return cls(**{name: getattr(self, name) for name in names}, **given)
 
     def sample_ensemble(self, seed: int, fill: np.ndarray | None = None):
         """The sensing ensemble of this config's model at ``seed``, built

@@ -28,7 +28,7 @@ import numpy as np
 from .blas import one_thread
 from .core import check_vector
 from .sensing import row_magnitudes, row_products
-from .seeding import check_int, check_seed
+from .seeding import check_int, check_real, check_seed
 
 __all__ = [
     "dir_deriv_f",
@@ -164,10 +164,8 @@ class RegularityParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
-            raise ValueError("alpha must be finite and exceed 1")
-        if not (math.isfinite(self.c0) and self.c0 > 0.0):
-            raise ValueError("c0 must be finite and positive")
+        check_real("alpha", self.alpha, 1.0, strict=True)
+        check_real("c0", self.c0, 0.0, strict=True)
         check_int("net_or_samples", self.net_or_samples, 1)
         check_seed(self.seed)
 
@@ -394,11 +392,9 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
     of P is read from memory once per call rather than once per block,
     and sums a gap span by span.  The span is fixed, so the order in
     which a gap is summed does not depend on ``_EVAL_BYTES``.
-    ``rows(C, wanted)`` scores only the blocks that hold a row of the mask
-    ``wanted``, with the same operands, so with the same bits, and gives
-    +inf for the others.  ``bounds(C)`` screens C: the form's values, with
-    rows' bits, plus a lower bound on the gap from float32 GEMMs over the
-    same spans, at most each row's score as ``rows`` rounds it (proof at
+    ``bounds(C)`` screens C: the form's values, with rows' bits, plus a
+    lower bound on the gap from float32 GEMMs over the same spans, at most
+    each row's score as ``rows`` rounds it (proof at
     ``_screen_constants``), the form alone where W is empty, and -inf
     where P's scale leaves float32's range.  It converts one span of P at
     a time to float32 and holds that copy, 8 (2n-1) ``_SPAN_ROWS`` bytes,
@@ -460,16 +456,11 @@ def _search_scorer(ensemble, lam, frame, w_rows, lim, c_wedge: float):
         p.real, p.imag = P[0, :, j], P[1, :, j]
         return p
 
-    def rows(C, wanted=None):
+    def rows(C):
         f = (C * C) @ lam
-        tiles = range(0, len(C), block)
-        if wanted is not None:
-            kept = np.logical_or.reduceat(wanted, tiles)  # the blocks that hold a wanted row
-            f[~np.repeat(kept, block)[: len(C)]] = math.inf
-            tiles = [lo for lo, keep in zip(tiles, kept) if keep]
         for lo_w in range(0, w, span):
             re, im = P[0, lo_w : lo_w + span].T, P[1, lo_w : lo_w + span].T
-            for lo in tiles:
+            for lo in range(0, len(C), block):
                 p2 = C[lo : lo + block] @ re
                 p2 *= p2
                 T = C[lo : lo + block] @ im
@@ -611,10 +602,10 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     builds only the lowest move, and takes an accepted move's products
     from its sweep.  Then seeded standard normal coordinates, uniform on
     the set once normalized, come in chunks; ``bounds`` screens each
-    chunk, ``rows`` scores the blocks that hold a bound at or below f, and
-    the chunk's lowest replaces c where it is strictly below f.  So the
+    chunk, ``rows`` scores the whole chunk unless every bound is above f,
+    and the chunk's lowest replaces c where it is strictly below f.  So the
     report is the lowest score, the earliest of equal ones in that order,
-    and skipping a screened block changes no bit of it; the report is
+    and skipping a screened chunk changes no bit of it; the report is
     ``regularity_terms`` at c, its only call.  ``evaluations`` counts
     every candidate, scored or screened: 1 + budget + 2 (2n-1) per sweep
     run.  The stream draws only the rows the budget asks for, in order, so
@@ -656,8 +647,10 @@ def estimate_L(ensemble, z, params: RegularityParams) -> RegularityReport:
     for done in range(0, params.net_or_samples, _DIR_CHUNK):
         C = rng.standard_normal((min(_DIR_CHUNK, params.net_or_samples - done), 2 * n - 1))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
-        scores = rows(C, ~(bounds(C) > f))  # the rows that could be lower (and any NaN bound)
         evaluations += len(C)
+        if (bounds(C) > f).all():  # no row can be lower (a NaN bound could)
+            continue
+        scores = rows(C)
         j = int(np.argmin(scores))
         if scores[j] < f:
             c, f = C[j], float(scores[j])

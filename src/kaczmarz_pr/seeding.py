@@ -3,10 +3,13 @@
 All randomness flows through numpy Generators (PCG64).  Derived seeds are
 mixed with ``numpy.random.SeedSequence``, whose hashing is specified and
 stable across platforms, so every run is reproducible from integer seeds
-alone regardless of thread or process scheduling.
+alone regardless of thread or process scheduling.  The checks of integer
+and real settings live here too.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,6 +34,18 @@ def check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
+
+
+def check_real(name: str, value, low: float, *, strict: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a finite Python or numpy int or
+    float >= ``low``, or > ``low`` where ``strict``; a bool is refused, and
+    a string too."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if value < low or (strict and value == low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low:g}")
 
 
 def check_seed(seed) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import aligned2_rows, check_vector
 from .sensing import _block_rows, objective_rows
-from .seeding import check_int, check_seed
+from .seeding import check_int, check_real, check_seed
 
 __all__ = [
     "SolverConfig",
@@ -51,15 +51,13 @@ class SolverConfig:
     def __post_init__(self):
         check_int("max_iters", self.max_iters, 1)
         check_seed(self.seed)
-        if not (math.isfinite(self.zero_threshold) and self.zero_threshold > 0.0):
-            raise ValueError("zero_threshold must be positive and finite")
+        check_real("zero_threshold", self.zero_threshold, 0.0, strict=True)
         if self.row_rule != "uniform":
             raise ValueError(f"unknown row rule {self.row_rule!r}; only 'uniform' is supported")
         if (self.tol_aligned_rel is None) == (self.tol_residual is None):
             raise ValueError("exactly one of tol_aligned_rel / tol_residual must be set")
-        tol = self.tol_residual if self.tol_aligned_rel is None else self.tol_aligned_rel
-        if not tol >= 0.0:
-            raise ValueError("tolerances must be >= 0")
+        tol = "tol_residual" if self.tol_aligned_rel is None else "tol_aligned_rel"
+        check_real(tol, getattr(self, tol), 0.0)
         if self.history_stride is not None:
             check_int("history_stride", self.history_stride, 1)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .blas import one_thread
 from .sensing import _block_rows, sample_unit_vector
-from .seeding import check_int, check_seed
+from .seeding import check_int, check_real, check_seed
 
 __all__ = ["SpectralConfig", "truncated_covariance", "spectral_init"]
 
@@ -30,10 +30,8 @@ class SpectralConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.truncation_multiplier) and self.truncation_multiplier > 0.0):
-            raise ValueError("truncation_multiplier must be positive and finite")
-        if not (math.isfinite(self.power_tol) and self.power_tol > 0.0):
-            raise ValueError("power_tol must be positive and finite")
+        check_real("truncation_multiplier", self.truncation_multiplier, 0.0, strict=True)
+        check_real("power_tol", self.power_tol, 0.0, strict=True)
         check_int("power_iters_max", self.power_iters_max, 1)
         check_seed(self.seed)
 

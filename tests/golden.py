@@ -49,9 +49,9 @@ ESTIMATE_L = {
     # n = 1: one frame axis, one move pair per sweep
     "estimate-l n1": ["estimate-l", "--n", "1", "--m", "40", "--alpha", "20", "--seed", "3", "--budget", "64"],
     # the benchmark's instance at master seed 3000: every random candidate's
-    # float32 bound is above the descent's best, so no tile is scored exactly
+    # float32 bound is above the descent's best, so no chunk is scored exactly
     "estimate-l bench shape": ["estimate-l", "--n", "50", "--m", "2000", "--alpha", "20", "--seed", "3000", "--budget", "256"],
-    # 204 of the 512 random candidates, in tiles of 204, are scored exactly
+    # 256 of the 512 random candidates, one chunk, are scored exactly
     "estimate-l unitary screened": [
         "estimate-l", "--model", "unitary", "--n", "4", "--K", "40", "--alpha", "20", "--c0", "0.1", "--seed", "1", "--budget", "512",
     ],

@@ -9,6 +9,8 @@ here alone.
 
 from __future__ import annotations
 
+import numpy as np
+
 from kaczmarz_pr import regularity
 from kaczmarz_pr.core import check_vector
 from kaczmarz_pr.sensing import row_products
@@ -60,24 +62,29 @@ def products(ens, frame, w_rows, c):
 
 def record_scores(monkeypatch):
     """(scored, sweeps, screened): lists that fill as ``estimate_L`` runs,
-    with (C, f) for every ``rows(C, wanted)`` call, f +inf on the tiles it
-    did not score, (c, step, f, move) for every ``moves(c, t, step)`` call
-    and (C, lower) for every ``bounds(C)`` call; C and c are copies, and
-    move(j) builds move j of that sweep."""
+    with (C, f) for the anchor's ``rows(C)`` call and for every chunk
+    ``bounds(C)`` screens, f +inf where ``rows`` did not score the chunk,
+    (c, step, f, move) for every ``moves(c, t, step)`` call and (C, lower)
+    for every ``bounds(C)`` call; C and c are copies, and move(j) builds
+    move j of that sweep."""
     scored, sweeps, screened = [], [], []
     make = regularity._search_scorer
 
     def recording_scorer(*args):
         rows, bounds, t0, moves = make(*args)
 
-        def scored_rows(C, wanted=None):
-            f = rows(C, wanted)
-            scored.append((C.copy(), f))
+        def scored_rows(C):
+            f = rows(C)
+            if scored and np.array_equal(scored[-1][0], C):  # the chunk just screened
+                scored[-1] = (scored[-1][0], f)
+            else:
+                scored.append((C.copy(), f))
             return f
 
         def screened_rows(C):
             lower = bounds(C)
             screened.append((C.copy(), lower))
+            scored.append((C.copy(), np.full(len(C), np.inf)))
             return lower
 
         def scored_moves(c, t, step):

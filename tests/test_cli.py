@@ -257,14 +257,14 @@ _SIGNALS = {
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("signal_path = {dir}/short.json", "provided signal has wrong dimension"),
+        ("signal_path = {dir}/short.json", "signal must have shape (8,), got (2,)"),
         ("signal_path = {dir}/unnamed.json", "needs 're' and 'im' lists"),
         ("signal_path = {dir}/ragged.json", "has mismatched re/im lists"),
         ("format = xml", "unknown format 'xml'"),
         ("max_iters = 0", "max_iters must be >= 1"),
-        ("zero_threshold = 0", "zero_threshold must be positive"),
+        ("zero_threshold = 0", "zero_threshold must be > 0"),
         ("history_stride = 0", "history_stride must be >= 1"),
-        ("truncation_multiplier = 0", "truncation_multiplier must be positive"),
+        ("truncation_multiplier = 0", "truncation_multiplier must be > 0"),
         ("power_iters_max = 0", "power_iters_max must be >= 1"),
     ],
 )

@@ -27,6 +27,8 @@ from kaczmarz_pr.harness import (
     write_text,
 )
 from kaczmarz_pr.seeding import ENSEMBLE_STREAM, SOLVER_STREAM, SPECTRAL_STREAM, derive_seed
+from kaczmarz_pr.solver import SolverConfig
+from kaczmarz_pr.spectral import SpectralConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -583,12 +585,40 @@ class TestConfigFile:
             cfg.signal[0] = 1.0
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
-    @pytest.mark.parametrize("name", ["zero_threshold", "truncation_multiplier", "power_tol"])
+    @pytest.mark.parametrize(
+        "name", ["zero_threshold", "truncation_multiplier", "power_tol", "tol_aligned_rel", "tol_residual"]
+    )
     def test_non_finite_setting_built_in_code_rejected(self, name, value):
         # config files refuse these when read; a config built in code
-        # reaches the solver and initializer settings' own checks
-        with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
-            ExperimentConfig(n=4, model="sphere", m=16, **{name: value})
+        # reaches the solver and initializer settings' own checks (an
+        # infinite tolerance ran no iteration and reported convergence)
+        other = {"tol_aligned_rel": None} if name == "tol_residual" else {}
+        with pytest.raises(ConfigError, match=f"{name} must be a finite real number"):
+            ExperimentConfig(n=4, model="sphere", m=16, **other, **{name: value})
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize(
+        "name", ["zero_threshold", "truncation_multiplier", "power_tol", "tol_aligned_rel", "tol_residual"]
+    )
+    def test_real_settings_refuse_bools_and_strings(self, name, value):
+        # True ran as 1.0, and a string ended in a bare TypeError
+        other = {"tol_aligned_rel": None} if name == "tol_residual" else {}
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be a finite real number, got {value!r}")):
+            ExperimentConfig(n=4, m=16, **other, **{name: value})
+        for ok in (1, np.float32(0.5), np.int64(2)):
+            assert getattr(ExperimentConfig(n=4, m=16, **other, **{name: ok}), name) == ok
+
+    def test_solver_and_initializer_settings_are_config_fields(self):
+        # solver_config and spectral_config hand every setting on by name,
+        # all but the effective max_iters and the seed
+        own = {f.name for f in fields(ExperimentConfig)}
+        for cls in (SolverConfig, SpectralConfig):
+            assert {f.name for f in fields(cls)} - {"max_iters", "seed"} <= own
+        cfg = ExperimentConfig(n=4, m=16, zero_threshold=1e-9, history_stride=3, power_tol=1e-6)
+        assert cfg.solver_config(5) == SolverConfig(
+            max_iters=800, tol_aligned_rel=1e-8, zero_threshold=1e-9, seed=5, history_stride=3
+        )
+        assert cfg.spectral_config(6) == SpectralConfig(power_tol=1e-6, seed=6)
 
     def test_none_unsets_optional_keys(self):
         cfg = ExperimentConfig(n=4, model="sphere", m=16, max_iters=50, history_stride=2)

@@ -286,7 +286,7 @@ class TestEstimateL:
         # the anchor, the random chunks and the descent's sweeps are all
         # scored by the search's scorer; every candidate is counted once,
         # and regularity_terms runs once, on the lowest.  Every random
-        # candidate is screened, and one whose tile was left unscored has
+        # candidate is screened, and one whose chunk was left unscored has
         # a bound above the reported bracket
         ens = sample_sphere(5, 120, 61)
         z = sample_unit_vector(5, 62)
@@ -471,7 +471,7 @@ class TestEstimateL:
     @pytest.mark.parametrize("e", [-450, -60, 60, 450])
     def test_search_does_not_depend_on_the_ensemble_scale(self, e):
         # the screen scales P by a power of two into float32's range, and
-        # past 2^+-400 it scores every tile: either way the search evaluates
+        # past 2^+-400 it scores every chunk: either way the search evaluates
         # the same directions, and L scales by 4^e
         ens = sample_sphere(3, 60, 1)
         z = sample_unit_vector(3, 2)
@@ -601,15 +601,15 @@ class TestEstimateL:
     @pytest.mark.parametrize(
         "model, n, m, c0, budget, seed",
         [
-            ("sphere", 50, 2000, 1 / 80, 256, 3000),  # the bench shape: no tile scored
-            ("unitary", 4, 40, 0.1, 512, 1),  # some tiles scored, some not
+            ("sphere", 50, 2000, 1 / 80, 256, 3000),  # the bench shape: no chunk scored
+            ("unitary", 4, 40, 0.1, 512, 1),  # one chunk scored, one not
             ("sphere", 2, 80, 0.1, 2048, 900),
             ("sphere", 8, 160, 1e-6, 256, 3),  # W empty
         ],
     )
     def test_report_does_not_depend_on_the_screen(self, monkeypatch, model, n, m, c0, budget, seed):
-        # the random stage scores only the tiles that hold a bound at or
-        # below the lowest score so far: scoring every tile must give the
+        # the random stage scores only the chunks that hold a bound at or
+        # below the lowest score so far: scoring every chunk must give the
         # same report, bit for bit
         if model == "sphere":
             ens = sample_sphere(n, m, derive_seed(seed, 1))
@@ -727,7 +727,7 @@ class TestEstimateL:
         ],
     )
     def test_screen_bounds_every_score_from_below(self, n, m, c0, w_case):
-        # the random stage leaves a tile unscored only where every one of
+        # the random stage leaves a chunk unscored only where every one of
         # its float32 bounds is above a score already found, so each bound
         # must be at or below rows' float64 score: with W's own limits; with
         # every limit within 1e-9 to 1e-6 relative of its row's |t|^2, all
@@ -817,6 +817,23 @@ class TestEstimateL:
             RegularityParams(c0=0.0, alpha=5.0)
         with pytest.raises(ValueError):
             RegularityParams(c0=0.1, alpha=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", 1.0, "alpha must be > 1"),
+            ("c0", 0.0, "c0 must be > 0"),
+            ("c0", True, "c0 must be a finite real number, got True"),  # ran as c0 = 1
+            ("alpha", True, "alpha must be a finite real number, got True"),
+            ("alpha", "20", "alpha must be a finite real number, got '20'"),  # a bare TypeError
+            ("c0", "0.1", "c0 must be a finite real number, got '0.1'"),
+            ("c0", math.inf, "c0 must be a finite real number, got inf"),
+        ],
+    )
+    def test_rejects_a_setting_that_is_not_a_real_in_range(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RegularityParams(**{"c0": 0.1, "alpha": 20.0, field: value})
+        assert RegularityParams(c0=np.float32(0.1), alpha=np.int64(20)).alpha == 20
 
     @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), np.int64(-3), "4"])
     def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
