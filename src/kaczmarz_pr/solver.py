@@ -9,6 +9,7 @@ with stochastic gradient descent on the mean squared magnitude residual.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,9 +76,9 @@ class SolverState:
 
     ``history`` holds (k, raw_error, aligned_error, residual) tuples with
     strictly increasing k; error entries are NaN when no reference signal
-    is available.  After ``solve``, ``rng`` is past the last row it used:
-    rows are drawn a block at a time and the unused rest of the last block
-    is dropped.
+    is available.  After ``solve``, ``rng`` is past the last row of the
+    draw unit that holds the stop (see ``solve_group``), as if rows were
+    drawn a unit at a time and the unit's rows past the stop dropped.
     """
 
     x: np.ndarray
@@ -187,6 +188,33 @@ def _steps_stacked(x, rows, conj, na2, y, tau, X):
 # a block of at least this many problems steps them as one (T, n) stack;
 # below it, the one-row body is faster, each problem on its own
 _STACK_MIN = 4
+# a block of ``solve_group`` takes whole draw units while its (rows, T, n)
+# complex stack holds at most this many bytes, and always takes one
+_STACK_BYTES = 64 * 1024
+
+
+def _units(k, stride, n, max_iters, width) -> list:
+    """The ends, counted in rows from k, of the draw units of the block
+    that starts at iteration k with ``width`` problems.  A unit runs to the
+    next stride boundary, to ``_block_rows(n)`` rows or to max_iters,
+    whichever comes first."""
+    ends, end, room = [], 0, _STACK_BYTES // (16 * n * width)
+    while k + end < max_iters:
+        at = k + end
+        size = min(stride - at % stride, _block_rows(n), max_iters - at)
+        if ends and end + size > room:
+            break
+        end += size
+        ends.append(end)
+    return ends
+
+
+def _rewind(run, state, rows):
+    """Set run's generator from its ``state`` at a block's start to past
+    the block's first ``rows`` rows: one ``integers`` call draws them, and
+    leaves the state that the unit-by-unit calls leave."""
+    run.state.rng.bit_generator.state = state
+    run.state.rng.integers(run.ensemble.m, size=rows)
 
 
 class _Run:
@@ -248,14 +276,24 @@ def solve_group(problems) -> list:
 
     History samples are taken every stride and at the last iteration, so
     the final state is the last history entry.  Each problem draws its
-    rows from its own generator a block at a time, which gives the same
-    indices as one ``rng.integers(m)`` per step, so the iterates are those
-    of ``step``.  A block never crosses a stride boundary and holds at
-    most ``_block_rows(n)`` iterates per problem; every running problem is
-    at the same k at a block's start, so the blocks are the same for all.
-    A block gathers its rows, conjugates and ||a_i||^2 once, and each step
-    of the block follows the step rule of ``_steps``: one (T, n) stacked
-    step for all running problems (``_steps_stacked``), or for fewer than
+    rows from its own generator, which gives the same indices as one
+    ``rng.integers(m)`` per step, so the iterates are those of ``step``.
+    The rows come in draw units: a unit runs to the next stride boundary,
+    to ``_block_rows(n)`` rows or to max_iters, whichever comes first.  A
+    block takes whole units while its (rows, T, n) complex stack holds at
+    most ``_STACK_BYTES``, and always one (``_units``); every running
+    problem is at the same k at a block's start, so the blocks are the
+    same for all.  Groups of one at n = 16 step 256-row blocks of 16
+    units; groups of 10 at n = 50 keep one 50-row unit per block.  Each
+    problem draws a block's rows with one ``integers`` call, and one that
+    stops before the block's last unit has its generator set back to the
+    end of the unit that holds its stop (``_rewind``): the state that one
+    call per unit leaves.  A block gathers its rows, conjugates and
+    ||a_i||^2 once.  Where they hold a zero row, the block is cut back to
+    the units before the first unit that holds one, with every generator
+    set back to match, so that unit is a block of its own.  Each step of
+    the block follows the step rule of ``_steps``: one (T, n) stacked step
+    for all running problems (``_steps_stacked``), or for fewer than
     ``_STACK_MIN`` of them the one-row body per problem (``_steps``).
 
     The steps write each iterate into the block's (block, T, n) buffer,
@@ -264,14 +302,16 @@ def solve_group(problems) -> list:
     ``dist_phase_aligned`` gives for that iterate alone.  In aligned-error
     mode every row is tested and a problem's first row that passes
     ``cfg.converged`` is its stop, the exact k, where it leaves the group;
-    in residual mode a run stops only at a sample, which ends its block,
-    so only the last rows are computed.  A sample takes its aligned error
-    from its block (at k = 0, from x0) and copies its iterate into the
-    problem's pending buffer, whose residuals one ``objective_rows`` call
-    computes when it is full and at the end.  It holds ``_block_rows(n)``
-    rows, or one when f decides the stop, which gives ``objective_f``'s
-    bits; a shared call moves a residual's last bits (see
-    ``objective_rows``).  Measurements of another ensemble raise
+    in residual mode a run stops only at a sample, which ends a unit, so
+    only the units' last rows are computed, and the first sample whose f
+    passes is the stop.  Each problem takes, in order, the samples at the
+    ends of the units that fall on a stride, up to its stop.  A sample
+    takes its aligned error from its block (at k = 0, from x0) and copies
+    its iterate into the problem's pending buffer, whose residuals one
+    ``objective_rows`` call computes when it is full and at the end.  It
+    holds ``_block_rows(n)`` rows, or one when f decides the stop, which
+    gives ``objective_f``'s bits; a shared call moves a residual's last
+    bits (see ``objective_rows``).  Measurements of another ensemble raise
     ``ValueError`` (``MeasurementSet.of``).
     """
     runs = [_Run(*problem) for problem in problems]
@@ -297,22 +337,37 @@ def solve_group(problems) -> list:
         run.sample()
     active, k = [run for run in runs if run.running()], 0
     while active and k < cfg.max_iters:
-        size = min(stride - k % stride, _block_rows(n), cfg.max_iters - k)
+        ends = _units(k, stride, n, cfg.max_iters, len(active))
+        size = ends[-1]
+        # where a block has more than one unit, a problem's generator may go
+        # back to the end of one of them (``_rewind``)
+        saved = [run.state.rng.bit_generator.state for run in active] if len(ends) > 1 else None
         blocks = [run.state.rng.integers(run.ensemble.m, size=size) for run in active]
         rows = np.empty((size, len(active), n), dtype=complex)
         for t, (run, block) in enumerate(zip(active, blocks)):
             rows[:, t] = run.ensemble.vectors[block]
         conj, na2 = _prepared(rows)
-        usable = na2.all(axis=0)
-        if not usable.all():  # a problem whose block holds a zero row fails alone
-            for run, ok in zip(active, usable):
-                if not ok:
-                    run.error = ValueError(_ZERO_ROW)
-            active = [run for run in active if run.error is None]
-            blocks = [block for block, ok in zip(blocks, usable) if ok]
-            rows, conj, na2 = rows[:, usable], conj[:, usable], na2[:, usable]
-            if not active:
-                break
+        if not na2.all():  # the first unit that holds a zero row is a block of its own
+            unit = bisect_right(ends, int(np.argmin(na2.all(axis=1))))
+            ends = ends[: max(unit, 1)]
+            if ends[-1] < size:
+                size = ends[-1]
+                for run, state in zip(active, saved):
+                    _rewind(run, state, size)
+                blocks = [block[:size] for block in blocks]
+                rows, conj, na2 = rows[:size], conj[:size], na2[:size]
+            # a zero row left in the block is in its one unit, so a block
+            # where a problem fails sets no generator back below
+            usable = na2.all(axis=0)
+            if not usable.all():  # a problem whose block holds a zero row fails alone
+                for run, ok in zip(active, usable):
+                    if not ok:
+                        run.error = ValueError(_ZERO_ROW)
+                active = [run for run in active if run.error is None]
+                blocks = [block for block, ok in zip(blocks, usable) if ok]
+                rows, conj, na2 = rows[:, usable], conj[:, usable], na2[:, usable]
+                if not active:
+                    break
         y = np.stack([run.values[block] for run, block in zip(active, blocks)], axis=1)
         X = np.empty_like(rows)
         if len(active) >= _STACK_MIN:
@@ -322,19 +377,34 @@ def solve_group(problems) -> list:
             for t, run in enumerate(active):
                 column = (rows[:, t], conj[:, t], na2[:, t], y[:, t])
                 _steps(run.state.x, *column, cfg.zero_threshold, X[:, t])
-        # in residual mode only the last rows are tested, against each
-        # run's last sampled f, which failed the test, so blocks run to
-        # their end
-        first = 0 if experiment else size - 1
-        tested = errors(X[first:], active)
+        # aligned-error mode tests every row; residual mode stops only at a
+        # sample, which ends a unit, so only the units' last rows are tested
+        if experiment:
+            tested = errors(X, active)
+        else:
+            last = [end - 1 for end in ends]
+            tested = np.full((size, len(active)), math.nan)
+            tested[last] = errors(X[last], active)
+        samples = [end - 1 for end in ends if (k + end) % stride == 0]
         for t, run in enumerate(active):
-            stops = np.flatnonzero(cfg.converged(tested[:, t], run.res, run.nz))
-            j = first + (int(stops[0]) if stops.size else size - first - 1)
-            # a copy: a problem that stops must not keep the block alive
-            run.state.x, run.state.k = X[j, t].copy(), k + j + 1
-            run.aligned = float(tested[j - first, t])
-            if run.state.k % stride == 0:
+            stop = size - 1
+            if experiment:
+                hits = np.flatnonzero(cfg.converged(tested[:, t], run.res, run.nz))
+                stop = int(hits[0]) if hits.size else stop
+            for j in samples:
+                if j > stop:
+                    break
+                run.state.x, run.state.k, run.aligned = X[j, t], k + j + 1, float(tested[j, t])
                 run.sample()
+                if not run.running():
+                    stop = j
+                    break
+            # a copy: a problem that stops must not keep the block alive
+            run.state.x, run.state.k = X[stop, t].copy(), k + stop + 1
+            run.aligned = float(tested[stop, t])
+            end = ends[bisect_right(ends, stop)]
+            if end < size:
+                _rewind(run, saved[t], end)
         active, k = [run for run in active if run.running()], k + size
     for run in runs:
         if run.error is None:

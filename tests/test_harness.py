@@ -343,6 +343,25 @@ class TestGroups:
         assert all(rec.converged for rec in records)
         assert group < peak < group + 8 * 2**20
 
+    def test_a_narrow_group_holds_no_rows_that_grow_with_m(self):
+        # sphere n = 16, m = 20000, 3 trials: groups of one, stepped in
+        # blocks of whole draw units of at most solver._STACK_BYTES per
+        # buffer.  Run first in its process, the traced peak measured
+        # 17.30 MiB with one-unit blocks of 16 rows and 17.49 MiB with
+        # 256-row blocks; most of it is the ensembles of the trial solved
+        # and of the one drawn ahead (4.9 MiB each).  A block of rows that
+        # grew with m, as one that crossed stride boundaries did, would add
+        # MiBs.
+        cfg = ExperimentConfig(n=16, m=20000, num_trials=3, master_seed=3000)
+        tracemalloc.start()
+        try:
+            records = run_experiment(cfg, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rec.converged for rec in records)
+        assert peak < 17.8 * 2**20
+
 
 class TestCsvOutput:
     def test_schema_and_summary_row(self, tmp_path):

@@ -739,6 +739,90 @@ class TestSolveGroup:
         for i in (0, 2, 3, 4):
             self.assert_same_state(out[i], solve(*problems[i]))
 
+    def test_zero_row_in_a_later_unit_fails_alone(self, monkeypatch):
+        # problem 1 first draws its zero row in the fourth 12-row unit of
+        # the group's first block: the block is cut back to the units
+        # before it, and that unit runs as a block of its own, so every
+        # problem ends as it does in one-unit blocks, generators included
+        problems = group_problems("sphere", 12, 150, 3, 70, max_iters=20_000, tol_aligned_rel=1e-13)
+        ends = solver._units(0, 12, 12, 20_000, 3)
+        assert ends[:4] == [12, 24, 36, 48] and len(ends) > 4
+        ens, y, x0, cfg, z = problems[1]
+        draws = np.random.default_rng(cfg.seed).integers(150, size=48).tolist()
+        row = next(i for p, i in enumerate(draws) if p >= 36 and i not in draws[:p])
+        vectors = np.array(ens.vectors)
+        vectors[row] = 0.0
+        broken = SensingEnsemble(vectors=vectors)
+        problems[1] = (broken, MeasurementSet(values=y.values, ensemble=broken), x0, cfg, z)
+        out = solve_group(problems)
+        monkeypatch.setattr(solver, "_STACK_BYTES", 0)
+        units = solve_group(problems)
+        assert isinstance(out[1], ValueError) and str(out[1]) == "sensing vector must be nonzero"
+        assert isinstance(units[1], ValueError)
+        for i in (0, 2):
+            self.assert_same_state(out[i], units[i])
+
+    def test_zero_row_past_the_stop_is_never_drawn(self):
+        # a zero row first drawn in a later unit of the block that holds
+        # the stop: the run ends as it does without it, with its generator
+        # past the unit that holds the stop; only the residuals, f of
+        # another ensemble, differ
+        ((ens, y, x0, cfg, z),) = group_problems("sphere", 12, 2000, 1, 90, max_iters=20_000,
+                                                 tol_aligned_rel=1e-13)
+        clean = solve(ens, y, x0, cfg, z=z)
+        start, ends = 0, solver._units(0, 12, 12, 20_000, 1)
+        while start + ends[-1] < clean.k:
+            start += ends[-1]
+            ends = solver._units(start, 12, 12, 20_000, 1)
+        later = start + next(end for end in ends if start + end >= clean.k)
+        assert later < start + ends[-1]
+        draws = np.random.default_rng(cfg.seed).integers(2000, size=start + ends[-1]).tolist()
+        seen = set(draws[:later])
+        row = next(i for i in draws[later:] if i not in seen)
+        vectors = np.array(ens.vectors)
+        vectors[row] = 0.0
+        broken = SensingEnsemble(vectors=vectors)
+        state = solve(broken, MeasurementSet(values=y.values, ensemble=broken), x0, cfg, z=z)
+        assert state.k == clean.k and np.array_equal(state.x, clean.x)
+        np.testing.assert_array_equal(np.array(state.history)[:, :3], np.array(clean.history)[:, :3])
+        assert state.rng.bit_generator.state == clean.rng.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 6])
+    @pytest.mark.parametrize("schedule", ["stride1", "stride7", "epoch", "long-stride", "max-iters"])
+    @pytest.mark.parametrize("mode", ["aligned", "residual", "blind"])
+    def test_blocks_of_units_change_no_bit(self, monkeypatch, count, schedule, mode):
+        # one unit per block (today's schedule at a stack size of 0), the
+        # default, and one block for the whole run give every problem the
+        # same state, generator included.  "long-stride" has units of 5
+        # rows in a stride of 12, so units end inside a stride; "max-iters"
+        # ends the run inside a block, after 45 steps in units of 7 rows
+        settings = {
+            "aligned": dict(tol_aligned_rel=1e-13), "residual": dict(tol_residual=1e-24),
+            "blind": dict(tol_residual=1e-24),
+        }[mode]
+        settings.update({
+            "stride1": dict(history_stride=1), "stride7": dict(history_stride=7), "epoch": {},
+            "long-stride": {}, "max-iters": dict(history_stride=7, max_iters=45),
+        }[schedule])
+        settings.setdefault("max_iters", 20_000)
+        stride = settings.get("history_stride", 12)
+        if schedule == "long-stride":
+            monkeypatch.setattr(solver, "_block_rows", lambda n: 5)
+        problems = group_problems("sphere", 12, 150, count, 110, **settings)
+        if mode == "blind":
+            problems = [(*problem[:4], None) for problem in problems]
+        default = solver._STACK_BYTES
+        monkeypatch.setattr(solver, "_STACK_BYTES", 0)
+        units = solve_group(problems)
+        whole = 16 * 12 * count * (max(state.k for state in units) + 12)
+        for stack_bytes in (whole, default):
+            monkeypatch.setattr(solver, "_STACK_BYTES", stack_bytes)
+            assert len(solver._units(0, stride, 12, settings["max_iters"], count)) > 1
+            for got, want in zip(solve_group(problems), units):
+                self.assert_same_state(got, want)
+        if schedule != "max-iters":
+            assert all(state.k < settings["max_iters"] for state in units)
+
     def test_problems_must_share_settings(self):
         problems = group_problems("sphere", 6, 60, 2, 80, max_iters=100, tol_aligned_rel=1e-8)
         ens, y, x0, cfg, z = problems[1]
