@@ -7,7 +7,8 @@ The package splits into:
                  measurements that carry their ensemble, and the objective f
 * ``solver``     the randomized projection iteration
 * ``spectral``   truncated spectral initialization
-* ``regularity`` derivatives of f, wedge sets and the regularity estimator
+* ``regularity`` derivatives of f, wedge sets and the regularity constant's terms
+* ``search``     ``estimate_L``, the regularity constant's bracket
 * ``harness``    seeded experiment batches, rate fitting, CSV/JSON output
 * ``blas``       one OpenBLAS thread for the work whose bits depend on it
 * ``verify``     every invariant and lemma check, with the Monte-Carlo
@@ -25,15 +26,8 @@ from .harness import (
     run_experiment,
     run_trial,
 )
-from .regularity import (
-    RegularityParams,
-    RegularityReport,
-    dir_deriv_f,
-    estimate_L,
-    second_dir_deriv_at_signal,
-    second_dir_deriv_fi,
-    wedge,
-)
+from .regularity import dir_deriv_f, second_dir_deriv_at_signal, second_dir_deriv_fi, wedge
+from .search import RegularityParams, RegularityReport, estimate_L
 from .sensing import (
     MODEL_SPHERE,
     MODEL_UNITARY,

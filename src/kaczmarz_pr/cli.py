@@ -26,7 +26,7 @@ from .harness import (
     summary_dict,
     write_text,
 )
-from .regularity import RegularityParams, estimate_L
+from .search import RegularityParams, estimate_L
 from .sensing import sample_unit_vector
 from .seeding import derive_seed
 from .verify import run_verification

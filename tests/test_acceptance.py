@@ -19,9 +19,8 @@ import time
 
 import numpy as np
 
-from kaczmarz_pr import sample_sphere, sample_unit_vector
+from kaczmarz_pr import RegularityParams, estimate_L, sample_sphere, sample_unit_vector
 from kaczmarz_pr.harness import ExperimentConfig, render_csv, run_experiment
-from kaczmarz_pr.regularity import RegularityParams, estimate_L
 from kaczmarz_pr.seeding import derive_seed
 from kaczmarz_pr.verify import (
     check_contraction_identity,

@@ -8,9 +8,9 @@ import importlib
 import sys
 from pathlib import Path
 
-from kaczmarz_pr import run_experiment, sample_sphere, sample_unit_vector
+from kaczmarz_pr import RegularityParams, estimate_L, run_experiment, sample_sphere, sample_unit_vector
 from kaczmarz_pr.harness import render_csv
-from kaczmarz_pr.regularity import RegularityParams, estimate_L, regularity_terms
+from kaczmarz_pr.regularity import regularity_terms
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench" / "bench.py"
 

@@ -40,8 +40,8 @@ from kaczmarz_pr.harness import (  # noqa: E402
     write_text,
 )
 from kaczmarz_pr.regularity import regularity_terms  # noqa: E402
+from kaczmarz_pr.search import _Scorer  # noqa: E402
 from kaczmarz_pr.solver import SolverConfig, project_magnitude  # noqa: E402
-from search_internals import bracket_form  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -146,7 +146,8 @@ def test_bracket_form_bounds_the_bracket(case):
     empty, as at c0 = 1e-6)."""
     ens, z, c0, c = case
     n, alpha = ens.n, 20.0
-    lam, frame, w_rows = bracket_form(ens, z, c0, alpha)
+    scorer = _Scorer.build(ens, z, c0, alpha)
+    lam, frame, w_rows = scorer.lam, scorer.frame, scorer.w_rows
     v_r = frame @ c
     v = v_r[:n] + 1j * v_r[n:]
     assert abs(np.linalg.norm(v) - 1.0) <= 8 * n * EPS

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 from kaczmarz_pr import (
     MeasurementSet,
+    RegularityParams,
+    RegularityReport,
     SensingEnsemble,
     dir_deriv_f,
     estimate_L,
@@ -22,10 +25,11 @@ from kaczmarz_pr import (
     second_dir_deriv_fi,
     wedge,
 )
-from kaczmarz_pr import regularity
+from kaczmarz_pr import search
 from kaczmarz_pr.harness import render_json
-from kaczmarz_pr.regularity import RegularityParams, RegularityReport, regularity_terms
+from kaczmarz_pr.regularity import regularity_terms
 from kaczmarz_pr.seeding import derive_seed
+from kaczmarz_pr.sensing import row_products
 from kaczmarz_pr.verify import (
     check_directional_derivatives,
     check_plane_curvature,
@@ -33,7 +37,6 @@ from kaczmarz_pr.verify import (
     check_wedge_fraction,
 )
 from bracket_grid import grid_minimum
-from search_internals import bracket_form, products, record_scores, screen, search_scorer
 
 
 class TestObjective:
@@ -178,6 +181,48 @@ def assert_lower_bound(rep):
         assert rep.L_estimate <= rep.L_lower + slack
 
 
+def products(ens, scorer, c):
+    """t_c, W's products a_i^* v at v_R = frame c, formed by
+    ``row_products`` rather than from the scorer's P."""
+    v = scorer.frame @ c
+    return row_products(ens, v[: ens.n] + 1j * v[ens.n :])[scorer.w_rows]
+
+
+def record_scores(monkeypatch):
+    """(scored, sweeps, screened): lists that fill as ``estimate_L`` runs,
+    with (C, f) for the anchor's ``rows(C)`` call and for every chunk
+    ``bounds(C)`` screens, f +inf where ``rows`` did not score the chunk,
+    (c, step, f, move) for every ``moves(c, t, step)`` call and (C, lower)
+    for every ``bounds(C)`` call; C and c are copies, and move(j) is that
+    sweep's ``move(c, t, step, j)``."""
+    scored, sweeps, screened = [], [], []
+    rows, bounds, moves = search._Scorer.rows, search._Scorer.bounds, search._Scorer.moves
+
+    def scored_rows(self, C):
+        f = rows(self, C)
+        if scored and np.array_equal(scored[-1][0], C):  # the chunk just screened
+            scored[-1] = (scored[-1][0], f)
+        else:
+            scored.append((C.copy(), f))
+        return f
+
+    def screened_rows(self, C):
+        lower = bounds(self, C)
+        screened.append((C.copy(), lower))
+        scored.append((C.copy(), np.full(len(C), np.inf)))
+        return lower
+
+    def scored_moves(self, c, t, step):
+        f = moves(self, c, t, step)
+        sweeps.append((c.copy(), step, f, partial(self.move, c.copy(), t.copy(), step)))
+        return f
+
+    monkeypatch.setattr(search._Scorer, "rows", scored_rows)
+    monkeypatch.setattr(search._Scorer, "bounds", screened_rows)
+    monkeypatch.setattr(search._Scorer, "moves", scored_moves)
+    return scored, sweeps, screened
+
+
 class TestEstimateL:
     def test_report_consistency(self):
         ens = sample_sphere(2, 100, 25)
@@ -249,7 +294,7 @@ class TestEstimateL:
     def test_direction_stream_is_prefix_stable(self, n):
         # estimate_L draws only the rows its budget asks for, a chunk at a
         # time: the rows of any budget must be the first rows of one draw
-        chunk = regularity._DIR_CHUNK
+        chunk = search._DIR_CHUNK
         whole = np.random.default_rng(n).standard_normal((3 * chunk, 2 * n - 1))
         for budget in (1, chunk, chunk + 44, 3 * chunk):
             rng = np.random.default_rng(n)
@@ -269,7 +314,7 @@ class TestEstimateL:
         n = 5
         ens = sample_sphere(n, 120, 57)
         z = sample_unit_vector(n, 58)
-        _, frame, _ = bracket_form(ens, z, 1 / 80, 20.0)
+        frame = search._Scorer.build(ens, z, 1 / 80, 20.0).frame
         scored, sweeps, _ = record_scores(monkeypatch)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=57))
         (anchor, (f0,)), *_ = scored
@@ -290,7 +335,7 @@ class TestEstimateL:
         # a bound above the reported bracket
         ens = sample_sphere(5, 120, 61)
         z = sample_unit_vector(5, 62)
-        brackets, terms = [], regularity.regularity_terms
+        brackets, terms = [], search.regularity_terms
 
         def recording_terms(*args):
             out = terms(*args)
@@ -298,7 +343,7 @@ class TestEstimateL:
             return out
 
         scored, sweeps, screened = record_scores(monkeypatch)
-        monkeypatch.setattr(regularity, "regularity_terms", recording_terms)
+        monkeypatch.setattr(search, "regularity_terms", recording_terms)
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=300, seed=63))
         reported, = brackets
         scores = [f for _, f in scored] + [f for _, _, f, _ in sweeps]
@@ -327,7 +372,8 @@ class TestEstimateL:
         m, alpha = (1200 if w_case == "spans" else 4 * n + 100), 20.0
         ens = sample_sphere(n, m, 70 + n)
         z = sample_unit_vector(n, 71 + n)
-        lam, frame, w_rows, rows, t0, moves = search_scorer(ens, z, c0, alpha)
+        scorer = search._Scorer.build(ens, z, c0, alpha)
+        w_rows = scorer.w_rows
         if w_case == "few" and n == 50:
             assert 0 < len(w_rows) < 0.05 * m
         elif w_case == "partial" and n > 1:
@@ -335,18 +381,18 @@ class TestEstimateL:
         else:
             assert len(w_rows) == (m if w_case in ("all", "spans") else 0)
         if w_case == "spans":
-            assert len(w_rows) > regularity._SPAN_ROWS
+            assert len(w_rows) > search._SPAN_ROWS
         k = 2 * n - 1
         c = np.random.default_rng(n).standard_normal(k)
         c /= np.linalg.norm(c)
-        for start, t in ((np.eye(k)[0], t0), (c, products(ens, frame, w_rows, c))):
+        for start, t in ((np.eye(k)[0], scorer.t0), (c, products(ens, scorer, c))):
             for step in (0.25, 0.01, 1e-3):
-                f, move, _ = moves(start, t, step)
+                f = scorer.moves(start, t, step)
                 R = start + step * np.kron(np.eye(k), [[1.0], [-1.0]])
                 C = R / np.linalg.norm(R, axis=1, keepdims=True)
-                assert np.array_equal([move(j) for j in range(2 * k)], C)
-                np.testing.assert_allclose(f, rows(C), rtol=1e-12, atol=0)
-                V = C @ frame.T
+                assert np.array_equal([scorer.move(start, t, step, j)[0] for j in range(2 * k)], C)
+                np.testing.assert_allclose(f, scorer.rows(C), rtol=1e-12, atol=0)
+                V = C @ scorer.frame.T
                 brackets = [regularity_terms(ens, z, v, c0, alpha)[3] for v in V[:, :n] + 1j * V[:, n:]]
                 np.testing.assert_allclose(f, brackets, rtol=1e-10, atol=0)
 
@@ -359,17 +405,18 @@ class TestEstimateL:
         m, alpha = 4 * n + 100, 20.0
         ens = sample_sphere(n, m, 80 + n)
         z = sample_unit_vector(n, 81 + n)
-        lam, frame, w_rows, rows, _, moves = search_scorer(ens, z, c0, alpha)
+        scorer = search._Scorer.build(ens, z, c0, alpha)
         c = np.random.default_rng(n).standard_normal(2 * n - 1)
         c /= np.linalg.norm(c)
-        t = products(ens, frame, w_rows, c)
+        t = products(ens, scorer, c)
         for i in range(40):
-            f, move, carry = moves(c, t, 0.25 / 2 ** (i // 8))
-            C = np.array([move(j) for j in range(len(f))])
-            np.testing.assert_allclose(f, rows(C), rtol=1e-12, atol=0)
+            step = 0.25 / 2 ** (i // 8)
+            f = scorer.moves(c, t, step)
+            C = np.array([scorer.move(c, t, step, j)[0] for j in range(len(f))])
+            np.testing.assert_allclose(f, scorer.rows(C), rtol=1e-12, atol=0)
             if i % 3:  # some walk, some repeat
-                c, t = C[(7 * i) % len(C)], carry((7 * i) % len(C))
-                np.testing.assert_allclose(t, products(ens, frame, w_rows, c), rtol=0, atol=1e-12 * max(1.0, np.abs(t).max(initial=0.0)))
+                c, t = scorer.move(c, t, step, (7 * i) % len(C))
+                np.testing.assert_allclose(t, products(ens, scorer, c), rtol=0, atol=1e-12 * max(1.0, np.abs(t).max(initial=0.0)))
 
     @pytest.mark.parametrize(
         "n, m, c0, w_case",
@@ -393,17 +440,18 @@ class TestEstimateL:
         alpha, k = 20.0, 2 * n - 1
         ens = sample_sphere(n, m, derive_seed(n, m, 1))
         z = sample_unit_vector(n, derive_seed(n, m, 2))
-        lam, frame, w_rows, rows, _, moves = search_scorer(ens, z, c0, alpha)
+        scorer = search._Scorer.build(ens, z, c0, alpha)
+        frame, w_rows = scorer.frame, scorer.w_rows
         w = len(w_rows)
         assert {"empty": w == 0, "few": 0 < w < 0.05 * m, "partial": 0 < w < m, "all": w == m}[w_case]
         picked = []
-        pick = regularity._move_candidates
+        pick = search._move_candidates
 
         def recording_pick(*args):
             picked.append(pick(*args))
             return picked[-1]
 
-        monkeypatch.setattr(regularity, "_move_candidates", recording_pick)
+        monkeypatch.setattr(search, "_move_candidates", recording_pick)
         a_w = ens.vectors[w_rows].conj()
         P = a_w @ (frame[:n] + 1j * frame[n:])  # (row, axis): a_i^* f_j
         lim = (np.abs(a_w @ z) / (c0 * alpha)) ** 2
@@ -413,7 +461,7 @@ class TestEstimateL:
             c = rng.standard_normal(k)
             c /= np.linalg.norm(c)
             for step in (0.25, 0.01, 1e-3):
-                moves(c, products(ens, frame, w_rows, c), step)
+                scorer.moves(c, products(ens, scorer, c), step)
                 near, inside = picked.pop()
                 out = np.setdiff1d(np.arange(w), near)
                 skipped = near[inside]
@@ -450,19 +498,18 @@ class TestEstimateL:
         n, m, c0, alpha = 128, 5120, 1 / 80, 20.0
         ens = sample_sphere(n, m, derive_seed(n, m, 1))
         z = sample_unit_vector(n, derive_seed(n, m, 2))
-        lam, frame, w_rows, rows, t0, moves = search_scorer(ens, z, c0, alpha)
-        w, k = len(w_rows), 2 * n - 1
+        scorer = search._Scorer.build(ens, z, c0, alpha)
+        w, k = len(scorer.w_rows), 2 * n - 1
         assert w > 0.99 * m
         c = np.random.default_rng(5).standard_normal(k)
         c /= np.linalg.norm(c)
-        bound = 2 * regularity._EVAL_BYTES + 16 * 8 * w
-        for start, t in ((np.eye(k)[0], t0), (c, products(ens, frame, w_rows, c))):
+        bound = 2 * search._EVAL_BYTES + 16 * 8 * w
+        for start, t in ((np.eye(k)[0], scorer.t0), (c, products(ens, scorer, c))):
             for step in (0.25, 0.01):
                 tracemalloc.start()
                 try:
-                    f, move, carry = moves(start, t, step)
-                    j = int(np.argmin(f))
-                    move(j), carry(j)
+                    f = scorer.moves(start, t, step)
+                    scorer.move(start, t, step, int(np.argmin(f)))
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -480,11 +527,11 @@ class TestEstimateL:
         want, rep = estimate_L(ens, z, params), estimate_L(scaled, z, params)
         assert rep.evaluations == want.evaluations
         assert rep.L_estimate == pytest.approx(want.L_estimate * 4.0**e, rel=1e-12)
-        _, _, rows, bounds = screen(scaled, z, 0.1, 20.0)
+        scorer = search._Scorer.build(scaled, z, 0.1, 20.0)
         C = np.random.default_rng(7).standard_normal((300, 5))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
-        lower = bounds(C)
-        assert np.all(lower <= rows(C))
+        lower = scorer.bounds(C)
+        assert np.all(lower <= scorer.rows(C))
         assert np.all(np.isinf(lower)) == (abs(e) > 400)
 
     def test_screen_holds_one_float32_span(self):
@@ -495,18 +542,18 @@ class TestEstimateL:
         n, m = 128, 5120
         ens = sample_sphere(n, m, derive_seed(n, m, 1))
         z = sample_unit_vector(n, derive_seed(n, m, 2))
-        _, w_rows, _, bounds = screen(ens, z, 1 / 80, 20.0)
+        scorer = search._Scorer.build(ens, z, 1 / 80, 20.0)
         k = 2 * n - 1
-        assert len(w_rows) > 8 * regularity._SPAN_ROWS
-        C = np.random.default_rng(5).standard_normal((regularity._DIR_CHUNK, k))
+        assert len(scorer.w_rows) > 8 * search._SPAN_ROWS
+        C = np.random.default_rng(5).standard_normal((search._DIR_CHUNK, k))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
         tracemalloc.start()
         try:
-            bounds(C)
+            scorer.bounds(C)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * k * regularity._SPAN_ROWS + 2 * regularity._EVAL_BYTES + C.nbytes, peak
+        assert peak <= 8 * k * search._SPAN_ROWS + 2 * search._EVAL_BYTES + C.nbytes, peak
 
     @pytest.mark.parametrize("model", ["sphere", "unitary"])
     @pytest.mark.parametrize("c0", [1e-3, 1 / 80, 0.1])
@@ -572,7 +619,7 @@ class TestEstimateL:
         rep = estimate_L(ens, z, RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=64, seed=seed))
         c, step, f, move = sweeps[0]
         j = int(np.argmin(f))
-        assert np.array_equal(move(j), c) and f[j] < scored[0][1][0]
+        assert np.array_equal(move(j)[0], c) and f[j] < scored[0][1][0]
         assert sweeps[1][1] == step / 2
         for (c, step, _, _), (c_next, step_next, _, _) in zip(sweeps, sweeps[1:]):
             if step_next == step:  # a move was accepted
@@ -587,14 +634,14 @@ class TestEstimateL:
         z = sample_unit_vector(n, 39)
         params = RegularityParams(c0=c0, alpha=20.0, net_or_samples=64, seed=40)
         want = render_json(estimate_L(ens, z, params))
-        pick, skipped = regularity._move_candidates, []
+        pick, skipped = search._move_candidates, []
 
         def skip_nothing(*args):
             near, inside = pick(*args)
             skipped.append(inside.sum())
             return near, np.zeros_like(inside)
 
-        monkeypatch.setattr(regularity, "_move_candidates", skip_nothing)
+        monkeypatch.setattr(search, "_move_candidates", skip_nothing)
         assert render_json(estimate_L(ens, z, params)) == want
         assert sum(skipped) > 0
 
@@ -620,13 +667,7 @@ class TestEstimateL:
         scored, _, _ = record_scores(monkeypatch)
         want = render_json(estimate_L(ens, z, params))
         skipped = sum(int(np.isinf(f).sum()) for _, f in scored)
-        make = regularity._search_scorer
-
-        def unscreened(*args):
-            rows, _, t0, moves = make(*args)
-            return rows, lambda C: np.full(len(C), -np.inf), t0, moves
-
-        monkeypatch.setattr(regularity, "_search_scorer", unscreened)
+        monkeypatch.setattr(search._Scorer, "bounds", lambda self, C: np.full(len(C), -np.inf))
         scored.clear()
         assert render_json(estimate_L(ens, z, params)) == want
         assert sum(int(np.isinf(f).sum()) for _, f in scored) == 0
@@ -639,15 +680,16 @@ class TestEstimateL:
         # give the eigenvalues and minimizer of one block up to rounding
         ens = sample_sphere(4, 100, 53)
         z = sample_unit_vector(4, 54)
-        lam, frame, w_rows = bracket_form(ens, z, c0, 20.0)
-        assert (w_rows.size == 0) == (c0 == 1e-6)
+        want = search._Scorer.build(ens, z, c0, 20.0)
+        lam = want.lam
+        assert (want.w_rows.size == 0) == (c0 == 1e-6)
         for rows in (1, 7):
-            monkeypatch.setattr(regularity, "_FORM_BYTES", 16 * 4 * rows)
-            lam_b, frame_b, w_rows_b = bracket_form(ens, z, c0, 20.0)
-            assert abs(lam_b[0] - lam[0]) <= 1e-12 * max(1.0, abs(lam[0]))
-            assert np.max(np.abs(lam_b - lam)) <= 1e-12 * max(1.0, np.max(np.abs(lam)))
-            assert abs(abs(frame[:, 0] @ frame_b[:, 0]) - 1.0) <= 1e-9
-            assert w_rows_b.tolist() == w_rows.tolist()
+            monkeypatch.setattr(search, "_FORM_BYTES", 16 * 4 * rows)
+            got = search._Scorer.build(ens, z, c0, 20.0)
+            assert abs(got.lam[0] - lam[0]) <= 1e-12 * max(1.0, abs(lam[0]))
+            assert np.max(np.abs(got.lam - lam)) <= 1e-12 * max(1.0, np.max(np.abs(lam)))
+            assert abs(abs(want.frame[:, 0] @ got.frame[:, 0]) - 1.0) <= 1e-9
+            assert got.w_rows.tolist() == want.w_rows.tolist()
 
     @pytest.mark.parametrize("n, m", [(2, 100), (5, 120), (8, 400)])
     def test_lower_bound_is_certified(self, n, m):
@@ -656,10 +698,11 @@ class TestEstimateL:
         c0, alpha = 1 / 80, 20.0
         ens = sample_sphere(n, m, 46)
         z = sample_unit_vector(n, 47)
-        assert bracket_form(ens, z, c0, alpha)[2].size > 0
+        scorer = search._Scorer.build(ens, z, c0, alpha)
+        assert scorer.w_rows.size > 0
         rep = estimate_L(ens, z, RegularityParams(c0=c0, alpha=alpha, net_or_samples=256, seed=48))
         assert_lower_bound(rep)
-        frame = bracket_form(ens, z, c0, alpha)[1]
+        frame = scorer.frame
         C = np.random.default_rng(49).standard_normal((200, 2 * n - 1))
         V = (C / np.linalg.norm(C, axis=1, keepdims=True)) @ frame.T
         for v in V[:, :n] + 1j * V[:, n:]:
@@ -687,8 +730,8 @@ class TestEstimateL:
         z = sample_unit_vector(n, 39)
         params = RegularityParams(c0=1 / 80, alpha=20.0, net_or_samples=600, seed=40)
         reports = []
-        for eval_bytes in (regularity._EVAL_BYTES, 1, 16 * m * 4096):
-            monkeypatch.setattr(regularity, "_EVAL_BYTES", eval_bytes)
+        for eval_bytes in (search._EVAL_BYTES, 1, 16 * m * 4096):
+            monkeypatch.setattr(search, "_EVAL_BYTES", eval_bytes)
             rep = estimate_L(ens, z, params)
             reports.append(render_json(rep))
         assert reports[1] == reports[0] and reports[2] == reports[0]
@@ -701,18 +744,18 @@ class TestEstimateL:
         n, m, c0, alpha = 8, 160, 1 / 80, 20.0
         ens = sample_sphere(n, m, 38)
         z = sample_unit_vector(n, 39)
-        w_rows, rows = search_scorer(ens, z, c0, alpha)[2:4]
-        assert len(w_rows) > 32
+        scorer = search._Scorer.build(ens, z, c0, alpha)
+        assert len(scorer.w_rows) > 32
         C = np.random.default_rng(span).standard_normal((300, 2 * n - 1))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
-        want = rows(C)
-        monkeypatch.setattr(regularity, "_SPAN_ROWS", span)
-        got = search_scorer(ens, z, c0, alpha)[3](C)
+        want = scorer.rows(C)
+        monkeypatch.setattr(search, "_SPAN_ROWS", span)
+        got = search._Scorer.build(ens, z, c0, alpha).rows(C)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         params = RegularityParams(c0=c0, alpha=alpha, net_or_samples=600, seed=40)
         reports = []
-        for eval_bytes in (regularity._EVAL_BYTES, 1, 16 * m * 4096):
-            monkeypatch.setattr(regularity, "_EVAL_BYTES", eval_bytes)
+        for eval_bytes in (search._EVAL_BYTES, 1, 16 * m * 4096):
+            monkeypatch.setattr(search, "_EVAL_BYTES", eval_bytes)
             reports.append(render_json(estimate_L(ens, z, params)))
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
@@ -738,24 +781,25 @@ class TestEstimateL:
         alpha, k = 20.0, 2 * n - 1
         ens = sample_sphere(n, m, derive_seed(n, m, 4))
         z = sample_unit_vector(n, derive_seed(n, m, 5))
-        frame, w_rows, rows, bounds = screen(ens, z, c0, alpha)
+        scorer = search._Scorer.build(ens, z, c0, alpha)
+        frame, w_rows = scorer.frame, scorer.w_rows
         w = len(w_rows)
-        assert {"empty": w == 0, "all": w == m, "spans": w == m > regularity._SPAN_ROWS, "partial": 0 < w < m}[w_case]
+        assert {"empty": w == 0, "all": w == m, "spans": w == m > search._SPAN_ROWS, "partial": 0 < w < m}[w_case]
         rng = np.random.default_rng(derive_seed(n, m, 6))
 
         def unit(C):
             return C / np.linalg.norm(C, axis=-1, keepdims=True)
 
         C = unit(rng.standard_normal((300, k)))
-        assert np.all(bounds(C) <= rows(C))
+        assert np.all(scorer.bounds(C) <= scorer.rows(C))
         if w == 0:
             return
-        t2 = np.abs(products(ens, frame, w_rows, C[0])) ** 2
+        t2 = np.abs(products(ens, scorer, C[0])) ** 2
         near = 10.0 ** rng.uniform(-9, -6, w)
         C = unit(C[0] + 1e-10 * rng.standard_normal((300, k)))
         for side in (-1.0, 1.0):  # every row outside, then inside, the wedge
-            _, _, rows, bounds = screen(ens, z, c0, alpha, lim=t2 * (1.0 + side * near))
-            assert np.all(bounds(C) <= rows(C))
+            limited = search._Scorer(ens, scorer.lam, frame, w_rows, t2 * (1.0 + side * near), scorer.c_wedge)
+            assert np.all(limited.bounds(C) <= limited.rows(C))
         if k < 3:  # no unit c is orthogonal to a row's two parts
             return
         P = ens.vectors[w_rows].conj() @ (frame[:n] + 1j * frame[n:])  # (row, axis): a_i^* f_j
@@ -772,8 +816,8 @@ class TestEstimateL:
         for side in (-1.0, 1.0):
             lim = np.zeros(w)
             lim[picked] = t2 * (1.0 + side * 1e-6)
-            _, _, rows, bounds = screen(ens, z, c0, alpha, lim=lim)
-            assert np.all(bounds(C) <= rows(C))
+            limited = search._Scorer(ens, scorer.lam, frame, w_rows, lim, scorer.c_wedge)
+            assert np.all(limited.bounds(C) <= limited.rows(C))
 
     def test_rejects_alpha_whose_terms_overflow(self):
         # 2 + 4 alpha overflows, so term3 and L would be infinite
