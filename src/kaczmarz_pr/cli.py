@@ -28,7 +28,7 @@ from .harness import (
 )
 from .search import RegularityParams, estimate_L
 from .sensing import sample_unit_vector
-from .seeding import derive_seed
+from .seeding import check_int, derive_seed
 from .verify import run_verification
 
 # config keys that `run` and `estimate-l` take as flags, read like the
@@ -103,10 +103,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if args.trials < 1:
-        raise ConfigError("trials must be >= 1")
+    try:
+        check_int("seed", args.seed, 0)
+        check_int("trials", args.trials, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     results, ok = run_verification(args.trials, args.seed)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
@@ -118,11 +119,10 @@ def _cmd_estimate_l(args) -> int:
     cfg = apply_settings(None, _settings(args, _ESTIMATE_FLAG_KEYS))
     if cfg.output_path:
         _check_output_path(cfg.output_path)
-    if args.budget < 1:  # RegularityParams would name it net_or_samples
-        raise ConfigError("--budget must be >= 1")
     # c0 defaults to 1/(4 alpha); RegularityParams rejects an alpha <= 1 first
     c0 = args.c0 if args.c0 is not None else 1.0 / (4.0 * max(args.alpha, 1.0))
     try:
+        check_int("--budget", args.budget, 1)  # RegularityParams would name it net_or_samples
         params = RegularityParams(
             c0=c0, alpha=args.alpha, net_or_samples=args.budget, seed=cfg.master_seed
         )

@@ -53,6 +53,10 @@ __all__ = [
 
 THREADS_ENV = "PR_KACZMARZ_THREADS"
 
+# bytes of ensembles that one group of trials holds at once: the groups
+# that ``run_experiment`` solves in lockstep
+_GROUP_BYTES = 16 * 1024 * 1024
+
 _RATE_FLOOR = 1e-14
 
 
@@ -218,9 +222,6 @@ def _run_group(cfg: ExperimentConfig, trial_ids, fills=None) -> list[TrialRecord
         problems.append((ensemble, y, x0, sol_cfg, z))
         started.append(rec)
     for rec, (_, _, _, sol_cfg, z), state in zip(started, problems, solve_group(problems)):
-        if isinstance(state, ValueError):
-            _fail(rec, state)
-            continue
         for k, raw, aligned, res in state.history:
             rec.epochs.append(k / cfg.n)
             rec.raw_errors.append(raw)
@@ -243,9 +244,9 @@ def _fail(rec: TrialRecord, exc: Exception) -> None:
 
 def _trial_groups(cfg: ExperimentConfig) -> list[range]:
     """The batch's trial ids in consecutive groups of balanced sizes, as
-    many trials in each as have ensembles of ``sensing._GROUP_BYTES`` in
-    all, and at least one."""
-    per_group = max(1, sensing._GROUP_BYTES // (16 * cfg.effective_m * cfg.n))
+    many trials in each as have ensembles of ``_GROUP_BYTES`` in all, and
+    at least one."""
+    per_group = max(1, _GROUP_BYTES // (16 * cfg.effective_m * cfg.n))
     count = -(-cfg.num_trials // per_group)
     cuts = [cfg.num_trials * g // count for g in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]

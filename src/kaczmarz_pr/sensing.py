@@ -42,9 +42,6 @@ MODEL_UNITARY = "unitary"
 # bytes of rows, iterates or (rows, iterates) products that one block of
 # work holds: ``objective_rows``' chunks, and the blocks of ``_block_rows``
 _BLOCK_BYTES = 256 * 1024
-# bytes of ensembles that one group of trials holds at once: the groups
-# that ``harness.run_experiment`` solves in lockstep
-_GROUP_BYTES = 16 * 1024 * 1024
 
 
 def _block_rows(n: int) -> int:
@@ -137,12 +134,50 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# np.einsum without optimize, minus the 1.3 us its dispatch layer adds to
+# each call; the same function, so the same bits
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
+
+
+def _prepared(rows):
+    """(conjugates, ||a||^2) of the (..., n) rows, as the step rule takes
+    them: each ||a||^2 an einsum row reduction, with the bits it has
+    alone."""
+    conj = np.conj(rows)
+    return conj, _einsum("...j,...j->...", conj, rows).real
+
+
 @dataclass(frozen=True, eq=False)
 class SensingEnsemble:
-    """m unit-norm sensing vectors in C^n: an ensemble is the rows of
-    ``vectors``, and m and n are read from their shape."""
+    """m sensing vectors in C^n: an ensemble is the rows of ``vectors``,
+    and m and n are read from their shape.  It keeps a read-only complex
+    copy of the rows, and raises ``ValueError``, naming the first bad row,
+    unless they form a nonempty (m, n) array whose every ||a_i||^2
+    (``_prepared``) is finite and > 0.  The samplers' unit-norm rows skip
+    the check (``_of``)."""
 
     vectors: np.ndarray  # (m, n) complex128, read-only
+
+    def __post_init__(self):
+        rows = np.array(self.vectors, dtype=complex)
+        if rows.ndim != 2 or not rows.size:
+            raise ValueError(f"sensing vectors must be a nonempty (m, n) array, got shape {rows.shape}")
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            norms2 = _prepared(rows)[1]
+        bad = np.flatnonzero(~((norms2 > 0.0) & np.isfinite(norms2)))
+        if bad.size:
+            raise ValueError(f"sensing vector {bad[0]} has squared norm {norms2[bad[0]]}; it must be finite and > 0")
+        object.__setattr__(self, "vectors", _freeze(rows))
+
+    @classmethod
+    def _of(cls, rows: np.ndarray) -> SensingEnsemble:
+        """The ensemble of a sampler's read-only rows, unchecked and uncopied."""
+        ensemble = object.__new__(cls)
+        object.__setattr__(ensemble, "vectors", rows)
+        return ensemble
 
     @property
     def m(self) -> int:
@@ -156,14 +191,23 @@ class SensingEnsemble:
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Nonnegative magnitudes y_i = |a_i^* z| of the rows of ``ensemble``;
-    every function of (ensemble, y) reads them through ``of``."""
+    every function of (ensemble, y) reads them through ``of``.  It keeps a
+    read-only float copy, and raises ``ValueError``, naming the first bad
+    value, unless each is finite and >= 0."""
 
-    values: np.ndarray  # (m,) float64
+    values: np.ndarray  # (m,) float64, read-only
     ensemble: SensingEnsemble
 
     def __post_init__(self):
-        if np.shape(self.values) != (self.ensemble.m,):
+        if np.iscomplexobj(self.values):  # a cast to float would drop the imaginary parts
+            raise ValueError("measurements must be real")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.ensemble.m,):
             raise ValueError("measurement count does not match ensemble")
+        bad = np.flatnonzero(~((values >= 0.0) & np.isfinite(values)))
+        if bad.size:
+            raise ValueError(f"measurement {bad[0]} is {values[bad[0]]}; it must be finite and >= 0")
+        object.__setattr__(self, "values", _freeze(values))
 
     def of(self, ensemble: SensingEnsemble) -> np.ndarray:
         """``values``, once ``ensemble`` is the very ensemble they measure."""
@@ -189,7 +233,7 @@ def _sample(model: str, n: int, m: int, seed: int, g: np.ndarray | None = None) 
             block[...] = (q * (d / np.abs(d))[np.newaxis, :]).T  # row j of U.T is column j of U
     else:
         _normalize_rows(g)
-    return SensingEnsemble(vectors=_freeze(g))
+    return SensingEnsemble._of(_freeze(g))
 
 
 def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
@@ -234,7 +278,7 @@ def measure(ensemble: SensingEnsemble, z) -> MeasurementSet:
     """Magnitudes y_i = |a_i^* z| for every row of the ensemble, of a finite
     (n,) vector z."""
     y = row_magnitudes(ensemble, check_vector("z", z, ensemble.n))
-    return MeasurementSet(values=_freeze(y), ensemble=ensemble)
+    return MeasurementSet(values=y, ensemble=ensemble)
 
 
 def objective_f(ensemble: SensingEnsemble, y: MeasurementSet, x) -> float:

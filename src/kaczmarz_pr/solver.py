@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import aligned2_rows, check_vector
-from .sensing import _block_rows, objective_rows
+from .sensing import _block_rows, _einsum, _prepared, objective_rows
 from .seeding import check_int, check_real, check_seed
 
 __all__ = [
@@ -111,8 +111,8 @@ def project_magnitude(x, a, y: float, tau: float = SolverConfig.zero_threshold) 
         raise ValueError(f"dimension mismatch: {x.shape} vs {a.shape}")
     rows = a[None]
     conj, na2 = _prepared(rows)
-    if not na2.all():
-        raise ValueError(_ZERO_ROW)
+    if not na2.all():  # a zero row has no projection
+        raise ValueError("sensing vector must be nonzero")
     out = np.empty_like(rows)
     _steps(x, rows, conj, na2, np.array([y], dtype=float), tau, out)
     return out[0]
@@ -126,25 +126,6 @@ def step(state: SolverState, ensemble, y, cfg: SolverConfig) -> SolverState:
     state.x = project_magnitude(state.x, ensemble.vectors[i], float(values[i]), cfg.zero_threshold)
     state.k += 1
     return state
-
-
-# np.einsum without optimize, minus the 1.3 us its dispatch layer adds to
-# each call; the same function, so the same bits
-try:
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy < 2
-    _einsum = np.einsum
-
-
-_ZERO_ROW = "sensing vector must be nonzero"  # a zero row has no projection
-
-
-def _prepared(rows):
-    """(conjugates, ||a||^2) of the (..., n) rows, as the step rule takes
-    them: each ||a||^2 an einsum row reduction, with the bits it has
-    alone."""
-    conj = np.conj(rows)
-    return conj, _einsum("...j,...j->...", conj, rows).real
 
 
 def _steps(x, rows, conj, na2, y, tau, X):
@@ -235,7 +216,6 @@ class _Run:
         self.pending = np.empty((held, ensemble.n), dtype=complex)
         self.marks = []  # (k, raw, aligned) of pending's rows
         self.aligned = self.res = math.nan  # of the current iterate; res NaN while pending
-        self.error = None
 
     def flush(self):
         res = objective_rows(self.ensemble, self.y, self.pending[: len(self.marks)])
@@ -254,16 +234,14 @@ class _Run:
 
     def running(self) -> bool:
         """Whether the run goes on past its current iterate."""
-        return self.error is None and not self.cfg.converged(self.aligned, self.res, self.nz)
+        return not self.cfg.converged(self.aligned, self.res, self.nz)
 
 
 def solve(ensemble, y, x0, cfg: SolverConfig, z=None) -> SolverState:
     """Iterate ``step`` until ``cfg.converged`` holds or max_iters is
-    reached: ``solve_group`` (see there) on this one problem, raising the
-    error it records.  x0, and z where given, must be finite (n,) vectors."""
+    reached: ``solve_group`` (see there) on this one problem.  x0, and z
+    where given, must be finite (n,) vectors."""
     (state,) = solve_group([(ensemble, y, x0, cfg, z)])
-    if isinstance(state, ValueError):
-        raise state
     return state
 
 
@@ -271,8 +249,7 @@ def solve_group(problems) -> list:
     """``solve`` on each (ensemble, y, x0, cfg, z) of ``problems`` in
     lockstep.  The problems share n, every ``SolverConfig`` setting but
     the seed, and whether z is given; each gets the state ``solve`` gives
-    it alone, bit for bit, or the ``ValueError`` it raises alone once a
-    block of its rows holds a zero row, and the others run on.
+    it alone, bit for bit.
 
     History samples are taken every stride and at the last iteration, so
     the final state is the last history entry.  Each problem draws its
@@ -283,17 +260,14 @@ def solve_group(problems) -> list:
     block takes whole units while its (rows, T, n) complex stack holds at
     most ``_STACK_BYTES``, and always one (``_units``); every running
     problem is at the same k at a block's start, so the blocks are the
-    same for all.  Groups of one at n = 16 step 256-row blocks of 16
-    units; groups of 10 at n = 50 keep one 50-row unit per block.  Each
-    problem draws a block's rows with one ``integers`` call, and one that
-    stops before the block's last unit has its generator set back to the
-    end of the unit that holds its stop (``_rewind``): the state that one
-    call per unit leaves.  A block gathers its rows, conjugates and
-    ||a_i||^2 once.  Where they hold a zero row, the block is cut back to
-    the units before the first unit that holds one, with every generator
-    set back to match, so that unit is a block of its own.  Each step of
-    the block follows the step rule of ``_steps``: one (T, n) stacked step
-    for all running problems (``_steps_stacked``), or for fewer than
+    same for all.  Each problem draws a block's rows with one ``integers``
+    call, and one that stops before the block's last unit has its
+    generator set back to the end of the unit that holds its stop
+    (``_rewind``): the state that one call per unit leaves.  A block
+    gathers its rows, conjugates and ||a_i||^2 once; ``SensingEnsemble``
+    has refused a row where that is 0 or not finite.  Each step of the
+    block follows the step rule of ``_steps``: one (T, n) stacked step for
+    all running problems (``_steps_stacked``), or for fewer than
     ``_STACK_MIN`` of them the one-row body per problem (``_steps``).
 
     The steps write each iterate into the block's (block, T, n) buffer,
@@ -347,27 +321,6 @@ def solve_group(problems) -> list:
         for t, (run, block) in enumerate(zip(active, blocks)):
             rows[:, t] = run.ensemble.vectors[block]
         conj, na2 = _prepared(rows)
-        if not na2.all():  # the first unit that holds a zero row is a block of its own
-            unit = bisect_right(ends, int(np.argmin(na2.all(axis=1))))
-            ends = ends[: max(unit, 1)]
-            if ends[-1] < size:
-                size = ends[-1]
-                for run, state in zip(active, saved):
-                    _rewind(run, state, size)
-                blocks = [block[:size] for block in blocks]
-                rows, conj, na2 = rows[:size], conj[:size], na2[:size]
-            # a zero row left in the block is in its one unit, so a block
-            # where a problem fails sets no generator back below
-            usable = na2.all(axis=0)
-            if not usable.all():  # a problem whose block holds a zero row fails alone
-                for run, ok in zip(active, usable):
-                    if not ok:
-                        run.error = ValueError(_ZERO_ROW)
-                active = [run for run in active if run.error is None]
-                blocks = [block for block, ok in zip(blocks, usable) if ok]
-                rows, conj, na2 = rows[:, usable], conj[:, usable], na2[:, usable]
-                if not active:
-                    break
         y = np.stack([run.values[block] for run, block in zip(active, blocks)], axis=1)
         X = np.empty_like(rows)
         if len(active) >= _STACK_MIN:
@@ -407,9 +360,8 @@ def solve_group(problems) -> list:
                 _rewind(run, saved[t], end)
         active, k = [run for run in active if run.running()], k + size
     for run in runs:
-        if run.error is None:
-            if run.state.k % stride:
-                run.sample()
-            if run.marks:
-                run.flush()
-    return [run.state if run.error is None else run.error for run in runs]
+        if run.state.k % stride:
+            run.sample()
+        if run.marks:
+            run.flush()
+    return [run.state for run in runs]

@@ -259,7 +259,7 @@ class TestGroups:
     those of run_trial on each trial, at any group size and pool size."""
 
     def group_sizes(self, monkeypatch, cfg, trials_per_group):
-        monkeypatch.setattr(sensing, "_GROUP_BYTES", trials_per_group * 16 * cfg.effective_m * cfg.n)
+        monkeypatch.setattr(harness, "_GROUP_BYTES", trials_per_group * 16 * cfg.effective_m * cfg.n)
         return [len(group) for group in harness._trial_groups(cfg)]
 
     @pytest.mark.parametrize("name", GROUPED)
@@ -293,8 +293,8 @@ class TestGroups:
 
     def test_zero_row_trial_fails_alone(self, monkeypatch):
         # trial 1's ensemble gets a zero row where its 30th step draws:
-        # in every group it fails with solve's message, and the other
-        # trials' bytes are those of their runs without it
+        # in every group building it fails the trial, naming the row, and
+        # the other trials' bytes are those of their runs without it
         cfg = GROUPED["sphere_aligned"]
         clean = [run_trial(cfg, t) for t in range(cfg.num_trials)]
         ens_seed = derive_seed(cfg.master_seed, 1, ENSEMBLE_STREAM)
@@ -312,7 +312,8 @@ class TestGroups:
 
         monkeypatch.setattr(ExperimentConfig, "sample_ensemble", with_zero_row)
         alone = [run_trial(cfg, t) for t in range(cfg.num_trials)]
-        assert alone[1].failed and alone[1].error == "ValueError: sensing vector must be nonzero"
+        assert alone[1].failed
+        assert alone[1].error == f"ValueError: sensing vector {row} has squared norm 0.0; it must be finite and > 0"
         assert texts(cfg, alone[::2]) == texts(cfg, clean[::2])
         for per_group in (1, 2, 3):
             self.group_sizes(monkeypatch, cfg, per_group)

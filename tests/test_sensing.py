@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 from contextlib import closing
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from kaczmarz_pr import (
+    MeasurementSet,
+    SensingEnsemble,
     measure,
     sample_block_unitary,
     sample_sphere,
@@ -173,10 +176,63 @@ class TestBlockUnitarySampler:
             sample_block_unitary(n, K, 1)
 
 
+class TestOutsideArrays:
+    """An ensemble or a measurement set built from the caller's arrays is
+    checked once, when it is built, and keeps a read-only copy."""
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("nan", "sensing vector 3 has squared norm nan"),
+            ("inf", "sensing vector 3 has squared norm inf"),
+            ("zero", "sensing vector 3 has squared norm 0.0"),
+            ("1e200", "sensing vector 3 has squared norm inf"),
+            ("1e-200", "sensing vector 3 has squared norm 0.0"),
+            ("1-D", r"nonempty \(m, n\) array, got shape \(4,\)"),
+            ("empty", r"nonempty \(m, n\) array, got shape \(0, 4\)"),
+        ],
+    )
+    def test_ensemble_refuses_a_bad_row(self, case, message):
+        # the first bad row is named: row 7 is zero in every row case
+        vectors = np.array(sample_sphere(4, 40, 1).vectors)
+        if case == "1-D":
+            vectors = vectors[0]
+        elif case == "empty":
+            vectors = vectors[:0]
+        else:
+            vectors[7] = 0.0
+            if case in ("nan", "inf"):
+                vectors[3, 1] = float(case)
+            else:
+                vectors[3] *= {"zero": 0.0, "1e200": 1e200, "1e-200": 1e-200}[case]
+        with pytest.raises(ValueError, match=message):
+            SensingEnsemble(vectors=vectors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-300])
+    def test_measurements_must_be_finite_and_nonnegative(self, bad):
+        ens = sample_sphere(4, 40, 1)
+        values = measure(ens, sample_unit_vector(4, 2)).values.copy()
+        values[[5, 9]] = bad
+        with pytest.raises(ValueError, match=re.escape(f"measurement 5 is {bad}")):
+            MeasurementSet(values=values, ensemble=ens)
+        with pytest.raises(ValueError, match="measurements must be real"):
+            MeasurementSet(values=values + 0j, ensemble=ens)
+
+    def test_the_callers_arrays_are_copied(self):
+        vectors = np.array(sample_sphere(4, 40, 1).vectors)
+        ens = SensingEnsemble(vectors=vectors)
+        values = measure(ens, sample_unit_vector(4, 2)).values.copy()
+        y = MeasurementSet(values=values, ensemble=ens)
+        rows, magnitudes = ens.vectors.copy(), y.values.copy()
+        vectors[3] = 0.0
+        values[5] = -1.0
+        assert np.array_equal(ens.vectors, rows) and np.array_equal(y.values, magnitudes)
+        assert not ens.vectors.flags.writeable and not y.values.flags.writeable
+        assert SensingEnsemble(vectors=[[1, 0], [0, 1]]).vectors.dtype == complex
+
+
 class TestMeasure:
     def test_basis_case(self):
-        from kaczmarz_pr import SensingEnsemble
-
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         ens = SensingEnsemble(vectors=vecs)
         y = measure(ens, np.array([1.0, 0.0], dtype=complex))
