@@ -9,12 +9,11 @@ with stochastic gradient descent on the mean squared magnitude residual.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import aligned2_rows, check_vector
+from .core import _check_same_dim, aligned2_rows, check_vector
 from .sensing import _block_rows, _einsum, _prepared, objective_rows
 from .seeding import check_int, check_real, check_seed
 
@@ -76,9 +75,8 @@ class SolverState:
 
     ``history`` holds (k, raw_error, aligned_error, residual) tuples with
     strictly increasing k; error entries are NaN when no reference signal
-    is available.  After ``solve``, ``rng`` is past the last row of the
-    draw unit that holds the stop (see ``solve_group``), as if rows were
-    drawn a unit at a time and the unit's rows past the stop dropped.
+    is available.  After ``solve``, ``rng`` is where k ``step`` calls
+    leave it.
     """
 
     x: np.ndarray
@@ -107,8 +105,7 @@ def project_magnitude(x, a, y: float, tau: float = SolverConfig.zero_threshold) 
     """
     x = np.asarray(x, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    if x.ndim != 1 or x.shape != a.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {a.shape}")
+    _check_same_dim(x, a)
     rows = a[None]
     conj, na2 = _prepared(rows)
     if not na2.all():  # a zero row has no projection
@@ -169,33 +166,19 @@ def _steps_stacked(x, rows, conj, na2, y, tau, X):
 # a block of at least this many problems steps them as one (T, n) stack;
 # below it, the one-row body is faster, each problem on its own
 _STACK_MIN = 4
-# a block of ``solve_group`` takes whole draw units while its (rows, T, n)
-# complex stack holds at most this many bytes, and always takes one
+# a block of ``solve_group`` takes as many rows as its (rows, T, n)
+# complex stack holds in this many bytes, and at least enough to reach the
+# next history sample (``_block_size``)
 _STACK_BYTES = 64 * 1024
 
 
-def _units(k, stride, n, max_iters, width) -> list:
-    """The ends, counted in rows from k, of the draw units of the block
-    that starts at iteration k with ``width`` problems.  A unit runs to the
-    next stride boundary, to ``_block_rows(n)`` rows or to max_iters,
-    whichever comes first."""
-    ends, end, room = [], 0, _STACK_BYTES // (16 * n * width)
-    while k + end < max_iters:
-        at = k + end
-        size = min(stride - at % stride, _block_rows(n), max_iters - at)
-        if ends and end + size > room:
-            break
-        end += size
-        ends.append(end)
-    return ends
-
-
-def _rewind(run, state, rows):
-    """Set run's generator from its ``state`` at a block's start to past
-    the block's first ``rows`` rows: one ``integers`` call draws them, and
-    leaves the state that the unit-by-unit calls leave."""
-    run.state.rng.bit_generator.state = state
-    run.state.rng.integers(run.ensemble.m, size=rows)
+def _block_size(k, stride, n, max_iters, width) -> int:
+    """The rows of the block that starts at iteration k with ``width``
+    problems: as many as a ``_STACK_BYTES`` stack holds, and at least those
+    up to the next stride boundary or ``_block_rows(n)`` rows, whichever
+    is fewer; never past max_iters."""
+    room = _STACK_BYTES // (16 * n * width)
+    return min(max(room, min(stride - k % stride, _block_rows(n))), max_iters - k)
 
 
 class _Run:
@@ -211,6 +194,7 @@ class _Run:
         self.z = None if z is None else check_vector("z", z, ensemble.n)
         self.nz = float(np.linalg.norm(z)) if z is not None else math.nan
         self.state = SolverState(x=np.array(x0, dtype=complex), rng=np.random.default_rng(int(cfg.seed)))
+        self.draws = np.random.default_rng(int(cfg.seed))  # the blocks' rows, past the stop too
         # when f decides the stop, each sample's f is needed at once
         held = _block_rows(ensemble.n) if cfg.tol_aligned_rel is not None else 1
         self.pending = np.empty((held, ensemble.n), dtype=complex)
@@ -253,22 +237,19 @@ def solve_group(problems) -> list:
 
     History samples are taken every stride and at the last iteration, so
     the final state is the last history entry.  Each problem draws its
-    rows from its own generator, which gives the same indices as one
-    ``rng.integers(m)`` per step, so the iterates are those of ``step``.
-    The rows come in draw units: a unit runs to the next stride boundary,
-    to ``_block_rows(n)`` rows or to max_iters, whichever comes first.  A
-    block takes whole units while its (rows, T, n) complex stack holds at
-    most ``_STACK_BYTES``, and always one (``_units``); every running
-    problem is at the same k at a block's start, so the blocks are the
-    same for all.  Each problem draws a block's rows with one ``integers``
-    call, and one that stops before the block's last unit has its
-    generator set back to the end of the unit that holds its stop
-    (``_rewind``): the state that one call per unit leaves.  A block
-    gathers its rows, conjugates and ||a_i||^2 once; ``SensingEnsemble``
-    has refused a row where that is 0 or not finite.  Each step of the
-    block follows the step rule of ``_steps``: one (T, n) stacked step for
-    all running problems (``_steps_stacked``), or for fewer than
-    ``_STACK_MIN`` of them the one-row body per problem (``_steps``).
+    rows from a generator of its own seed, which gives the same indices as
+    one ``rng.integers(m)`` per step, so the iterates are those of
+    ``step``.  ``_block_size`` sizes each block; every running problem is
+    at the same k at a block's start, so the blocks are the same for all.
+    A problem draws a block's rows with one ``integers`` call, also those
+    past its stop; when the group ends, its ``SolverState.rng``, untouched
+    until then, draws its k rows, so it is where k ``step`` calls leave
+    it.  A block gathers its rows, conjugates and ||a_i||^2 once;
+    ``SensingEnsemble`` has refused a row where that is 0 or not finite.
+    Each step of the block follows the step rule of ``_steps``: one (T, n)
+    stacked step for all running problems (``_steps_stacked``), or for
+    fewer than ``_STACK_MIN`` of them the one-row body per problem
+    (``_steps``).
 
     The steps write each iterate into the block's (block, T, n) buffer,
     and one ``aligned2_rows`` call gives the aligned errors of its rows,
@@ -276,12 +257,12 @@ def solve_group(problems) -> list:
     ``dist_phase_aligned`` gives for that iterate alone.  In aligned-error
     mode every row is tested and a problem's first row that passes
     ``cfg.converged`` is its stop, the exact k, where it leaves the group;
-    in residual mode a run stops only at a sample, which ends a unit, so
-    only the units' last rows are computed, and the first sample whose f
-    passes is the stop.  Each problem takes, in order, the samples at the
-    ends of the units that fall on a stride, up to its stop.  A sample
-    takes its aligned error from its block (at k = 0, from x0) and copies
-    its iterate into the problem's pending buffer, whose residuals one
+    in residual mode a run stops only at a sample, so only the samples and
+    the block's last row are computed, and the first sample whose f passes
+    is the stop.  Each problem takes, in order, the block's samples, the
+    rows that fall on a stride, up to its stop.  A sample takes its
+    aligned error from its block (at k = 0, from x0) and copies its
+    iterate into the problem's pending buffer, whose residuals one
     ``objective_rows`` call computes when it is full and at the end.  It
     holds ``_block_rows(n)`` rows, or one when f decides the stop, which
     gives ``objective_f``'s bits; a shared call moves a residual's last
@@ -311,12 +292,8 @@ def solve_group(problems) -> list:
         run.sample()
     active, k = [run for run in runs if run.running()], 0
     while active and k < cfg.max_iters:
-        ends = _units(k, stride, n, cfg.max_iters, len(active))
-        size = ends[-1]
-        # where a block has more than one unit, a problem's generator may go
-        # back to the end of one of them (``_rewind``)
-        saved = [run.state.rng.bit_generator.state for run in active] if len(ends) > 1 else None
-        blocks = [run.state.rng.integers(run.ensemble.m, size=size) for run in active]
+        size = _block_size(k, stride, n, cfg.max_iters, len(active))
+        blocks = [run.draws.integers(run.ensemble.m, size=size) for run in active]
         rows = np.empty((size, len(active), n), dtype=complex)
         for t, (run, block) in enumerate(zip(active, blocks)):
             rows[:, t] = run.ensemble.vectors[block]
@@ -330,15 +307,15 @@ def solve_group(problems) -> list:
             for t, run in enumerate(active):
                 column = (rows[:, t], conj[:, t], na2[:, t], y[:, t])
                 _steps(run.state.x, *column, cfg.zero_threshold, X[:, t])
+        samples = range(stride - 1 - k % stride, size, stride)
         # aligned-error mode tests every row; residual mode stops only at a
-        # sample, which ends a unit, so only the units' last rows are tested
+        # sample, so only the samples and the block's last row are tested
         if experiment:
             tested = errors(X, active)
         else:
-            last = [end - 1 for end in ends]
+            last = sorted({*samples, size - 1})
             tested = np.full((size, len(active)), math.nan)
             tested[last] = errors(X[last], active)
-        samples = [end - 1 for end in ends if (k + end) % stride == 0]
         for t, run in enumerate(active):
             stop = size - 1
             if experiment:
@@ -355,13 +332,13 @@ def solve_group(problems) -> list:
             # a copy: a problem that stops must not keep the block alive
             run.state.x, run.state.k = X[stop, t].copy(), k + stop + 1
             run.aligned = float(tested[stop, t])
-            end = ends[bisect_right(ends, stop)]
-            if end < size:
-                _rewind(run, saved[t], end)
         active, k = [run for run in active if run.running()], k + size
     for run in runs:
         if run.state.k % stride:
             run.sample()
         if run.marks:
             run.flush()
+        # the k draws of a ``step`` loop, a bounded block at a time
+        for start in range(0, run.state.k, _block_rows(1)):
+            run.state.rng.integers(run.ensemble.m, size=min(_block_rows(1), run.state.k - start))
     return [run.state for run in runs]

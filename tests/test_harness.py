@@ -346,8 +346,7 @@ class TestGroups:
 
     def test_a_narrow_group_holds_no_rows_that_grow_with_m(self):
         # sphere n = 16, m = 20000, 3 trials: groups of one, stepped in
-        # blocks of whole draw units of at most solver._STACK_BYTES per
-        # buffer.  Run first in its process, the traced peak measured
+        # blocks of at most solver._STACK_BYTES per buffer.  Run first in its process, the traced peak measured
         # 17.30 MiB with one-unit blocks of 16 rows and 17.49 MiB with
         # 256-row blocks; most of it is the ensembles of the trial solved
         # and of the one drawn ahead (4.9 MiB each).  A block of rows that

@@ -418,6 +418,7 @@ class TestScreenedStoppingTest:
         assert state.k == replay.k
         assert np.array_equal(state.x, replay.x)
         np.testing.assert_array_equal(np.array(state.history), np.array(replay.history))
+        assert state.rng.bit_generator.state == replay.rng.bit_generator.state
 
     @pytest.mark.parametrize("model", ["sphere", "unitary"])
     @pytest.mark.parametrize("stride", [1, 7, None])
@@ -587,7 +588,7 @@ class TestScreenedStoppingTest:
         # rng.integers(m) one at a time: the two must give one sequence
         for m in (1, 7, 150, 2000, 50_000):
             blocks, scalars = np.random.default_rng(m), np.random.default_rng(m)
-            sizes = (1, 50, 7, 300, 16)
+            sizes = (1, 50, 7, 300, 16, solver._block_rows(1))
             drawn = [i for size in sizes for i in blocks.integers(m, size=size).tolist()]
             assert drawn == [int(scalars.integers(m)) for _ in drawn]
             assert blocks.bit_generator.state == scalars.bit_generator.state
@@ -717,12 +718,13 @@ class TestSolveGroup:
     @pytest.mark.parametrize("count", [1, 6])
     @pytest.mark.parametrize("schedule", ["stride1", "stride7", "epoch", "long-stride", "max-iters"])
     @pytest.mark.parametrize("mode", ["aligned", "residual", "blind"])
-    def test_blocks_of_units_change_no_bit(self, monkeypatch, count, schedule, mode):
-        # one unit per block (today's schedule at a stack size of 0), the
-        # default, and one block for the whole run give every problem the
-        # same state, generator included.  "long-stride" has units of 5
-        # rows in a stride of 12, so units end inside a stride; "max-iters"
-        # ends the run inside a block, after 45 steps in units of 7 rows
+    def test_block_size_changes_no_bit(self, monkeypatch, count, schedule, mode):
+        # blocks of one stride or _block_rows(n) rows (a stack size of 0),
+        # the default, and one block for the whole run give every problem
+        # the same state, generator included.  "long-stride" has blocks of
+        # 5 rows in a stride of 12 at a stack size of 0, so blocks end
+        # inside a stride; "max-iters" ends the run inside a block, after
+        # 45 steps in a stride of 7
         settings = {
             "aligned": dict(tol_aligned_rel=1e-13), "residual": dict(tol_residual=1e-24),
             "blind": dict(tol_residual=1e-24),
@@ -740,15 +742,16 @@ class TestSolveGroup:
             problems = [(*problem[:4], None) for problem in problems]
         default = solver._STACK_BYTES
         monkeypatch.setattr(solver, "_STACK_BYTES", 0)
-        units = solve_group(problems)
-        whole = 16 * 12 * count * (max(state.k for state in units) + 12)
+        narrow = solve_group(problems)
+        whole = 16 * 12 * count * (max(state.k for state in narrow) + 12)
         for stack_bytes in (whole, default):
             monkeypatch.setattr(solver, "_STACK_BYTES", stack_bytes)
-            assert len(solver._units(0, stride, 12, settings["max_iters"], count)) > 1
-            for got, want in zip(solve_group(problems), units):
+            # the first block crosses stride boundaries
+            assert solver._block_size(0, stride, 12, settings["max_iters"], count) > stride
+            for got, want in zip(solve_group(problems), narrow):
                 self.assert_same_state(got, want)
         if schedule != "max-iters":
-            assert all(state.k < settings["max_iters"] for state in units)
+            assert all(state.k < settings["max_iters"] for state in narrow)
 
     def test_problems_must_share_settings(self):
         problems = group_problems("sphere", 6, 60, 2, 80, max_iters=100, tol_aligned_rel=1e-8)
