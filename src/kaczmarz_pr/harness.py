@@ -103,8 +103,8 @@ class ExperimentConfig:
             self.solver_config(0)
             self.spectral_config(0)
             if self.signal is not None:  # a read-only copy, which the caller's array cannot change
-                object.__setattr__(self, "signal", np.array(check_vector("signal", self.signal, self.n)))
-                self.signal.setflags(write=False)
+                signal = np.array(check_vector("signal", self.signal, self.n))
+                object.__setattr__(self, "signal", sensing._freeze(signal))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.output_format not in ("csv", "json"):
@@ -191,13 +191,16 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
 _FAILURES = (ValueError, RuntimeError, ArithmeticError)
 
 
+@blas.one_thread()
 def _run_group(cfg: ExperimentConfig, trial_ids, fills=None) -> list[TrialRecord]:
     """``run_trial`` for each id, with the solves in lockstep
     (``solve_group``); a trial that fails leaves the others' records
     unchanged.  ``fills``, where given, yields each trial's (ensemble seed,
     normal fill) in turn (``sensing.draw_ahead``); a fill of another seed
     raises LookupError, and a fill that could not be allocated fails its
-    trial as ``sample_ensemble`` would have."""
+    trial as ``sample_ensemble`` would have.  It holds OpenBLAS at one
+    thread (``blas.one_thread``), so ``run_trial`` and a pool worker do,
+    however the worker was started."""
     records, problems, started = [], [], []
     for trial_id in trial_ids:
         seed = derive_seed(cfg.master_seed, trial_id)
@@ -279,10 +282,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Tr
     ConfigError), and a pool maps the same groups.  Both maps return the
     records in trial order, each equal to ``run_trial``'s, so their content
     is independent of the grouping and of the worker count.  The whole run
-    holds OpenBLAS at one thread (``blas.one_thread``; forked workers
-    inherit it).  A serial run holds the ``sensing.draw_ahead`` generator of
-    every trial's ensemble and passes it to each group, so the next trial's
-    normal draws are made on a thread of their own."""
+    holds OpenBLAS at one thread (``blas.one_thread``), and so does each
+    group, in this process or a worker's.  A serial run holds the
+    ``sensing.draw_ahead`` generator of every trial's ensemble and passes
+    it to each group, so the next trial's normal draws are made on a
+    thread of their own."""
     nworkers = _worker_count(workers)
     groups = _trial_groups(cfg)
     with blas.one_thread():
@@ -311,14 +315,6 @@ _CSV_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
-    return str(value)
-
-
 def render_csv(records: list[TrialRecord]) -> str:
     """Fixed-schema CSV: one row per (trial, epoch sample), then one summary
     row per trial that repeats its last sample row, the final state; a
@@ -328,12 +324,12 @@ def render_csv(records: list[TrialRecord]) -> str:
     for rec in records:
         prefix = f"{rec.trial_id},{rec.seed},{rec.n},{rec.m},{rec.model}"
         rows = [
-            f"{prefix},{_fmt(ep)},{_fmt(al)},{_fmt(raw)},{_fmt(res)}"
+            f"{prefix},{ep:.17g},{al:.17g},{raw:.17g},{res:.17g}"
             for ep, al, raw, res in zip(
                 rec.epochs, rec.aligned_errors, rec.raw_errors, rec.residuals
             )
         ]
-        lines += rows + (rows[-1:] or [f"{prefix},{_fmt(rec.iterations_run / rec.n)},nan,nan,nan"])
+        lines += rows + (rows[-1:] or [f"{prefix},{rec.iterations_run / rec.n:.17g},nan,nan,nan"])
     return "\n".join(lines) + "\n"
 
 

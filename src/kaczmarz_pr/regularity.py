@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import check_vector
-from .sensing import row_magnitudes, row_products
+from .sensing import _freeze, row_products
 
 __all__ = [
     "dir_deriv_f",
@@ -120,9 +120,8 @@ def second_dir_deriv_at_signal(ensemble, z, v) -> np.ndarray:
 def wedge(ensemble, z, v, beta: float) -> np.ndarray:
     """Rows {i : beta |a_i^* v| >= |a_i^* z|}, exact float comparison, as a
     read-only sorted array of 0-based indices."""
-    idx = np.flatnonzero(beta * row_magnitudes(ensemble, v) >= row_magnitudes(ensemble, z))
-    idx.setflags(write=False)
-    return idx
+    inside = beta * np.abs(row_products(ensemble, v)) >= np.abs(row_products(ensemble, z))
+    return _freeze(np.flatnonzero(inside))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .blas import one_thread
 from .core import check_vector
 from .regularity import _signal_products, _term_coefficients, regularity_terms, wedge
-from .seeding import check_int, check_real, check_seed
+from .seeding import check_int, check_real
 
 __all__ = ["RegularityParams", "RegularityReport", "estimate_L"]
 
@@ -50,7 +50,7 @@ class RegularityParams:
         check_real("alpha", self.alpha, 1.0, strict=True)
         check_real("c0", self.c0, 0.0, strict=True)
         check_int("net_or_samples", self.net_or_samples, 1)
-        check_seed(self.seed)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,3 @@ def check_real(name: str, value, low: float, *, strict: bool = False) -> None:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if value < low or (strict and value == low):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {low:g}")
-
-
-def check_seed(seed) -> None:
-    """``check_int`` for the seeds ``numpy.random.default_rng`` takes."""
-    check_int("seed", seed, 0)

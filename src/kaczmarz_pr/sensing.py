@@ -30,7 +30,6 @@ __all__ = [
     "sample_unit_vector",
     "draw_ahead",
     "row_products",
-    "row_magnitudes",
     "measure",
     "objective_f",
     "objective_rows",
@@ -264,20 +263,16 @@ def sample_unit_vector(n: int, seed) -> np.ndarray:
 
 def row_products(ensemble: SensingEnsemble, v) -> np.ndarray:
     """a_i^* v for every row, as an (m,) array: conj(A conj(v)), so that no
-    conjugate copy of the (m, n) rows is made."""
-    return np.conj(ensemble.vectors @ np.conj(np.asarray(v, dtype=complex)))
-
-
-def row_magnitudes(ensemble: SensingEnsemble, v) -> np.ndarray:
-    """|a_i^* v| for every row, as an (m,) array: |A conj(v)|, which skips
-    ``row_products``' outer conjugate, since |conj(t)| = |t| exactly."""
-    return np.abs(ensemble.vectors @ np.conj(np.asarray(v, dtype=complex)))
+    conjugate copy of the (m, n) rows is made, with the outer conjugate
+    taken in place."""
+    t = ensemble.vectors @ np.conj(np.asarray(v, dtype=complex))
+    return np.conj(t, out=t)
 
 
 def measure(ensemble: SensingEnsemble, z) -> MeasurementSet:
     """Magnitudes y_i = |a_i^* z| for every row of the ensemble, of a finite
     (n,) vector z."""
-    y = row_magnitudes(ensemble, check_vector("z", z, ensemble.n))
+    y = np.abs(row_products(ensemble, check_vector("z", z, ensemble.n)))
     return MeasurementSet(values=y, ensemble=ensemble)
 
 

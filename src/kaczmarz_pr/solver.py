@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import _check_same_dim, aligned2_rows, check_vector
 from .sensing import _block_rows, _einsum, _prepared, objective_rows
-from .seeding import check_int, check_real, check_seed
+from .seeding import check_int, check_real
 
 __all__ = [
     "SolverConfig",
@@ -50,7 +50,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_int("max_iters", self.max_iters, 1)
-        check_seed(self.seed)
+        check_int("seed", self.seed, 0)
         check_real("zero_threshold", self.zero_threshold, 0.0, strict=True)
         if self.row_rule != "uniform":
             raise ValueError(f"unknown row rule {self.row_rule!r}; only 'uniform' is supported")

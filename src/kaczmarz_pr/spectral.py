@@ -17,7 +17,7 @@ import numpy as np
 
 from .blas import one_thread
 from .sensing import _block_rows, sample_unit_vector
-from .seeding import check_int, check_real, check_seed
+from .seeding import check_int, check_real
 
 __all__ = ["SpectralConfig", "truncated_covariance", "spectral_init"]
 
@@ -33,7 +33,7 @@ class SpectralConfig:
         check_real("truncation_multiplier", self.truncation_multiplier, 0.0, strict=True)
         check_real("power_tol", self.power_tol, 0.0, strict=True)
         check_int("power_iters_max", self.power_iters_max, 1)
-        check_seed(self.seed)
+        check_int("seed", self.seed, 0)
 
 
 def truncated_covariance(ensemble, y, multiplier: float = SpectralConfig.truncation_multiplier):

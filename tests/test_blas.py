@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from kaczmarz_pr import blas, measure, sample_sphere, sample_unit_vector, truncated_covariance
-from kaczmarz_pr.harness import ExperimentConfig, render_csv, run_experiment
+from kaczmarz_pr import blas, harness, measure, sample_sphere, sample_unit_vector, truncated_covariance
+from kaczmarz_pr.harness import ExperimentConfig, render_csv, run_experiment, run_trial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -70,6 +70,27 @@ def test_concurrent_blocks_hold_one_thread_until_the_last_leaves(openblas_thread
     assert not any(t.is_alive() for t in threads)
     assert seen == [1] * 1600
     assert get() == before
+
+
+@needs_openblas
+def test_run_trial_and_a_bare_group_solve_at_one_thread(openblas_threads, monkeypatch):
+    # a pool worker started by spawn or forkserver runs _run_group outside
+    # run_experiment's hold, as run_trial does
+    get, _ = blas._openblas()
+    seen = []
+
+    def probe(problems):
+        seen.append(get())
+        return solve_group(problems)
+
+    solve_group = harness.solve_group
+    monkeypatch.setattr(harness, "solve_group", probe)
+    openblas_threads(2)
+    cfg = ExperimentConfig(n=6, m=90, num_trials=2, master_seed=9)
+    run_trial(cfg, 0)
+    assert get() == 2
+    harness._run_group(cfg, range(2))
+    assert seen == [1, 1] and get() == 2
 
 
 @needs_openblas

@@ -82,6 +82,13 @@ class TestRunExperiment:
         parallel = render_csv(run_experiment(cfg, workers=3))
         assert serial == parallel
 
+    def test_an_exhausted_power_iteration_fails_every_trial(self):
+        cfg = ExperimentConfig(n=8, m=160, num_trials=3, master_seed=5, power_iters_max=1)
+        recs = run_experiment(cfg, workers=1)
+        assert [(rec.failed, rec.error) for rec in recs] == [
+            (True, "RuntimeError: power iteration did not reach tol 1e-08 within 1 iterations")
+        ] * 3
+
     @pytest.mark.parametrize("k", [-480, -200, -43, 100, 200, 260, 480])
     @pytest.mark.parametrize(
         "shape", [dict(m=160), dict(model="unitary", K=20)], ids=["sphere", "unitary"]
@@ -413,6 +420,11 @@ class TestCsvOutput:
                 # the last sample row and the summary row share the epoch column
                 assert rows[-2].split(",")[5] == rows[-1].split(",")[5]
             assert abs(recs[5].rho_hat - recs[None].rho_hat) <= 1e-3
+
+    def test_non_finite_and_signed_zero_bytes(self):
+        rec = make_record([math.nan, math.inf, -math.inf, -0.0, 1 / 3])
+        rows = [line.split(",")[6] for line in render_csv([rec]).splitlines()[1:]]
+        assert rows == ["nan", "inf", "-inf", "-0", "0.33333333333333331", "0.33333333333333331"]
 
     def test_nan_rendering_for_failed_trial(self):
         rec = TrialRecord(trial_id=0, seed=0, n=2, m=4, model="sphere", failed=True)

@@ -182,6 +182,14 @@ class TestSpectralInit:
         with pytest.raises(ValueError, match="truncated covariance is zero"):
             spectral_init(ens, y, cfg)
 
+    def test_power_iteration_stops_at_its_budget(self):
+        ens = sample_sphere(8, 160, 26)
+        y = measure(ens, sample_unit_vector(8, 27))
+        cfg = SpectralConfig(power_iters_max=1, seed=28)
+        with pytest.raises(RuntimeError) as info:
+            spectral_init(ens, y, cfg)
+        assert str(info.value) == "power iteration did not reach tol 1e-08 within 1 iterations"
+
     def test_mismatched_measurements_rejected(self):
         ens = sample_sphere(3, 12, 21)
         other = sample_sphere(3, 12, 22)
