@@ -91,9 +91,8 @@ def draw_ahead(model: str, n: int, m: int, seeds):
     works on the current one.  Each step allocates the next array on the
     caller's thread, and the first one the one buffer, so the drawer
     allocates nothing (a thread that allocates grows a malloc arena of its
-    own).  An allocation that fails, in the order ``_sample`` allocates,
-    yields (seed, the error) in place of the fill, for the trial of that
-    seed to raise.  Closing the generator waits for the drawer."""
+    own).  A fill that numpy refuses or cannot allocate is None, and
+    ``_sample`` allocates it.  Closing the generator waits for the drawer."""
     segment, buf = _segment_rows(model, n, m), []
     with ThreadPoolExecutor(max_workers=1) as drawer:
 
@@ -102,8 +101,8 @@ def draw_ahead(model: str, n: int, m: int, seeds):
                 g = np.empty((m, n), dtype=complex)
                 if not buf:
                     buf.append(np.empty((_block_rows(n), n)))
-            except (ValueError, MemoryError) as exc:  # numpy refuses the size
-                return seed, exc, None
+            except (ValueError, MemoryError):  # _sample's own allocation raises it
+                return seed, None, None
             return seed, g, drawer.submit(_fill_normal, np.random.default_rng(int(seed)), g, segment, buf[0])
 
         queued = map(queue, seeds)
@@ -243,6 +242,7 @@ def sample_sphere(n: int, m: int, seed: int) -> SensingEnsemble:
     """
     check_int("n", n, 1)
     check_int("m", m, 1)
+    check_int("seed", seed, 0)
     return _sample(MODEL_SPHERE, n, m, seed)
 
 
@@ -250,13 +250,17 @@ def sample_block_unitary(n: int, K: int, seed: int) -> SensingEnsemble:
     """K independent Haar unitaries; ensemble rows are their columns in block order."""
     check_int("n", n, 1)
     check_int("K", K, 1)
+    check_int("seed", seed, 0)
     return _sample(MODEL_UNITARY, n, K * n, seed)
 
 
 def sample_unit_vector(n: int, seed) -> np.ndarray:
-    """One vector uniform on the unit sphere of C^n (seed int or Generator)."""
+    """One vector uniform on the unit sphere of C^n (seed int >= 0 or Generator)."""
     check_int("n", n, 1)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
+    rng = seed
+    if not isinstance(seed, np.random.Generator):
+        check_int("seed", seed, 0)
+        rng = np.random.default_rng(int(seed))
     v = _complex_normal(rng, (n,))
     return v / np.linalg.norm(v)
 

@@ -254,12 +254,11 @@ def solve_group(problems) -> list:
     The steps write each iterate into the block's (block, T, n) buffer,
     and one ``aligned2_rows`` call gives the aligned errors of its rows,
     each against its own problem's z (NaN without z), each with the bits
-    ``dist_phase_aligned`` gives for that iterate alone.  In aligned-error
-    mode every row is tested and a problem's first row that passes
-    ``cfg.converged`` is its stop, the exact k, where it leaves the group;
-    in residual mode a run stops only at a sample, so only the samples and
-    the block's last row are computed, and the first sample whose f passes
-    is the stop.  Each problem takes, in order, the block's samples, the
+    ``dist_phase_aligned`` gives for that iterate alone: every row in
+    aligned-error mode, the samples and the last row in residual mode.  A
+    problem's first row whose aligned error passes ``cfg.converged`` is its
+    stop, the exact k, where it leaves the group; else its first sample
+    whose f passes.  Each problem takes, in order, the block's samples, the
     rows that fall on a stride, up to its stop.  A sample takes its
     aligned error from its block (at k = 0, from x0) and copies its
     iterate into the problem's pending buffer, whose residuals one
@@ -278,7 +277,6 @@ def solve_group(problems) -> list:
             raise ValueError("a group's problems must share n, every setting but the seed, "
                              "and whether z is given")
     stride = cfg.history_stride if cfg.history_stride is not None else n
-    experiment = cfg.tol_aligned_rel is not None
 
     def errors(X, group):
         """The aligned errors of the (rows, T, n) X's iterates, each
@@ -308,19 +306,14 @@ def solve_group(problems) -> list:
                 column = (rows[:, t], conj[:, t], na2[:, t], y[:, t])
                 _steps(run.state.x, *column, cfg.zero_threshold, X[:, t])
         samples = range(stride - 1 - k % stride, size, stride)
-        # aligned-error mode tests every row; residual mode stops only at a
-        # sample, so only the samples and the block's last row are tested
-        if experiment:
-            tested = errors(X, active)
-        else:
-            last = sorted({*samples, size - 1})
-            tested = np.full((size, len(active)), math.nan)
-            tested[last] = errors(X[last], active)
+        # residual mode stops only at a sample: it tests those and the last row
+        picked = slice(None) if cfg.tol_aligned_rel is not None else sorted({*samples, size - 1})
+        tested = np.full((size, len(active)), math.nan)
+        tested[picked] = errors(X[picked], active)
         for t, run in enumerate(active):
-            stop = size - 1
-            if experiment:
-                hits = np.flatnonzero(cfg.converged(tested[:, t], run.res, run.nz))
-                stop = int(hits[0]) if hits.size else stop
+            # f is unknown at a block row, so only the aligned error stops here
+            hits = np.flatnonzero(cfg.converged(tested[:, t], math.nan, run.nz))
+            stop = int(hits[0]) if hits.size else size - 1
             for j in samples:
                 if j > stop:
                     break

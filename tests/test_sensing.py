@@ -57,6 +57,14 @@ class TestNormalFill:
         assert threading.get_ident() not in threads
         assert list(threads.values()) == [[m, m, m]]
 
+    def test_draw_ahead_leaves_a_refused_fill_to_sample(self):
+        # numpy refuses a (2^62, 4) complex array: the drawer yields no fill,
+        # and _sample's own allocation raises numpy's error in the trial
+        with closing(sensing.draw_ahead("sphere", 4, 2**62, [5, 6])) as fills:
+            assert list(fills) == [(5, None), (6, None)]
+        with pytest.raises(ValueError, match="array is too big"):
+            sensing._sample("sphere", 4, 2**62, 5, None)
+
 
 class TestSphereSampler:
     def test_unit_norms_and_shape(self):
@@ -176,6 +184,23 @@ class TestBlockUnitarySampler:
             sample_block_unitary(n, K, 1)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(2.7, "must be an integer"), (True, "must be an integer"), ("3", "must be an integer"), (-1, "must be >= 0")],
+    ids=["float", "bool", "string", "negative"],
+)
+@pytest.mark.parametrize(
+    "sample",
+    [lambda s: sample_sphere(4, 10, s), lambda s: sample_block_unitary(4, 2, s), lambda s: sample_unit_vector(4, s)],
+    ids=["sphere", "unitary", "unit_vector"],
+)
+def test_samplers_refuse_a_seed_that_is_not_a_nonnegative_integer(sample, seed, message):
+    # 2.7 ran as seed 2, a bool as 0 or 1, and "3" as 3
+    with pytest.raises(ValueError, match=f"^seed {message}"):
+        sample(seed)
+    sample(np.int64(3))
+
+
 class TestOutsideArrays:
     """An ensemble or a measurement set built from the caller's arrays is
     checked once, when it is built, and keeps a read-only copy."""
@@ -283,11 +308,12 @@ class TestMeasure:
         assert len({ens, twin, ens}) == 2 and len({y, y_twin, y}) == 2
 
 
-class TestRowMagnitudes:
+class TestBitsOfRowProducts:
     @pytest.mark.parametrize("n, m, seed", [(1, 5, 0), (7, 60, 1), (50, 2000, 2)])
     def test_measure_and_objective_keep_their_bits(self, n, m, seed):
-        # |A conj(v)| skips row_products' outer conjugate; |conj(t)| = |t|
-        # exactly, so both must equal the row_products expressions bitwise
+        # measure is |row_products|; objective_rows takes |A conj(X)^T|,
+        # without row_products' outer conjugate, and |conj(t)| = |t|
+        # exactly, so both equal the row_products expressions bitwise
         ens = sample_sphere(n, m, seed)
         z, x = sample_unit_vector(n, seed + 10), sample_unit_vector(n, seed + 20)
         y = measure(ens, z)
