@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
@@ -291,6 +290,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Tr
             seeds = [derive_seed(cfg.master_seed, t, ENSEMBLE_STREAM) for t in range(cfg.num_trials)]
             with closing(sensing.draw_ahead(cfg.model, cfg.n, cfg.effective_m, seeds)) as fills:
                 return [rec for group in groups for rec in _run_group(cfg, group, fills)]
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs load multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(nworkers, len(groups))) as pool:
             return [rec for group in pool.map(_run_group, repeat(cfg), groups) for rec in group]
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,7 @@ import golden
 from kaczmarz_pr import cli, harness
 from kaczmarz_pr.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOOD_CONFIG = (
     "model = sphere\n"
@@ -281,6 +286,15 @@ def test_run_rejected_setting_exits_2(tmp_path, capsys, monkeypatch, line, messa
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_importing_the_cli_leaves_the_verify_suite_unloaded():
+    # `run` and `estimate-l` do not compile verify.py; only `verify` imports it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, kaczmarz_pr.cli; print('kaczmarz_pr.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_verify_negative_seed_exits_2(capsys):

@@ -1,6 +1,10 @@
+import concurrent.futures
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import closing
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
@@ -30,7 +34,20 @@ from kaczmarz_pr.seeding import ENSEMBLE_STREAM, SOLVER_STREAM, SPECTRAL_STREAM,
 from kaczmarz_pr.solver import SolverConfig
 from kaczmarz_pr.spectral import SpectralConfig
 
+# a serial run in a fresh interpreter, then a pooled run of the same batch
+SERIAL_THEN_POOLED = (
+    "import sys\n"
+    "import kaczmarz_pr\n"
+    "from kaczmarz_pr.harness import ExperimentConfig, render_csv, run_experiment, run_trial\n"
+    "cfg = ExperimentConfig(n=6, model='sphere', m=60, num_trials=2, master_seed=8)\n"
+    "run_trial(cfg, 0)\n"
+    "serial = render_csv(run_experiment(cfg, workers=1))\n"
+    "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    "print(render_csv(run_experiment(cfg, workers=2)) == serial)\n"
+)
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def make_record(errors):
@@ -81,6 +98,14 @@ class TestRunExperiment:
         serial = render_csv(run_experiment(cfg, workers=1))
         parallel = render_csv(run_experiment(cfg, workers=3))
         assert serial == parallel
+
+    def test_a_serial_process_loads_no_pool(self):
+        # only the pooled branch imports ProcessPoolExecutor, so importing
+        # the package and running trials serially leave multiprocessing out
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", SERIAL_THEN_POOLED], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
     def test_an_exhausted_power_iteration_fails_every_trial(self):
         cfg = ExperimentConfig(n=8, m=160, num_trials=3, master_seed=5, power_iters_max=1)
@@ -171,7 +196,7 @@ class TestRunExperiment:
         def started(*args, **kwargs):
             raise AssertionError("work started before the check")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
         monkeypatch.setattr(harness, "_run_group", started)
         cfg = ExperimentConfig(n=6, model="sphere", m=60, num_trials=2, master_seed=8)
         for bad in (True, 0.5, 1.5, 2.0, "2", -1):
@@ -181,9 +206,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("n, m", [(4, 2**62), (2**62, 4)])
     def test_a_size_numpy_refuses_fails_each_trial_alike(self, n, m):
         # numpy refuses the ensemble (or, at n = 2^62, also the signal)
-        # before it allocates: serially the drawer hands the allocation's
-        # ValueError to its trial, so serial, pooled and run_trial records
-        # are the same failed trials, byte for byte
+        # before it allocates: serially the drawer yields no fill and the
+        # trial's own allocation raises the ValueError, so serial, pooled
+        # and run_trial records are the same failed trials, byte for byte
         cfg = ExperimentConfig(n=n, m=m, num_trials=3, master_seed=7)
         want = render_csv([run_trial(cfg, t) for t in range(3)])
         assert want.count(",nan,nan,nan") == 3

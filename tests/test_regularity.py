@@ -488,6 +488,19 @@ class TestEstimateL:
         assert rep.evaluations == 27779
         assert rep.L_estimate == pytest.approx(-22.44770756246052, rel=1e-12)
 
+    def test_random_stage_wins_on_a_unitary_instance(self):
+        # `estimate-l --model unitary --n 16 --K 40 --alpha 20 --c0 0.1
+        # --seed 1005`: the random candidates of budget 2048 find a lower
+        # value (-80.2057) than the anchor and descent alone (budget 1,
+        # -79.3008) reach
+        ens = sample_block_unitary(16, 40, derive_seed(1005, 1))
+        z = sample_unit_vector(16, derive_seed(1005, 2))
+        L = [
+            estimate_L(ens, z, RegularityParams(c0=0.1, alpha=20.0, net_or_samples=b, seed=1005)).L_estimate
+            for b in (1, 2048)
+        ]
+        assert L[1] < L[0]
+
     def test_sweep_memory_is_bounded_by_eval_blocks(self):
         # README: each temporary of a score holds at most _EVAL_BYTES, and
         # a sweep, with its kept move and carried products, at most two at
